@@ -11,6 +11,7 @@ from .graph import (
     Edge,
     GenerationError,
     Graph,
+    InvariantViolation,
     ParseError,
     SteinerWitness,
     bfs_distances,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .graph import Edge, Graph, edge
+from .graph import Edge, Graph, InvariantViolation, edge
 
 
 @dataclass(frozen=True)
@@ -117,12 +117,16 @@ def split_two(g: Graph) -> tuple[Graph, Graph]:
             walk_circuit(v)
 
     first, second = Graph(n, frozenset(sides[0])), Graph(n, frozenset(sides[1]))
-    assert first.edges | second.edges == g.edges
-    assert not first.edges & second.edges
+    if first.edges | second.edges != g.edges:
+        raise InvariantViolation("split_two lost edges")
+    if first.edges & second.edges:
+        raise InvariantViolation("split_two sides share an edge")
     for v in range(n):
-        assert abs(first.degree(v) - second.degree(v)) <= 2
+        if abs(first.degree(v) - second.degree(v)) > 2:
+            raise InvariantViolation(f"split_two degree gap above 2 at vertex {v}")
     bound = (g.min_degree - 1) // 2
-    assert first.min_degree >= bound and second.min_degree >= bound
+    if first.min_degree < bound or second.min_degree < bound:
+        raise InvariantViolation(f"split_two side min degree below {bound}")
     return first, second
 
 

@@ -13,12 +13,16 @@ re-runs the predicate from scratch.
 
 from __future__ import annotations
 
+import heapq
+import itertools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .graph import (
     Graph,
+    InvariantViolation,
     bfs_distances,
     shortest_path_between_sets,
 )
@@ -100,6 +104,29 @@ def _components_within(g: Graph, dom: Iterable[int]) -> list[tuple[int, ...]]:
     return comps
 
 
+def _balls(g: Graph, mask: int) -> list[int]:
+    """BFS by bitmasks: entry r holds every vertex within distance r of the
+    vertices in ``mask``; the list ends once the reachable part is covered."""
+    adj_bits = g.adj_bits
+    balls = [mask]
+    seen = frontier = mask
+    while True:
+        grown = 0
+        # bin() spells out the frontier in C; find() then walks its set bits
+        # faster than peeling them off the integer one at a time.
+        bits = bin(frontier)
+        top = len(bits) - 1
+        i = bits.find("1", 2)
+        while i != -1:
+            grown |= adj_bits[top - i]
+            i = bits.find("1", i + 1)
+        frontier = grown & ~seen
+        if not frontier:
+            return balls
+        seen |= frontier
+        balls.append(seen)
+
+
 # ---------------------------------------------------------------------------
 # Predicates
 
@@ -148,29 +175,64 @@ def greedy_two_step_dominating(part: Graph) -> DominationCertificate:
     lowest-id vertex at distance exactly 3 until none remains. Every added
     vertex enlarges the closed neighborhood by at least delta + 1, which
     caps the final size at n / (delta + 1).
+
+    The bookkeeping is incremental. Distances are kept only up to 3, and an
+    added vertex relaxes them with a BFS that stops at radius 3 and wherever
+    it fails to shorten a distance (distances only go down). Distance-3
+    vertices wait in a lazy min-heap, and the closed-neighborhood count is
+    kept running for the per-step delta + 1 check. The cost is one radius-3
+    ball per added vertex instead of one full BFS per added vertex.
     """
     if part.n == 0:
         raise ValueError("empty graph")
     delta = part.min_degree
+    adj = part.adj
     dom = [comp[0] for comp in part.components]
+    dist = [4] * part.n  # 4 stands for "farther than 3"
+    level3: list[int] = []  # lazy min-heap of vertices at distance 3
+    cover = 0  # vertices at distance <= 1
 
-    def closed_cover(dist):
-        return sum(1 for d in dist if d is not None and d <= 1)
+    def relax(sources: list[int]) -> None:
+        nonlocal cover
+        queue: deque[int] = deque()
+        for s in sources:
+            if dist[s] > 1:
+                cover += 1
+            dist[s] = 0
+            queue.append(s)
+        while queue:
+            v = queue.popleft()
+            d = dist[v] + 1
+            if d > 3:
+                continue
+            for w in adj[v]:
+                if d < dist[w]:
+                    if dist[w] > 1 >= d:
+                        cover += 1
+                    elif d == 3:
+                        heapq.heappush(level3, w)
+                    dist[w] = d
+                    queue.append(w)
 
-    dist = bfs_distances(part, dom)
-    cover = closed_cover(dist)
-    assert cover >= len(dom) * (delta + 1)
+    relax(dom)
+    if cover < len(dom) * (delta + 1):
+        raise InvariantViolation("seed closed neighborhoods cover too few vertices")
     while True:
-        level3 = [v for v in range(part.n) if dist[v] == 3]
+        while level3 and dist[level3[0]] != 3:
+            heapq.heappop(level3)
         if not level3:
             break
-        dom.append(min(level3))
-        dist = bfs_distances(part, dom)
-        new_cover = closed_cover(dist)
-        assert new_cover - cover >= delta + 1
-        cover = new_cover
+        v = heapq.heappop(level3)
+        dom.append(v)
+        before = cover
+        relax([v])
+        if cover - before < delta + 1:
+            raise InvariantViolation(
+                f"adding vertex {v} covered {cover - before} < delta + 1 new vertices"
+            )
     bound = Fraction(part.n, delta + 1)
-    assert len(dom) <= bound
+    if len(dom) > bound:
+        raise InvariantViolation(f"{len(dom)} vertices exceed the bound {bound}")
     return DominationCertificate(
         graph=part,
         vertices=tuple(sorted(dom)),
@@ -191,7 +253,15 @@ def connect_two_step(
     Repeatedly joins the closest pair of components of the induced subgraph
     by the interior of a shortest path in g. Because the input 2-step
     dominates g, the closest pair is always at distance <= 5, so the result
-    has size <= 5|D| - 4.
+    has size <= 5|D| - 4. Ties go to the pair with the lowest minimum ids.
+
+    The bookkeeping is incremental. Each component gets one bitmask BFS
+    when it forms, which gives its distance to every component already
+    present; those pair distances wait in a lazy min-heap keyed by
+    (distance, lower minimum id, higher minimum id), and pairs with a
+    merged-away member are skipped when popped. A merge searches only from
+    the new component, so the run costs one BFS per component ever formed
+    (at most 2|D|), not one BFS per live component per merge.
     """
     dom0 = sorted(set(dominating))
     if not g.is_connected:
@@ -200,32 +270,52 @@ def connect_two_step(
         raise ValueError("part must be a spanning subgraph of the host graph")
     if not is_k_step_dominating(part, dom0, 2):
         raise ValueError("input is not a 2-step dominating set of the part")
-    dom = set(dom0)
-    while True:
-        comps = _components_within(g, dom)
-        if len(comps) <= 1:
-            break
-        best: tuple[int, int, int] | None = None  # (distance, i, j)
-        dists = []
-        for comp in comps:
-            dists.append(bfs_distances(g, comp))
-        for i in range(len(comps)):
-            for j in range(i + 1, len(comps)):
-                d = min(dists[i][v] for v in comps[j])  # type: ignore[type-var]
-                cand = (d, i, j)
-                if best is None or cand < best:
-                    best = cand
-        assert best is not None
-        d, i, j = best
-        assert d <= 5, f"closest component pair at distance {d} > 5"
-        path = shortest_path_between_sets(g, comps[i], comps[j])
-        assert path is not None and len(path) - 2 <= 4
-        dom.update(path[1:-1])
+    owner: list[int | None] = [None] * g.n  # component id of each set vertex
+    comps: dict[int, tuple[int, ...]] = {}
+    masks: dict[int, int] = {}  # vertex bitmask of each component
+    pairs: list[tuple[int, int, int, int, int]] = []  # (d, min, min, id, id)
+    ids = itertools.count()
+
+    def add_component(vertices: tuple[int, ...]) -> None:
+        cid = next(ids)
+        mask = sum(1 << v for v in vertices)
+        balls = _balls(g, mask)
+        for oid, other in comps.items():
+            d = next(r for r, ball in enumerate(balls) if ball & masks[oid])
+            (lo, lo_id), (hi, hi_id) = sorted([(vertices[0], cid), (other[0], oid)])
+            heapq.heappush(pairs, (d, lo, hi, lo_id, hi_id))
+        comps[cid] = vertices
+        masks[cid] = mask
+        for v in vertices:
+            owner[v] = cid
+
+    for comp in _components_within(g, dom0):
+        add_component(comp)
+    while len(comps) > 1:
+        d, _, _, a, b = heapq.heappop(pairs)
+        if a not in comps or b not in comps:
+            continue
+        if d > 5:
+            raise InvariantViolation(f"closest component pair at distance {d} > 5")
+        path = shortest_path_between_sets(g, comps[a], comps[b])
+        if path is None or len(path) - 2 > 4:
+            raise InvariantViolation(
+                f"merge path {path} has more than 4 interior vertices"
+            )
+        interior = path[1:-1]
+        touched = {owner[w] for p in interior for w in (p, *g.adj[p])}
+        merged = set(interior)
+        for cid in touched & comps.keys():
+            merged.update(comps.pop(cid))
+            del masks[cid]
+        add_component(tuple(sorted(merged)))
+    (vertices,) = comps.values()
     bound = Fraction(5 * len(dom0) - 4)
-    assert len(dom) <= bound
+    if len(vertices) > bound:
+        raise InvariantViolation(f"{len(vertices)} vertices exceed the bound {bound}")
     return DominationCertificate(
         graph=g,
-        vertices=tuple(sorted(dom)),
+        vertices=vertices,
         kind=STEP,
         j=2,
         connected=True,
@@ -279,7 +369,10 @@ def union_connect(
         w = min(candidates)
         dom.add(w)
         connectors.append(w)
-    assert len(connectors) <= len(certificates) - 1
+    if len(connectors) > len(certificates) - 1:
+        raise InvariantViolation(
+            f"{len(connectors)} connectors exceed k - 1 = {len(certificates) - 1}"
+        )
     total_bound = Fraction(
         sum(len(c.vertices) for c in certificates) + len(certificates) - 1
     )
@@ -299,38 +392,77 @@ def greedy_connected_k_dominating(g: Graph, j: int) -> DominationCertificate:
 
     Greedy: start from the highest-degree vertex (ties to the lowest id),
     repeatedly add the adjacent vertex that newly satisfies the most outside
-    vertices, until the predicate holds. No size optimality is claimed; the
-    certificate is predicate-checked.
+    vertices (ties to the lowest id), until the predicate holds. No size
+    optimality is claimed; the certificate is predicate-checked.
+
+    The bookkeeping is incremental. Per vertex it keeps the number of
+    neighbors inside the set and the gain (outside neighbors one short of
+    j), plus the count of unsatisfied outside vertices and a lazy heap of
+    (-gain, id) over the frontier. An outside vertex changes the gains of
+    its neighbors only when its count reaches j - 1 and j, so all gain
+    updates together cost O(m) heap pushes, instead of a predicate rescan
+    and a frontier rebuild per added vertex. One final predicate check
+    confirms the result.
     """
     if not g.is_connected:
         raise ValueError("requires a connected graph")
     if j < 0:
         raise ValueError("j must be >= 0")
-    seed = min(range(g.n), key=lambda v: (-g.degree(v), v))
-    dom = {seed}
-    inside_count = [0] * g.n
-    for w in g.adj[seed]:
-        inside_count[w] += 1
-    while not is_k_dominating(g, dom, j):
-        frontier = sorted(
-            {w for v in dom for w in g.adj[v] if w not in dom}
-        )
-        assert frontier, "connected graph exhausted without satisfying predicate"
+    adj = g.adj
+    inside = [False] * g.n
+    frontier = [False] * g.n  # adjacent to the set (tested with ``inside``)
+    count = [0] * g.n  # neighbors inside the set
+    gain = [len(adj[v]) if j == 1 else 0 for v in range(g.n)]
+    unsatisfied = g.n if j > 0 else 0  # outside vertices with count < j
+    heap: list[tuple[int, int]] = []
 
-        def gain(w: int) -> int:
-            return sum(
-                1
-                for v in g.adj[w]
-                if v not in dom and v != w and inside_count[v] == j - 1
+    def add(x: int) -> None:
+        nonlocal unsatisfied
+        touched = set()
+        inside[x] = True
+        if count[x] < j:
+            unsatisfied -= 1
+        if count[x] == j - 1:  # x no longer counts toward its neighbors' gain
+            for u in adj[x]:
+                gain[u] -= 1
+            touched.update(adj[x])
+        for v in adj[x]:
+            count[v] += 1
+            if inside[v]:
+                continue
+            if count[v] == j:
+                unsatisfied -= 1
+                for u in adj[v]:
+                    gain[u] -= 1
+                touched.update(adj[v])
+            elif count[v] == j - 1:
+                for u in adj[v]:
+                    gain[u] += 1
+                touched.update(adj[v])
+            if not frontier[v]:
+                frontier[v] = True
+                touched.add(v)
+        for u in touched:
+            if frontier[u] and not inside[u]:
+                heapq.heappush(heap, (-gain[u], u))
+
+    add(min(range(g.n), key=lambda v: (-g.degree(v), v)))
+    while unsatisfied:
+        while heap:
+            neg_gain, w = heapq.heappop(heap)
+            if not inside[w] and -neg_gain == gain[w]:
+                break
+        else:
+            raise InvariantViolation(
+                "connected graph exhausted without satisfying predicate"
             )
-
-        w = min(frontier, key=lambda x: (-gain(x), x))
-        dom.add(w)
-        for v in g.adj[w]:
-            inside_count[v] += 1
+        add(w)
+    dom = tuple(v for v in range(g.n) if inside[v])
+    if not is_k_dominating(g, dom, j):
+        raise InvariantViolation("incremental counts disagree with the predicate")
     return DominationCertificate(
         graph=g,
-        vertices=tuple(sorted(dom)),
+        vertices=dom,
         kind=MULTI,
         j=j,
         connected=True,

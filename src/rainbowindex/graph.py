@@ -39,6 +39,14 @@ class GenerationError(RuntimeError):
     """Random generation could not satisfy its constraints (retry cap hit)."""
 
 
+class InvariantViolation(RuntimeError):
+    """A construction broke a guarantee it certifies (a bug, not bad input).
+
+    Raised explicitly rather than through ``assert``, so the checks also run
+    under ``python -O``.
+    """
+
+
 def edge(u: int, v: int) -> Edge:
     """Normalized edge: endpoints in ascending order."""
     return (u, v) if u < v else (v, u)

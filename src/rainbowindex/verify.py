@@ -25,7 +25,6 @@ from fractions import Fraction
 
 from .coloring import (
     EdgeColoring,
-    all_distinct_coloring,
     color_kdom,
     color_km1dom,
     color_pipeline,
@@ -144,9 +143,9 @@ class _StreeSearcher:
             key = (tree_mask, used)
             if key in memo:
                 return None
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
+            if node_budget is not None and nodes >= node_budget:
                 raise SearchBudgetExceeded("rainbow tree search budget exhausted")
+            nodes += 1
             if not reachable(tree_mask, used):
                 memo.add(key)
                 return None
@@ -243,9 +242,11 @@ class _Budget:
         self.nodes = 0
 
     def tick(self) -> None:
-        self.nodes += 1
-        if self.node_budget is not None and self.nodes > self.node_budget:
+        """Count one node; a refused node is not counted, so ``nodes`` never
+        exceeds the budget."""
+        if self.node_budget is not None and self.nodes >= self.node_budget:
             raise SearchBudgetExceeded("node budget exhausted")
+        self.nodes += 1
         if self.deadline is not None and self.nodes % 256 == 0:
             if time.monotonic() > self.deadline:
                 raise SearchBudgetExceeded("time budget exhausted")

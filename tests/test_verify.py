@@ -177,6 +177,19 @@ def test_exact_budget_returns_unknown_bounds():
     assert result.lower >= 2
 
 
+def test_exact_budget_reports_exact_node_count():
+    assert exact_rx_k(complete_graph(7), 3, node_budget=3).nodes == 3
+
+
+def test_stree_budget_counts_only_explored_nodes():
+    g = path_graph(3)
+    coloring = all_distinct_coloring(g)
+    # the search expands {0} and {0, 1}, then reaches terminal 2
+    assert exists_rainbow_stree(g, coloring, [0, 2], node_budget=2) is not None
+    with pytest.raises(SearchBudgetExceeded):
+        exists_rainbow_stree(g, coloring, [0, 2], node_budget=1)
+
+
 def test_exact_rejects_above_desk_scale():
     g = gnp_connected_graph(12, 0.5, seed=1)
     with pytest.raises(ValueError, match="desk scale"):
