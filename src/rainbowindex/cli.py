@@ -47,11 +47,6 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _load_graph(path: str):
-    g = read_edge_list(path)
-    return g
-
-
 def _certificate_json(cert: DominationCertificate) -> dict:
     out = {
         "vertices": list(cert.vertices),
@@ -73,11 +68,18 @@ def _parse_domset(source: str, g) -> tuple[int, ...]:
     if source in ("all", "all-vertices"):
         return tuple(range(g.n))
     text = Path(source).read_text(encoding="utf-8")
-    vertices = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0]
-        vertices.extend(int(tok) for tok in line.split())
-    return tuple(sorted(set(vertices)))
+    vertices = set()
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        for tok in line.split("#", 1)[0].split():
+            try:
+                v = int(tok)
+            except ValueError:
+                msg = f"vertex id {tok!r} is not an integer"
+                raise ParseError(msg, line_no) from None
+            if not 0 <= v < g.n:
+                raise ParseError(f"vertex {v} outside 0..{g.n - 1}", line_no)
+            vertices.add(v)
+    return tuple(sorted(vertices))
 
 
 def cmd_gen(args) -> int:
@@ -94,7 +96,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_split(args) -> int:
-    g = _load_graph(args.input)
+    g = read_edge_list(args.input)
     cert = split_k(g, args.k)
     if args.out_dir is not None:
         out_dir = Path(args.out_dir)
@@ -111,7 +113,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_dominate(args) -> int:
-    g = _load_graph(args.input)
+    g = read_edge_list(args.input)
     if args.variant == "two-step":
         _, trace = color_pipeline(g, args.k)
         payload = {
@@ -129,7 +131,7 @@ def cmd_dominate(args) -> int:
 
 
 def cmd_color(args) -> int:
-    g = _load_graph(args.input)
+    g = read_edge_list(args.input)
     trace_payload = None
     if args.method == "pipeline":
         coloring, trace = color_pipeline(g, args.k)
@@ -173,7 +175,7 @@ def cmd_color(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g = _load_graph(args.graph)
+    g = read_edge_list(args.graph)
     coloring = read_coloring(args.coloring, g)
     verdict = is_k_rainbow_connected(g, coloring, args.k)
     if verdict.ok:
@@ -184,7 +186,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    g = _load_graph(args.input)
+    g = read_edge_list(args.input)
     result = exact_rx_k(
         g,
         args.k,
@@ -236,7 +238,7 @@ def _fmt_value(value) -> str:
 
 
 def cmd_report(args) -> int:
-    g = _load_graph(args.input)
+    g = read_edge_list(args.input)
     report = bounds_report(g, args.k, time_budget_s=args.timeout)
     if args.format == "json":
         print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))

@@ -32,9 +32,20 @@ from .dominate import (
     greedy_two_step_dominating,
     is_k_dominating,
     union_connect,
-    _induces_connected,
 )
-from .graph import Edge, Graph, bfs_distances, bfs_tree_edges, edge, induced_subgraph
+from .graph import (
+    Edge,
+    Graph,
+    InvariantViolation,
+    ParseError,
+    bfs_distances,
+    bfs_forest,
+    bfs_tree_edges,
+    edge,
+    induced_components,
+    induced_subgraph,
+    parse_records,
+)
 
 
 @dataclass(frozen=True)
@@ -95,7 +106,7 @@ class _Claims:
 
     def claim(self, e: Edge, color: int, rule: str) -> None:
         if e in self.colors:
-            raise RuntimeError(
+            raise InvariantViolation(
                 f"edge {e} claimed twice: {self.rule_of[e]} then {rule}"
             )
         self.colors[e] = color
@@ -244,7 +255,7 @@ def color_kdom(
         raise ValueError(f"k must satisfy 2 <= k <= n, got {k}")
     if not is_k_dominating(g, dom, k):
         raise ValueError("set is not k-dominating")
-    if not _induces_connected(g, set(dom)):
+    if len(induced_components(g, dom)) != 1:
         raise ValueError("set does not induce a connected subgraph")
     if core_coloring is not None and len(dom) < k:
         raise ValueError("core coloring requires |D| >= k")
@@ -300,36 +311,21 @@ def color_km1dom(
         raise ValueError(f"minimum degree {g.min_degree} < k={k}")
     if not is_k_dominating(g, dom, k - 1):
         raise ValueError("set is not (k-1)-dominating")
-    if not _induces_connected(g, set(dom)):
+    if len(induced_components(g, dom)) != 1:
         raise ValueError("set does not induce a connected subgraph")
     if core_coloring is not None and len(dom) < k:
         raise ValueError("core coloring requires |D| >= k")
     inside = set(dom)
-    outside = sorted(v for v in range(g.n) if v not in inside)
-    outside_set = set(outside)
-
-    outside_adj = {
-        v: [w for w in g.adj[v] if w in outside_set] for v in outside
-    }
-    isolated = frozenset(v for v in outside if not outside_adj[v])
+    outside = [v for v in range(g.n) if v not in inside]
+    forest = bfs_forest(g, outside)
+    parents = set(forest.values())
+    isolated = frozenset(v for v, p in forest.items() if p is None and v not in parents)
     side_even: set[int] = set()
-    side_odd: set[int] = set()
-    forest_edges: list[Edge] = []
-    seen: set[int] = set(isolated)
-    for root in outside:
-        if root in seen:
-            continue
-        seen.add(root)
-        side_even.add(root)
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for w in sorted(outside_adj[v]):
-                if w not in seen:
-                    seen.add(w)
-                    forest_edges.append(edge(v, w))
-                    (side_odd if v in side_even else side_even).add(w)
-                    queue.append(w)
+    for v, p in forest.items():  # parents come first; roots are even
+        if v not in isolated and (p is None or p not in side_even):
+            side_even.add(v)
+    side_odd = forest.keys() - isolated - side_even
+    forest_edges = [edge(p, v) for v, p in forest.items() if p is not None]
 
     claims = _Claims()
     legs: dict[int, tuple[tuple[Edge, int], ...]] = {}
@@ -398,46 +394,16 @@ def format_coloring(coloring: EdgeColoring) -> str:
 
 
 def parse_coloring(text: str, graph: Graph | None = None) -> EdgeColoring:
-    from .graph import ParseError
-
-    lines = text.splitlines()
-    header = None
+    records = parse_records(text, "n m c", "'u v color'", "fields must be integers")
+    _, (n, _, c) = next(records)
     entries: dict[Edge, int] = {}
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if header is None:
-            if len(fields) != 3:
-                raise ParseError("expected header 'n m c'", line_no)
-            try:
-                header = tuple(int(x) for x in fields)
-            except ValueError:
-                raise ParseError("header fields must be integers", line_no) from None
-            continue
-        n, m, c = header
-        if len(fields) != 3:
-            raise ParseError("expected 'u v color'", line_no)
-        try:
-            u, v, col = (int(x) for x in fields)
-        except ValueError:
-            raise ParseError("fields must be integers", line_no) from None
-        if u == v:
-            raise ParseError(f"loop edge ({u}, {v})", line_no)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"endpoint out of range in ({u}, {v})", line_no)
+    for line_no, (u, v, col) in records:
         if not 1 <= col <= c:
             raise ParseError(f"color {col} outside 1..{c}", line_no)
         e = edge(u, v)
         if e in entries:
             raise ParseError(f"edge {e} colored twice", line_no)
         entries[e] = col
-    if header is None:
-        raise ParseError("empty document, expected header 'n m c'")
-    n, m, c = header
-    if len(entries) != m:
-        raise ParseError(f"declared {m} edges but found {len(entries)}")
     if graph is None:
         graph = Graph(n, frozenset(entries.keys()))
     else:

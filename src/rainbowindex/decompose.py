@@ -175,7 +175,9 @@ def split_k(g: Graph, k: int) -> SpanningSplit:
     )
     problems = cert.check()
     if problems:
-        raise RuntimeError("split_k produced an invalid certificate: " + "; ".join(problems))
+        raise InvariantViolation(
+            "split_k produced an invalid certificate: " + "; ".join(problems)
+        )
     return cert
 
 

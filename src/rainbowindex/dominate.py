@@ -24,6 +24,7 @@ from .graph import (
     Graph,
     InvariantViolation,
     bfs_distances,
+    induced_components,
     shortest_path_between_sets,
 )
 
@@ -62,46 +63,11 @@ class DominationCertificate:
             return False
         if not ok:
             return False
-        if self.connected and not _induces_connected(g, dom):
+        if self.connected and len(induced_components(g, dom)) != 1:
             return False
         if self.size_bound is not None and len(dom) > self.size_bound:
             return False
         return True
-
-
-def _induces_connected(g: Graph, dom: set[int]) -> bool:
-    if not dom:
-        return False
-    start = min(dom)
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in g.adj[v]:
-            if w in dom and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == dom
-
-
-def _components_within(g: Graph, dom: Iterable[int]) -> list[tuple[int, ...]]:
-    """Components of the induced subgraph on dom, ordered by minimum id."""
-    remaining = set(dom)
-    comps = []
-    for start in sorted(remaining):
-        if start not in remaining:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in g.adj[v]:
-                if w in remaining and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        remaining -= comp
-        comps.append(tuple(sorted(comp)))
-    return comps
 
 
 def _balls(g: Graph, mask: int) -> list[int]:
@@ -289,7 +255,7 @@ def connect_two_step(
         for v in vertices:
             owner[v] = cid
 
-    for comp in _components_within(g, dom0):
+    for comp in induced_components(g, dom0):
         add_component(comp)
     while len(comps) > 1:
         d, _, _, a, b = heapq.heappop(pairs)
@@ -340,7 +306,7 @@ def union_connect(
         vs = cert.vertex_set()
         if not vs:
             raise ValueError("certificate with empty vertex set")
-        if not is_k_step_dominating(g, vs, 2) or not _induces_connected(g, set(vs)):
+        if not is_k_step_dominating(g, vs, 2) or len(induced_components(g, vs)) != 1:
             raise ValueError(
                 "input is not a connected 2-step dominating set of the graph"
             )
@@ -350,7 +316,7 @@ def union_connect(
     anchor_root = certificates[0].vertices[0]
     connectors: list[int] = []
     while True:
-        comps = _components_within(g, dom)
+        comps = induced_components(g, dom)
         if len(comps) <= 1:
             break
         anchor = next(c for c in comps if anchor_root in c)
@@ -365,7 +331,7 @@ def union_connect(
             and any(x in target for x in g.adj[w])
         ]
         if not candidates:
-            raise RuntimeError("no length-2 connection found; inputs invalid")
+            raise InvariantViolation("no length-2 connection found; inputs invalid")
         w = min(candidates)
         dom.add(w)
         connectors.append(w)

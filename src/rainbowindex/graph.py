@@ -120,23 +120,7 @@ class Graph:
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted vertex tuples, ordered by minimum id."""
-        seen = [False] * self.n
-        comps = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            comp = [start]
-            seen[start] = True
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for w in self.adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        queue.append(w)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        return induced_components(self)
 
     @cached_property
     def is_connected(self) -> bool:
@@ -257,25 +241,61 @@ def shortest_path_between_sets(
     return path
 
 
+def bfs_forest(
+    g: Graph, vertices: Iterable[int] | None = None
+) -> dict[int, int | None]:
+    """BFS forest of the subgraph induced on ``vertices`` (all of g by default).
+
+    Roots are taken in ascending id order and adjacency is scanned sorted, so
+    each root is the minimum of its component and the first arrival wins.
+    Returns each vertex's parent (None for a root) in discovery order.
+    """
+    if vertices is None:
+        roots: Iterable[int] = range(g.n)
+        seen = [False] * g.n
+    else:
+        roots = sorted(set(vertices))
+        if roots and not (0 <= roots[0] and roots[-1] < g.n):
+            raise ValueError("vertex out of range")
+        seen = [True] * g.n
+        for v in roots:
+            seen[v] = False
+    adj = g.adj
+    parent: dict[int, int | None] = {}
+    for root in roots:
+        if seen[root]:
+            continue
+        seen[root] = True
+        parent[root] = None
+        queue = [root]
+        for v in queue:  # the loop also visits what it appends
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = v
+                    queue.append(w)
+    return parent
+
+
+def induced_components(
+    g: Graph, vertices: Iterable[int] | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """Components of the induced subgraph as sorted vertex tuples, ordered by
+    minimum id."""
+    comps: list[list[int]] = []
+    for v, p in bfs_forest(g, vertices).items():
+        if p is None:
+            comps.append([])
+        comps[-1].append(v)
+    return tuple(tuple(sorted(comp)) for comp in comps)
+
+
 def bfs_tree_edges(g: Graph, vertices: Iterable[int]) -> list[Edge]:
     """Edges of a BFS spanning tree of the induced subgraph, rooted at the
     lowest id. Raises if the induced subgraph is disconnected."""
-    vs = sorted(set(vertices))
-    if not vs:
-        return []
-    inside = set(vs)
-    root = vs[0]
-    seen = {root}
-    tree: list[Edge] = []
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in g.adj[v]:
-            if w in inside and w not in seen:
-                seen.add(w)
-                tree.append(edge(v, w))
-                queue.append(w)
-    if len(seen) != len(vs):
+    forest = bfs_forest(g, vertices)
+    tree = [edge(p, v) for v, p in forest.items() if p is not None]
+    if len(tree) < len(forest) - 1:
         raise ValueError("induced subgraph is disconnected")
     return tree
 
@@ -318,28 +338,21 @@ class SteinerWitness:
 
     def is_valid_for(self, g: Graph) -> bool:
         """Tree containing the terminals, using only edges of g."""
-        if not self.edges <= g.edges:
-            return False
-        vs = self.vertices()
-        if len(self.edges) != len(vs) - 1:
-            return False
-        if not self.edges:
-            return len(vs) == 1
-        # connectivity over the witness edges
-        adj: dict[int, list[int]] = {v: [] for v in vs}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        start = next(iter(vs))
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen == vs
+        return is_tree_witness(g, self.edges, self.terminals)
+
+
+def is_tree_witness(g: Graph, edges: frozenset[Edge], terminals: Iterable[int]) -> bool:
+    """True iff ``edges`` are edges of g that form one tree containing every
+    terminal (a lone terminal with no edges is a tree)."""
+    if not edges <= g.edges:
+        return False
+    vs = set(terminals)
+    for u, v in edges:
+        vs.add(u)
+        vs.add(v)
+    if len(edges) != len(vs) - 1 or not all(0 <= v < g.n for v in vs):
+        return False
+    return len(induced_components(Graph(g.n, edges), vs)) == 1
 
 
 def _steiner_dp(g: Graph, terminals: list[int]) -> tuple[int, SteinerWitness]:
@@ -403,7 +416,7 @@ def _steiner_dp(g: Graph, terminals: list[int]) -> tuple[int, SteinerWitness]:
             stack.append((sub, v))
             stack.append((mask ^ sub, v))
     if len(edges_out) != value:
-        raise RuntimeError("steiner reconstruction mismatch")
+        raise InvariantViolation("steiner reconstruction mismatch")
     return value, SteinerWitness(frozenset(edges_out), frozenset(terminals))
 
 
@@ -575,50 +588,73 @@ def _need(value, name):
 # starting with '#' are ignored; duplicate edges collapse with a warning.
 
 
-def parse_edge_list(text: str) -> Graph:
-    lines = text.splitlines()
-    header: tuple[int, int] | None = None
-    edges: set[Edge] = set()
-    count = 0
-    for line_no, raw in enumerate(lines, start=1):
+def parse_records(
+    text: str, header: str, record: str, not_integer: str
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Line-numbered integer records of an edge-list-style document.
+
+    ``header`` names the header fields ("n m", "n m c"); every record has as
+    many fields, the first two an edge's endpoints. Blank and '#' lines are
+    skipped. Yields (line number, fields) for the header, then for each
+    record. Raises ParseError, naming the line, for a malformed or negative
+    header, a malformed record, a loop, an endpoint outside 0..n-1 or a
+    record beyond the declared m; and at the end for a missing header or
+    fewer than m records. ``record`` and ``not_integer`` word the record
+    errors.
+    """
+    width = len(header.split())
+    n = m = count = -1
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split()
-        if header is None:
-            if len(fields) != 2:
-                raise ParseError("expected header 'n m'", line_no)
+        if count < 0:
+            if len(fields) != width:
+                raise ParseError(f"expected header '{header}'", line_no)
             try:
-                n, m = int(fields[0]), int(fields[1])
+                values = tuple(map(int, fields))
             except ValueError:
                 raise ParseError("header fields must be integers", line_no) from None
-            if n < 0 or m < 0:
+            if min(values) < 0:
                 raise ParseError("header fields must be nonnegative", line_no)
-            header = (n, m)
+            n, m = values[:2]
+            count = 0
+            yield line_no, values
             continue
-        n, m = header
         if count >= m:
             raise ParseError(f"more than the declared {m} edge lines", line_no)
-        if len(fields) != 2:
-            raise ParseError("expected edge line 'u v'", line_no)
+        if len(fields) != width:
+            raise ParseError(f"expected {record}", line_no)
         try:
             u, v = int(fields[0]), int(fields[1])
+            # plain edge lines skip the general conversion: they are the bulk
+            values = (u, v, *map(int, fields[2:])) if width > 2 else (u, v)
         except ValueError:
-            raise ParseError("edge endpoints must be integers", line_no) from None
+            raise ParseError(not_integer, line_no) from None
         if u == v:
             raise ParseError(f"loop edge ({u}, {v})", line_no)
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"endpoint out of range in ({u}, {v})", line_no)
+        count += 1
+        yield line_no, values
+    if count < 0:
+        raise ParseError(f"empty document, expected header '{header}'")
+    if count != m:
+        raise ParseError(f"declared {m} edges but found {count}")
+
+
+def parse_edge_list(text: str) -> Graph:
+    records = parse_records(
+        text, "n m", "edge line 'u v'", "edge endpoints must be integers"
+    )
+    _, (n, _) = next(records)
+    edges: set[Edge] = set()
+    for line_no, (u, v) in records:
         e = edge(u, v)
         if e in edges:
             warnings.warn(f"duplicate edge {e} on line {line_no} collapsed")
         edges.add(e)
-        count += 1
-    if header is None:
-        raise ParseError("empty document, expected header 'n m'")
-    n, m = header
-    if count != m:
-        raise ParseError(f"declared {m} edges but found {count}")
     return Graph(n, frozenset(edges))
 
 

@@ -31,7 +31,13 @@ from .coloring import (
     spanning_tree_coloring,
 )
 from .dominate import greedy_connected_k_dominating
-from .graph import Edge, Graph, steiner_diameter
+from .graph import (
+    Edge,
+    Graph,
+    InvariantViolation,
+    is_tree_witness,
+    steiner_diameter,
+)
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -46,35 +52,10 @@ class RainbowTreeWitness:
 
     def is_valid_for(self, g: Graph, coloring: EdgeColoring) -> bool:
         """Tree containing the terminals whose edge colors are all distinct."""
-        if not self.edges <= g.edges:
+        if not is_tree_witness(g, self.edges, self.terminals):
             return False
-        vs = set(self.terminals)
-        for u, v in self.edges:
-            vs.add(u)
-            vs.add(v)
-        if len(self.edges) != len(vs) - 1:
-            return False
-        seen_colors = [coloring.colors[e] for e in self.edges]
-        if len(set(seen_colors)) != len(seen_colors):
-            return False
-        if set(seen_colors) != set(self.colors):
-            return False
-        if not self.edges:
-            return len(vs) == 1
-        adj: dict[int, list[int]] = {v: [] for v in vs}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        start = next(iter(vs))
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen == vs
+        colors = [coloring.colors[e] for e in self.edges]
+        return len(set(colors)) == len(colors) and set(colors) == set(self.colors)
 
 
 @dataclass(frozen=True)
@@ -372,7 +353,9 @@ def _search_k_rainbow_coloring(
 
     if place(0, 0):
         if max(assign) != c:
-            raise RuntimeError("canonical search used fewer colors than its level")
+            raise InvariantViolation(
+                "canonical search used fewer colors than its level"
+            )
         return EdgeColoring(g, dict(zip(edges, assign)), c)
     return None
 

@@ -149,6 +149,28 @@ def test_color_domset_file(tmp_path, capsys):
     assert parse_coloring(coloring_file.read_text()).color_count == 3
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("0 1\n2 x\n", "line 2: vertex id 'x' is not an integer"),
+        ("0 1\n\n-1  # negative\n", "line 3: vertex -1 outside 0..4"),
+        ("5\n", "line 1: vertex 5 outside 0..4"),
+    ],
+    ids=["non-integer", "negative", "too-large"],
+)
+def test_color_domset_errors_name_the_line(tmp_path, capsys, content, message):
+    graph_file = tmp_path / "k5.edgelist"
+    run(capsys, "gen", "--family", "complete", "--n", "5", "--out", str(graph_file))
+    domset_file = tmp_path / "dom.txt"
+    domset_file.write_text(content)
+    code, _, err = run(
+        capsys,
+        "color", "--input", str(graph_file), "--method", "kdom", "--k", "2",
+        "--domset", str(domset_file),
+    )
+    assert code == 2 and message in err
+
+
 def test_color_km1dom_low_degree_diagnostic(tmp_path, capsys):
     graph_file = tmp_path / "c6.edgelist"
     run(capsys, "gen", "--family", "cycle", "--n", "6", "--out", str(graph_file))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from rainbowindex import (
     EdgeColoring,
     Graph,
+    InvariantViolation,
     color_kdom,
     color_km1dom,
     color_pipeline,
@@ -23,6 +24,7 @@ from rainbowindex import (
     path_graph,
     petersen_graph,
 )
+from rainbowindex import coloring as coloring_module
 from rainbowindex.graph import ParseError
 from tests.test_graph import connected_graphs
 
@@ -318,6 +320,25 @@ def test_coloring_parse_errors():
         parse_coloring("3 3 1\n0 1 1\n0 2 2\n1 2 1", g)
     with pytest.raises(ParseError, match="twice"):
         parse_coloring("3 3 2\n0 1 1\n0 1 2\n1 2 1", g)
+
+
+def test_coloring_parse_errors_name_the_line():
+    with pytest.raises(ParseError, match="^line 1: header fields must be nonnegative$"):
+        parse_coloring("-3 0 0")
+    extra = "^line 3: more than the declared 1 edge lines$"
+    with pytest.raises(ParseError, match=extra):
+        parse_coloring("3 1 2\n0 1 1\n1 2 2")
+    with pytest.raises(ParseError, match="^line 2: fields must be integers$"):
+        parse_coloring("3 1 2\n0 1 x")
+
+
+def test_double_claim_raises_invariant_violation(monkeypatch):
+    # On K5 with D = {0, 1} the legs of vertex 2 are 02 and 12; a core tree
+    # that also claims 02 is a construction bug, not bad input.
+    monkeypatch.setattr(coloring_module, "bfs_tree_edges", lambda g, vs: [(0, 2)])
+    with pytest.raises(InvariantViolation, match="claimed twice: leg then core-tree"):
+        color_kdom(complete_graph(5), [0, 1], 2)
+    assert issubclass(InvariantViolation, RuntimeError)
 
 
 def test_edge_coloring_validates_totality():

@@ -1,5 +1,6 @@
 import itertools
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from rainbowindex import (
     Graph,
     ParseError,
     bfs_distances,
+    bfs_tree_edges,
     complete_graph,
     cycle_graph,
     diameter,
@@ -24,6 +26,8 @@ from rainbowindex import (
     steiner_distance,
     steiner_diameter,
 )
+from rainbowindex.graph import bfs_forest, induced_components
+from tests.test_dominate_incremental import ref_components_within
 
 
 @st.composite
@@ -275,3 +279,58 @@ def test_steiner_diameter_rejects_bad_k():
         steiner_diameter(cycle_graph(5), 1)
     with pytest.raises(ValueError):
         steiner_diameter(cycle_graph(5), 6)
+
+
+# ---------------------------------------------------------------------------
+# Induced BFS forest
+
+
+@st.composite
+def graphs_with_subsets(draw, max_n=30):
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=2 * n)) if pairs else set()
+    subset = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    return Graph.build(n, edges), subset
+
+
+def nx_graph(g: Graph, vertices) -> nx.Graph:
+    vs = set(vertices)
+    h = nx.Graph()
+    h.add_nodes_from(vs)
+    h.add_edges_from((u, v) for u, v in g.edges if u in vs and v in vs)
+    return h
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_subsets())
+def test_induced_forest_matches_references(case):
+    g, subset = case
+    comps = induced_components(g, subset)
+    assert list(comps) == ref_components_within(g, subset)
+    h = nx_graph(g, subset)
+    assert sorted(comps) == sorted(tuple(sorted(c)) for c in nx.connected_components(h))
+    assert list(g.components) == ref_components_within(g, range(g.n))
+    assert g.is_connected == (g.n <= 1 or nx.is_connected(nx_graph(g, range(g.n))))
+
+    forest = bfs_forest(g, subset)
+    assert set(forest) == subset
+    order = {v: i for i, v in enumerate(forest)}
+    roots = [v for v, p in forest.items() if p is None]
+    assert roots == [comp[0] for comp in comps]
+    for v, p in forest.items():
+        if p is not None:
+            assert g.has_edge(p, v) and order[p] < order[v]
+    if len(comps) == 1:
+        tree = bfs_tree_edges(g, subset)
+        assert len(tree) == len(subset) - 1
+        assert len(subset) == 1 or nx.is_tree(nx.Graph(tree))
+    elif comps:
+        with pytest.raises(ValueError, match="disconnected"):
+            bfs_tree_edges(g, subset)
+
+
+def test_bfs_forest_rejects_out_of_range_vertices():
+    for bad in ([-1, 0], [0, 3]):
+        with pytest.raises(ValueError, match="out of range"):
+            bfs_forest(path_graph(3), bad)

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from rainbowindex import (
     EdgeColoring,
     Graph,
+    RainbowTreeWitness,
     SearchBudgetExceeded,
+    SteinerWitness,
     all_distinct_coloring,
     bounds_report,
     complete_graph,
@@ -327,3 +329,42 @@ def test_spanning_tree_coloring_realizes_trivial_bound():
     assert coloring.color_count == 8
     for k in (2, 4):
         assert is_k_rainbow_connected(g, coloring, k).ok
+
+
+# ---------------------------------------------------------------------------
+# Tree-witness validators
+
+# A triangle 0-1-2 with a tail 2-3-4; edges 01 and 12 share color 1.
+WITNESS_GRAPH = Graph.build(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+WITNESS_COLORING = EdgeColoring(
+    WITNESS_GRAPH, {(0, 1): 1, (1, 2): 1, (0, 2): 2, (2, 3): 3, (3, 4): 4}, 4
+)
+
+
+@pytest.mark.parametrize(
+    "edges, terminals, is_tree, is_rainbow",
+    [
+        pytest.param({(1, 2), (2, 3), (3, 4)}, {1, 4}, True, True, id="valid"),
+        pytest.param(set(), {3}, True, True, id="lone-terminal"),
+        pytest.param({(0, 1), (1, 2), (0, 2)}, {0, 2}, False, False, id="cycle"),
+        pytest.param({(0, 1), (3, 4)}, {0, 4}, False, False, id="disconnected-forest"),
+        # as many edges as a tree on {0, .., 4} needs, but not connected
+        pytest.param(
+            {(0, 1), (1, 2), (0, 2), (3, 4)}, {0, 4}, False, False,
+            id="cycle-beside-an-edge",
+        ),
+        pytest.param({(2, 3), (3, 4)}, {0, 4}, False, False, id="missing-terminal"),
+        pytest.param(
+            {(2, 3), (3, 4), (0, 4)}, {0, 2}, False, False, id="foreign-edge"
+        ),
+        pytest.param({(0, 1), (1, 2)}, {0, 2}, True, False, id="repeated-color"),
+    ],
+)
+def test_witness_validators(edges, terminals, is_tree, is_rainbow):
+    edges, terminals = frozenset(edges), frozenset(terminals)
+    assert SteinerWitness(edges, terminals).is_valid_for(WITNESS_GRAPH) is is_tree
+    colors = frozenset(
+        WITNESS_COLORING.colors[e] for e in edges if e in WITNESS_GRAPH.edges
+    )
+    witness = RainbowTreeWitness(edges, terminals, colors)
+    assert witness.is_valid_for(WITNESS_GRAPH, WITNESS_COLORING) is is_rainbow
