@@ -394,8 +394,13 @@ def format_coloring(coloring: EdgeColoring) -> str:
 
 
 def parse_coloring(text: str, graph: Graph | None = None) -> EdgeColoring:
+    """Coloring document; against ``graph`` if given. Errors name the line:
+    the header for an n or edge-count mismatch, the record for an edge the
+    graph lacks."""
     records = parse_records(text, "n m c", "'u v color'", "fields must be integers")
-    _, (n, _, c) = next(records)
+    header_line, (n, _, c) = next(records)
+    if graph is not None and graph.n != n:
+        raise ParseError(f"coloring is for n={n}, graph has n={graph.n}", header_line)
     entries: dict[Edge, int] = {}
     for line_no, (u, v, col) in records:
         if not 1 <= col <= c:
@@ -403,14 +408,16 @@ def parse_coloring(text: str, graph: Graph | None = None) -> EdgeColoring:
         e = edge(u, v)
         if e in entries:
             raise ParseError(f"edge {e} colored twice", line_no)
+        if graph is not None and e not in graph.edges:
+            raise ParseError(f"edge set mismatch: {e} is not in the graph", line_no)
         entries[e] = col
     if graph is None:
         graph = Graph(n, frozenset(entries.keys()))
-    else:
-        if graph.n != n:
-            raise ParseError(f"coloring is for n={n}, graph has n={graph.n}")
-        if set(entries.keys()) != set(graph.edges):
-            raise ParseError("edge set mismatch between graph and coloring")
+    elif len(entries) != graph.m:
+        raise ParseError(
+            f"edge set mismatch: {len(entries)} colored edges, graph has {graph.m}",
+            header_line,
+        )
     return EdgeColoring(graph, entries, c)
 
 

@@ -329,13 +329,6 @@ class SteinerWitness:
     def size(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> frozenset[int]:
-        vs = set(self.terminals)
-        for u, v in self.edges:
-            vs.add(u)
-            vs.add(v)
-        return frozenset(vs)
-
     def is_valid_for(self, g: Graph) -> bool:
         """Tree containing the terminals, using only edges of g."""
         return is_tree_witness(g, self.edges, self.terminals)
@@ -597,13 +590,13 @@ def parse_records(
     many fields, the first two an edge's endpoints. Blank and '#' lines are
     skipped. Yields (line number, fields) for the header, then for each
     record. Raises ParseError, naming the line, for a malformed or negative
-    header, a malformed record, a loop, an endpoint outside 0..n-1 or a
-    record beyond the declared m; and at the end for a missing header or
-    fewer than m records. ``record`` and ``not_integer`` word the record
+    header, a malformed record, a loop, an endpoint outside 0..n-1, a record
+    beyond the declared m, and (naming the header) fewer than m records; and
+    for a missing header. ``record`` and ``not_integer`` word the record
     errors.
     """
     width = len(header.split())
-    n = m = count = -1
+    n = m = count = header_line = -1
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -619,7 +612,7 @@ def parse_records(
             if min(values) < 0:
                 raise ParseError("header fields must be nonnegative", line_no)
             n, m = values[:2]
-            count = 0
+            count, header_line = 0, line_no
             yield line_no, values
             continue
         if count >= m:
@@ -641,7 +634,7 @@ def parse_records(
     if count < 0:
         raise ParseError(f"empty document, expected header '{header}'")
     if count != m:
-        raise ParseError(f"declared {m} edges but found {count}")
+        raise ParseError(f"declared {m} edges but found {count}", header_line)
 
 
 def parse_edge_list(text: str) -> Graph:

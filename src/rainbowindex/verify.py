@@ -1,17 +1,20 @@
 """Ground truth for rainbow connectivity.
 
-* ``exists_rainbow_stree``: exhaustive backtracking for a rainbow tree
-  containing a terminal set, growing a connected subgraph from the lowest
-  terminal while tracking used colors. Prunes on color reuse, on failed
-  states (memoized by vertex set + color set), and on terminals that become
-  unreachable through edges of unused colors.
+One search, ``_rainbow_tree``, asks for every caller whether a rainbow tree
+contains a terminal set S. It grows a tree from the lowest terminal, treats
+uncolored edges as wildcards, memoizes failed (vertex set, color set) states
+and prunes once a terminal lies farther from the tree, through edges of
+unused colors, than the edges still allowed.
+
+* ``exists_rainbow_stree``: the search, allowing one edge per color in use.
 * ``is_k_rainbow_connected``: runs the search over all C(n, k) subsets in
   lexicographic order and reports the first failure.
 * ``exact_rx_k``: smallest c admitting a k-rainbow coloring, by canonical
   backtracking over edge colors (color j+1 may first appear only after j),
-  pruned by an optimistic per-subset feasibility check that treats uncolored
-  edges as wildcards. Budget exhaustion yields an explicit unknown-with-
-  bounds result, never a guess.
+  pruned by the search, allowing c edges, for every subset. A subset keeps
+  its last tree until that tree repeats a color. Once every edge is colored
+  the check is exact, so complete colorings are not re-verified. Budget
+  exhaustion yields an explicit unknown-with-bounds result, never a guess.
 * ``bounds_report``: assembles lower/upper bounds with provenance labels.
 """
 
@@ -35,6 +38,7 @@ from .graph import (
     Edge,
     Graph,
     InvariantViolation,
+    edge,
     is_tree_witness,
     steiner_diameter,
 )
@@ -42,6 +46,25 @@ from .graph import (
 
 class SearchBudgetExceeded(RuntimeError):
     """Raised when a node budget or deadline runs out mid-search."""
+
+
+class _Budget:
+    def __init__(self, node_budget: int | None, time_budget_s: float | None):
+        self.node_budget = node_budget
+        self.deadline = (
+            time.monotonic() + time_budget_s if time_budget_s is not None else None
+        )
+        self.nodes = 0
+
+    def tick(self) -> None:
+        """Count one node; a refused node is not counted, so ``nodes`` never
+        exceeds the budget."""
+        if self.node_budget is not None and self.nodes >= self.node_budget:
+            raise SearchBudgetExceeded("node budget exhausted")
+        self.nodes += 1
+        if self.deadline is not None and self.nodes % 256 == 0:
+            if time.monotonic() > self.deadline:
+                raise SearchBudgetExceeded("time budget exhausted")
 
 
 @dataclass(frozen=True)
@@ -68,6 +91,65 @@ class RainbowVerdict:
         return self.ok
 
 
+def _incidence(g: Graph) -> tuple[list[Edge], list[list[tuple[int, int]]]]:
+    """Sorted edges, and per vertex its (neighbor, edge index) pairs in
+    sorted adjacency order."""
+    edges = g.sorted_edges()
+    index = {e: i for i, e in enumerate(edges)}
+    inc = [[(w, index[edge(v, w)]) for w in g.adj[v]] for v in range(g.n)]
+    return edges, inc
+
+
+def _rainbow_tree(inc, bits, terms, max_edges, budget=None) -> list[int] | None:
+    """Edge indices of a tree grown from ``terms[0]`` that contains every
+    terminal, has at most ``max_edges`` edges and uses no color twice.
+
+    ``bits[i]`` is edge i's color as a bit; 0 marks an uncolored edge, a
+    wildcard any color may fill. Failed (tree, colors) states are memoized.
+    A state is pruned unless every terminal lies within the remaining edge
+    allowance of the tree through edges of unused color. ``budget`` ticks
+    once per expanded state.
+    """
+    target = 0
+    for t in terms:
+        target |= 1 << t
+    memo: set[tuple[int, int]] = set()
+
+    def grow(tree, verts, used, chosen):
+        if target & ~tree == 0:
+            return chosen
+        key = (tree, used)
+        if key in memo:
+            return None
+        if budget is not None:
+            budget.tick()
+        reach, frontier = tree, verts
+        for _ in range(max_edges - len(chosen)):
+            if target & ~reach == 0:
+                break
+            nxt = []
+            for v in frontier:
+                for w, i in inc[v]:
+                    if not (reach >> w) & 1 and not bits[i] & used:
+                        reach |= 1 << w
+                        nxt.append(w)
+            frontier = nxt
+        if target & ~reach:
+            memo.add(key)
+            return None
+        for v in verts:
+            for w, i in inc[v]:
+                if (tree >> w) & 1 or bits[i] & used:
+                    continue
+                found = grow(tree | 1 << w, verts + [w], used | bits[i], chosen + [i])
+                if found is not None:
+                    return found
+        memo.add(key)
+        return None
+
+    return grow(1 << terms[0], [terms[0]], 0, [])
+
+
 class _StreeSearcher:
     """Reusable rainbow S-tree search over one (graph, coloring) pair."""
 
@@ -76,77 +158,29 @@ class _StreeSearcher:
             raise ValueError("coloring does not belong to this graph")
         self.g = g
         self.coloring = coloring
-        inc: list[list[tuple[int, int, Edge]]] = [[] for _ in range(g.n)]
-        for u, v in g.sorted_edges():
-            bit = 1 << coloring.colors[(u, v)]
-            inc[u].append((v, bit, (u, v)))
-            inc[v].append((u, bit, (u, v)))
-        for lst in inc:
-            lst.sort()
-        self.inc = [tuple(lst) for lst in inc]
+        self.edges, self.inc = _incidence(g)
+        self.bits = [1 << coloring.colors[e] for e in self.edges]
+        # a rainbow tree has at most one edge per color in use
+        self.max_edges = len(coloring.used_colors())
 
     def search(
         self, terminals, node_budget: int | None = None
     ) -> RainbowTreeWitness | None:
-        g = self.g
         terms = sorted(set(terminals))
         if not terms:
             raise ValueError("terminal set must be nonempty")
         for t in terms:
-            if not 0 <= t < g.n:
+            if not 0 <= t < self.g.n:
                 raise ValueError(f"terminal {t} out of range")
         term_set = frozenset(terms)
         if len(terms) == 1:
             return RainbowTreeWitness(frozenset(), term_set, frozenset())
-        target = 0
-        for t in terms:
-            target |= 1 << t
-        inc = self.inc
-        memo: set[tuple[int, int]] = set()
-        nodes = 0
-
-        def reachable(tree_mask: int, used: int) -> bool:
-            reach = tree_mask
-            stack = [v for v in range(g.n) if (tree_mask >> v) & 1]
-            while stack:
-                v = stack.pop()
-                for w, bit, _ in inc[v]:
-                    if bit & used or (reach >> w) & 1:
-                        continue
-                    reach |= 1 << w
-                    stack.append(w)
-            return target & ~reach == 0
-
-        def dfs(tree_mask, verts, used, edges):
-            nonlocal nodes
-            if target & ~tree_mask == 0:
-                return edges
-            key = (tree_mask, used)
-            if key in memo:
-                return None
-            if node_budget is not None and nodes >= node_budget:
-                raise SearchBudgetExceeded("rainbow tree search budget exhausted")
-            nodes += 1
-            if not reachable(tree_mask, used):
-                memo.add(key)
-                return None
-            for v in verts:
-                for w, bit, e in inc[v]:
-                    if (tree_mask >> w) & 1 or bit & used:
-                        continue
-                    found = dfs(
-                        tree_mask | (1 << w), verts + [w], used | bit, edges + [e]
-                    )
-                    if found is not None:
-                        return found
-            memo.add(key)
+        found = _rainbow_tree(
+            self.inc, self.bits, terms, self.max_edges, _Budget(node_budget, None)
+        )
+        if found is None:
             return None
-
-        root = terms[0]
-        result = dfs(1 << root, [root], 0, [])
-        if result is None:
-            return None
-        edges = _prune_to_terminals(result, term_set)
+        edges = _prune_to_terminals([self.edges[i] for i in found], term_set)
         colors = frozenset(self.coloring.colors[e] for e in edges)
         return RainbowTreeWitness(frozenset(edges), term_set, colors)
 
@@ -214,25 +248,6 @@ class ExactResult:
         return self.status == "exact"
 
 
-class _Budget:
-    def __init__(self, node_budget: int | None, time_budget_s: float | None):
-        self.node_budget = node_budget
-        self.deadline = (
-            time.monotonic() + time_budget_s if time_budget_s is not None else None
-        )
-        self.nodes = 0
-
-    def tick(self) -> None:
-        """Count one node; a refused node is not counted, so ``nodes`` never
-        exceeds the budget."""
-        if self.node_budget is not None and self.nodes >= self.node_budget:
-            raise SearchBudgetExceeded("node budget exhausted")
-        self.nodes += 1
-        if self.deadline is not None and self.nodes % 256 == 0:
-            if time.monotonic() > self.deadline:
-                raise SearchBudgetExceeded("time budget exhausted")
-
-
 def exact_rx_k(
     g: Graph,
     k: int,
@@ -281,77 +296,49 @@ def _search_k_rainbow_coloring(
     g: Graph, k: int, c: int, budget: _Budget
 ) -> EdgeColoring | None:
     """Backtracking over edge colors in canonical first-use order."""
-    edges = g.sorted_edges()
+    edges, inc = _incidence(g)
     m = len(edges)
-    edge_index = {e: i for i, e in enumerate(edges)}
-    inc: list[tuple[tuple[int, int], ...]] = [
-        tuple(
-            (w, edge_index[(min(v, w), max(v, w))])
-            for w in g.adj[v]
-        )
-        for v in range(g.n)
-    ]
-    subsets = [list(s) for s in itertools.combinations(range(g.n), k)]
-    assign = [0] * m  # 0 = uncolored
+    bits = [0] * m  # color bit per edge, 0 = uncolored
+    # each subset with its last tree; the tree stays valid while rainbow
+    subsets = [[s, None] for s in itertools.combinations(range(g.n), k)]
 
-    def optimistic_ok(terms: list[int]) -> bool:
-        # Grow a tree from the lowest terminal; colored edges consume their
-        # color, uncolored edges are wildcards; trees longer than c edges
-        # cannot be rainbow under c colors.
-        target = 0
-        for t in terms:
-            target |= 1 << t
-        memo: set[tuple[int, int]] = set()
-
-        def grow(tree_mask, verts, used, depth):
-            if target & ~tree_mask == 0:
-                return True
-            if depth == c:
+    def rainbow(tree: list[int]) -> bool:
+        used = 0
+        for i in tree:
+            if bits[i] & used:
                 return False
-            key = (tree_mask, used)
-            if key in memo:
-                return False
-            for v in verts:
-                for w, ei in inc[v]:
-                    if (tree_mask >> w) & 1:
-                        continue
-                    col = assign[ei]
-                    if col and (used >> col) & 1:
-                        continue
-                    nused = used | (1 << col) if col else used
-                    if grow(tree_mask | (1 << w), verts + [w], nused, depth + 1):
-                        return True
-            memo.add(key)
-            return False
-
-        root = terms[0]
-        return grow(1 << root, [root], 0, 0)
-
-    def complete_ok() -> bool:
-        coloring = EdgeColoring(g, dict(zip(edges, assign)), c)
-        return bool(is_k_rainbow_connected(g, coloring, k))
+            used |= bits[i]
+        return True
 
     def prune_ok() -> bool:
-        for idx, terms in enumerate(subsets):
-            if not optimistic_ok(terms):
+        # optimistic: uncolored edges are wildcards, so once every edge is
+        # colored this is the exact k-rainbow check
+        for idx, entry in enumerate(subsets):
+            terms, tree = entry
+            if tree is not None and rainbow(tree):
+                continue
+            tree = _rainbow_tree(inc, bits, terms, c)
+            if tree is None:
                 # fail-first: remember the troublemaker up front
                 subsets.insert(0, subsets.pop(idx))
                 return False
+            entry[1] = tree
         return True
 
     def place(i: int, max_used: int):
         if i == m:
-            return complete_ok()
+            return True
         top = min(max_used + 1, c)
         for col in range(1, top + 1):
             budget.tick()
-            assign[i] = col
+            bits[i] = 1 << col
             if prune_ok() and place(i + 1, max(max_used, col)):
                 return True
-        assign[i] = 0
+        bits[i] = 0
         return False
 
     if place(0, 0):
+        assign = [b.bit_length() - 1 for b in bits]
         if max(assign) != c:
             raise InvariantViolation(
                 "canonical search used fewer colors than its level"

@@ -332,6 +332,20 @@ def test_coloring_parse_errors_name_the_line():
         parse_coloring("3 1 2\n0 1 x")
 
 
+def test_coloring_graph_mismatches_name_the_line():
+    g = path_graph(3)
+    with pytest.raises(ParseError, match="^line 2: coloring is for n=4, graph has n=3$"):
+        parse_coloring("# header next\n4 2 1\n0 1 1\n1 2 1", g)
+    missing = "^line 3: edge set mismatch: \\(0, 2\\) is not in the graph$"
+    with pytest.raises(ParseError, match=missing):
+        parse_coloring("3 2 2\n0 1 1\n0 2 2", g)
+    short = "^line 1: edge set mismatch: 1 colored edges, graph has 2$"
+    with pytest.raises(ParseError, match=short):
+        parse_coloring("3 1 1\n1 2 1", g)
+    with pytest.raises(ParseError, match="^line 1: declared 2 edges but found 1$"):
+        parse_coloring("3 2 1\n0 1 1", g)
+
+
 def test_double_claim_raises_invariant_violation(monkeypatch):
     # On K5 with D = {0, 1} the legs of vertex 2 are 02 and 12; a core tree
     # that also claims 02 is a construction bug, not bad input.

@@ -77,6 +77,11 @@ def test_parse_rejects_wrong_count():
         parse_edge_list("3 2\n0 1")
 
 
+def test_parse_wrong_count_names_the_header_line():
+    with pytest.raises(ParseError, match="^line 2: declared 2 edges but found 1$"):
+        parse_edge_list("# two edges\n3 2\n0 1")
+
+
 def test_parse_collapses_duplicates_with_warning():
     with pytest.warns(UserWarning, match="duplicate"):
         g = parse_edge_list("3 3\n0 1\n1 0\n1 2")
