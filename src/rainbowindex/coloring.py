@@ -38,7 +38,7 @@ from .graph import (
     Graph,
     InvariantViolation,
     ParseError,
-    bfs_distances,
+    balls,
     bfs_forest,
     bfs_tree_edges,
     edge,
@@ -166,13 +166,16 @@ def color_pipeline(g: Graph, k: int) -> tuple[EdgeColoring, PipelineTrace]:
     near_sets: list[frozenset[int]] = []
     far_sets: list[frozenset[int]] = []
     for i, (part, dcert) in enumerate(zip(split.parts, part_doms), start=1):
-        dist = bfs_distances(part, dcert.vertices)
+        layers = balls(part, dcert.vertices)
+        layers += [layers[-1]] * 2  # empty rings past the last layer
+        ring1 = layers[1] & ~layers[0]
+        ring2 = layers[2] & ~layers[1]
         dom_i = set(dcert.vertices)
-        near = frozenset(v for v in range(g.n) if v not in core and dist[v] == 1)
-        far = frozenset(v for v in range(g.n) if v not in core and dist[v] == 2)
+        shell1 = {v for v in range(g.n) if ring1 >> v & 1}
+        near = frozenset(shell1 - core)
+        far = frozenset(v for v in range(g.n) if v not in core and ring2 >> v & 1)
         near_sets.append(near)
         far_sets.append(far)
-        shell1 = {v for v in range(g.n) if dist[v] == 1}
         for u, v in part.sorted_edges():
             if (u in dom_i and v in near) or (v in dom_i and u in near):
                 claims.claim((u, v), i, f"attach:part-{i}")

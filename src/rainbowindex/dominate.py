@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 from .graph import (
     Graph,
     InvariantViolation,
-    bfs_distances,
+    balls,
     induced_components,
     shortest_path_between_sets,
 )
@@ -70,29 +70,6 @@ class DominationCertificate:
         return True
 
 
-def _balls(g: Graph, mask: int) -> list[int]:
-    """BFS by bitmasks: entry r holds every vertex within distance r of the
-    vertices in ``mask``; the list ends once the reachable part is covered."""
-    adj_bits = g.adj_bits
-    balls = [mask]
-    seen = frontier = mask
-    while True:
-        grown = 0
-        # bin() spells out the frontier in C; find() then walks its set bits
-        # faster than peeling them off the integer one at a time.
-        bits = bin(frontier)
-        top = len(bits) - 1
-        i = bits.find("1", 2)
-        while i != -1:
-            grown |= adj_bits[top - i]
-            i = bits.find("1", i + 1)
-        frontier = grown & ~seen
-        if not frontier:
-            return balls
-        seen |= frontier
-        balls.append(seen)
-
-
 # ---------------------------------------------------------------------------
 # Predicates
 
@@ -102,8 +79,8 @@ def is_k_step_dominating(g: Graph, dom: Iterable[int], j: int) -> bool:
     dom = set(dom)
     if not dom:
         raise ValueError("dominating set must be nonempty")
-    dist = bfs_distances(g, dom)
-    return all(d is not None and d <= j for d in dist)
+    layers = balls(g, dom)
+    return j >= 0 and layers[min(j, len(layers) - 1)] == (1 << g.n) - 1
 
 
 def is_k_dominating(g: Graph, dom: Iterable[int], j: int) -> bool:
@@ -244,14 +221,13 @@ def connect_two_step(
 
     def add_component(vertices: tuple[int, ...]) -> None:
         cid = next(ids)
-        mask = sum(1 << v for v in vertices)
-        balls = _balls(g, mask)
+        layers = balls(g, vertices)
         for oid, other in comps.items():
-            d = next(r for r, ball in enumerate(balls) if ball & masks[oid])
+            d = next(r for r, ball in enumerate(layers) if ball & masks[oid])
             (lo, lo_id), (hi, hi_id) = sorted([(vertices[0], cid), (other[0], oid)])
             heapq.heappush(pairs, (d, lo, hi, lo_id, hi_id))
         comps[cid] = vertices
-        masks[cid] = mask
+        masks[cid] = layers[0]
         for v in vertices:
             owner[v] = cid
 
@@ -320,19 +296,13 @@ def union_connect(
         if len(comps) <= 1:
             break
         anchor = next(c for c in comps if anchor_root in c)
-        anchor_set = set(anchor)
-        others = [c for c in comps if c is not anchor]
-        target = set(others[0])
-        candidates = [
-            w
-            for w in range(g.n)
-            if w not in dom
-            and any(x in anchor_set for x in g.adj[w])
-            and any(x in target for x in g.adj[w])
-        ]
+        target = next(c for c in comps if c is not anchor)
+        # outside D, a vertex in both closed neighborhoods is a midpoint
+        candidates = balls(g, anchor)[1] & balls(g, target)[1]
+        candidates &= ~sum(1 << v for v in dom)
         if not candidates:
             raise InvariantViolation("no length-2 connection found; inputs invalid")
-        w = min(candidates)
+        w = (candidates & -candidates).bit_length() - 1
         dom.add(w)
         connectors.append(w)
     if len(connectors) > len(certificates) - 1:

@@ -2,6 +2,12 @@
 and metric computations (shortest paths, step neighborhoods, Steiner
 distances and diameters).
 
+Two BFS primitives answer every distance, layer, component, tree and path
+question: ``balls`` gives the cumulative distance layers of a source set
+as bitmasks, and ``_first_arrivals`` yields (vertex, parent) pairs of one
+first-arrival BFS from all roots at once, for ``bfs_forest`` and
+``shortest_path_between_sets``.
+
 Vertices are the integers 0..n-1. Graphs are immutable; every operation in
 this module is a pure function, so results may be computed concurrently.
 All tie-breaking (BFS order, witness choice) prefers the lowest vertex id,
@@ -14,7 +20,6 @@ import heapq
 import itertools
 import random
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -138,24 +143,54 @@ class Graph:
 # Shortest-path metrics
 
 
-def bfs_distances(g: Graph, sources: Iterable[int]) -> list[int | None]:
-    """Distance from the source set to every vertex; None when unreachable."""
-    dist: list[int | None] = [None] * g.n
-    queue: deque[int] = deque()
+def balls(g: Graph, sources: Iterable[int]) -> list[int]:
+    """BFS by bitmasks: entry r holds every vertex within distance r of the
+    sources; the list ends once the reachable part is covered. Raises
+    ValueError for a source outside 0..n-1 or an empty source set."""
+    mask = 0
     for s in sorted(set(sources)):
         if not 0 <= s < g.n:
             raise ValueError(f"vertex {s} out of range")
-        dist[s] = 0
-        queue.append(s)
-    if not queue:
+        mask |= 1 << s
+    if not mask:
         raise ValueError("source set must be nonempty")
-    while queue:
-        v = queue.popleft()
-        d = dist[v] + 1  # type: ignore[operator]
-        for w in g.adj[v]:
-            if dist[w] is None:
-                dist[w] = d
-                queue.append(w)
+    adj_bits = g.adj_bits
+    layers = [mask]
+    seen = frontier = mask
+    while True:
+        grown = 0
+        # bin() spells out the frontier in C; find() then walks its set bits
+        # faster than peeling them off the integer one at a time.
+        bits = bin(frontier)
+        top = len(bits) - 1
+        i = bits.find("1", 2)
+        while i != -1:
+            grown |= adj_bits[top - i]
+            i = bits.find("1", i + 1)
+        frontier = grown & ~seen
+        if not frontier:
+            return layers
+        seen |= frontier
+        layers.append(seen)
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, ascending."""
+    bits = bin(mask)[:1:-1]
+    i = bits.find("1")
+    while i != -1:
+        yield i
+        i = bits.find("1", i + 1)
+
+
+def bfs_distances(g: Graph, sources: Iterable[int]) -> list[int | None]:
+    """Distance from the source set to every vertex; None when unreachable."""
+    dist: list[int | None] = [None] * g.n
+    inner = 0
+    for r, ball in enumerate(balls(g, sources)):
+        for v in _set_bits(ball & ~inner):
+            dist[v] = r
+        inner = ball
     return dist
 
 
@@ -163,9 +198,7 @@ def distance(g: Graph, u: int, v: int) -> int | None:
     """Shortest-path edge count between u and v; None when disconnected."""
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError("vertex out of range")
-    if u == v:
-        return 0
-    return bfs_distances(g, [u])[v]
+    return next((r for r, ball in enumerate(balls(g, [u])) if ball >> v & 1), None)
 
 
 def set_distance(g: Graph, a: Iterable[int], b: Iterable[int]) -> int | None:
@@ -173,34 +206,49 @@ def set_distance(g: Graph, a: Iterable[int], b: Iterable[int]) -> int | None:
     sa, sb = set(a), set(b)
     if not sa or not sb:
         raise ValueError("set_distance requires nonempty sets")
+    if not all(0 <= v < g.n for v in sb):
+        raise ValueError("vertex out of range")
     if sa & sb:
         return 0
-    dist = bfs_distances(g, sa)
-    best = None
-    for v in sb:
-        d = dist[v]
-        if d is not None and (best is None or d < best):
-            best = d
-    return best
+    target = sum(1 << v for v in sb)
+    return next((r for r, ball in enumerate(balls(g, sa)) if ball & target), None)
 
 
 def k_step_neighborhood(g: Graph, dom: Iterable[int], j: int) -> tuple[int, ...]:
     """Vertices at distance exactly j from the set (disjoint from lower levels)."""
     if j < 1:
         raise ValueError("step must be >= 1")
-    dist = bfs_distances(g, dom)
-    return tuple(v for v in range(g.n) if dist[v] == j)
+    layers = balls(g, dom)
+    if j >= len(layers):
+        return ()
+    return tuple(_set_bits(layers[j] & ~layers[j - 1]))
 
 
 def diameter(g: Graph) -> int:
     """Maximum pairwise distance; requires a connected graph."""
     if not g.is_connected:
         raise ValueError("diameter requires a connected graph")
-    best = 0
-    for v in range(g.n):
-        dist = bfs_distances(g, [v])
-        best = max(best, max(d for d in dist if d is not None))
-    return best
+    return max((len(balls(g, [v])) for v in range(g.n)), default=1) - 1
+
+
+def _first_arrivals(
+    g: Graph, roots: Iterable[int], seen: list[bool]
+) -> Iterator[tuple[int, int | None]]:
+    """Multi-source BFS over sorted adjacency: yields (root, None) for each
+    root in the given order, then (vertex, parent) as each vertex is first
+    reached. ``seen`` marks the vertices to leave out and is updated in place.
+    """
+    adj = g.adj
+    queue = list(roots)
+    for root in queue:
+        seen[root] = True
+        yield root, None
+    for v in queue:  # the loop also visits what it appends
+        for w in adj[v]:
+            if not seen[w]:
+                seen[w] = True
+                queue.append(w)
+                yield w, v
 
 
 def shortest_path_between_sets(
@@ -211,34 +259,16 @@ def shortest_path_between_sets(
     Deterministic: multi-source BFS with sorted sources and sorted adjacency,
     first arrival wins.
     """
-    sa, sb = sorted(set(a)), set(b)
+    sb = set(b)
     parent: dict[int, int | None] = {}
-    queue: deque[int] = deque()
-    for s in sa:
-        parent[s] = None
-        queue.append(s)
-    hit = None
-    for s in sa:
-        if s in sb:
-            hit = s
-            break
-    while hit is None and queue:
-        v = queue.popleft()
-        for w in g.adj[v]:
-            if w not in parent:
-                parent[w] = v
-                if w in sb:
-                    hit = w
-                    queue.clear()
-                    break
-                queue.append(w)
-    if hit is None:
-        return None
-    path = [hit]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])  # type: ignore[arg-type]
-    path.reverse()
-    return path
+    for v, p in _first_arrivals(g, sorted(set(a)), [False] * g.n):
+        parent[v] = p
+        if v in sb:
+            path = [v]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])  # type: ignore[arg-type]
+            return path[::-1]
+    return None
 
 
 def bfs_forest(
@@ -260,20 +290,10 @@ def bfs_forest(
         seen = [True] * g.n
         for v in roots:
             seen[v] = False
-    adj = g.adj
     parent: dict[int, int | None] = {}
     for root in roots:
-        if seen[root]:
-            continue
-        seen[root] = True
-        parent[root] = None
-        queue = [root]
-        for v in queue:  # the loop also visits what it appends
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = v
-                    queue.append(w)
+        if not seen[root]:
+            parent.update(_first_arrivals(g, (root,), seen))
     return parent
 
 
@@ -430,15 +450,13 @@ def _steiner_enumerate(g: Graph, terminals: list[int]) -> tuple[int, SteinerWitn
     raise ValueError("terminals are not connected in the graph")
 
 
-def steiner_distance(
-    g: Graph, terminals: Iterable[int], method: str = "auto"
-) -> tuple[int, SteinerWitness]:
+def steiner_distance(g: Graph, terminals: Iterable[int]) -> tuple[int, SteinerWitness]:
     """Minimum size of a tree containing the terminals, with a witness tree.
 
-    ``method`` selects the algorithm: "dp" (terminal-subset dynamic program,
-    exponential in |S| only), "enumerate" (vertex-superset sweep, exponential
-    in n - |S|, n <= 20), or "auto". Both paths are exact and cross-checked
-    in the test suite.
+    Two exact paths, cross-checked in the test suite: a terminal-subset
+    dynamic program, about 3^|S| n steps, and a sweep over vertex supersets
+    of S, at most 2^(n - |S|) connectivity checks of up to n vertices each.
+    The cheaper estimate wins.
     """
     ts = sorted(set(terminals))
     if not ts:
@@ -450,15 +468,9 @@ def steiner_distance(
         raise ValueError("steiner_distance requires a connected graph")
     if len(ts) == 1:
         return 0, SteinerWitness(frozenset(), frozenset(ts))
-    if method == "auto":
-        method = "dp" if len(ts) <= 10 else "enumerate"
-    if method == "dp":
+    if 3 ** len(ts) <= 2 ** (g.n - len(ts)) * g.n:
         return _steiner_dp(g, ts)
-    if method == "enumerate":
-        if g.n > 20:
-            raise ValueError("enumeration path limited to n <= 20")
-        return _steiner_enumerate(g, ts)
-    raise ValueError(f"unknown method {method!r}")
+    return _steiner_enumerate(g, ts)
 
 
 def steiner_diameter(g: Graph, k: int) -> int:

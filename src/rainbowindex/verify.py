@@ -6,9 +6,11 @@ uncolored edges as wildcards, memoizes failed (vertex set, color set) states
 and prunes once a terminal lies farther from the tree, through edges of
 unused colors, than the edges still allowed.
 
-* ``exists_rainbow_stree``: the search, allowing one edge per color in use.
+* ``exists_rainbow_stree``: the search, allowing one edge per color in use,
+  with the found tree pruned to a witness.
 * ``is_k_rainbow_connected``: runs the search over all C(n, k) subsets in
-  lexicographic order and reports the first failure.
+  lexicographic order, one node budget per subset, and reports the first
+  failure; it needs only the verdict, so it builds no witnesses.
 * ``exact_rx_k``: smallest c admitting a k-rainbow coloring, by canonical
   backtracking over edge colors (color j+1 may first appear only after j),
   pruned by the search, allowing c edges, for every subset. A subset keeps
@@ -16,6 +18,9 @@ unused colors, than the edges still allowed.
   the check is exact, so complete colorings are not re-verified. Budget
   exhaustion yields an explicit unknown-with-bounds result, never a guess.
 * ``bounds_report``: assembles lower/upper bounds with provenance labels.
+  Which parts run follows from the instance size: the Steiner diameter up to
+  20,000 k-subsets, the exact solver (2M-node budget) at desk scale, and
+  verification of the constructions up to n = 14 and 2,000 subsets.
 """
 
 from __future__ import annotations
@@ -150,39 +155,14 @@ def _rainbow_tree(inc, bits, terms, max_edges, budget=None) -> list[int] | None:
     return grow(1 << terms[0], [terms[0]], 0, [])
 
 
-class _StreeSearcher:
-    """Reusable rainbow S-tree search over one (graph, coloring) pair."""
-
-    def __init__(self, g: Graph, coloring: EdgeColoring):
-        if coloring.graph != g:
-            raise ValueError("coloring does not belong to this graph")
-        self.g = g
-        self.coloring = coloring
-        self.edges, self.inc = _incidence(g)
-        self.bits = [1 << coloring.colors[e] for e in self.edges]
-        # a rainbow tree has at most one edge per color in use
-        self.max_edges = len(coloring.used_colors())
-
-    def search(
-        self, terminals, node_budget: int | None = None
-    ) -> RainbowTreeWitness | None:
-        terms = sorted(set(terminals))
-        if not terms:
-            raise ValueError("terminal set must be nonempty")
-        for t in terms:
-            if not 0 <= t < self.g.n:
-                raise ValueError(f"terminal {t} out of range")
-        term_set = frozenset(terms)
-        if len(terms) == 1:
-            return RainbowTreeWitness(frozenset(), term_set, frozenset())
-        found = _rainbow_tree(
-            self.inc, self.bits, terms, self.max_edges, _Budget(node_budget, None)
-        )
-        if found is None:
-            return None
-        edges = _prune_to_terminals([self.edges[i] for i in found], term_set)
-        colors = frozenset(self.coloring.colors[e] for e in edges)
-        return RainbowTreeWitness(frozenset(edges), term_set, colors)
+def _search_input(g: Graph, coloring: EdgeColoring):
+    """Sorted edges, incidence, color bits and edge allowance of the search
+    over (g, coloring); a rainbow tree has at most one edge per color in use."""
+    if coloring.graph != g:
+        raise ValueError("coloring does not belong to this graph")
+    edges, inc = _incidence(g)
+    bits = [1 << coloring.colors[e] for e in edges]
+    return edges, inc, bits, len(coloring.used_colors())
 
 
 def _prune_to_terminals(edges: list[Edge], terminals: frozenset[int]) -> set[Edge]:
@@ -210,7 +190,20 @@ def exists_rainbow_stree(
     g: Graph, coloring: EdgeColoring, terminals, node_budget: int | None = None
 ) -> RainbowTreeWitness | None:
     """Witness rainbow tree containing the terminals, or None."""
-    return _StreeSearcher(g, coloring).search(terminals, node_budget)
+    edges, inc, bits, max_edges = _search_input(g, coloring)
+    terms = sorted(set(terminals))
+    if not terms:
+        raise ValueError("terminal set must be nonempty")
+    for t in terms:
+        if not 0 <= t < g.n:
+            raise ValueError(f"terminal {t} out of range")
+    found = _rainbow_tree(inc, bits, terms, max_edges, _Budget(node_budget, None))
+    if found is None:
+        return None
+    term_set = frozenset(terms)
+    tree = _prune_to_terminals([edges[i] for i in found], term_set)
+    colors = frozenset(coloring.colors[e] for e in tree)
+    return RainbowTreeWitness(frozenset(tree), term_set, colors)
 
 
 def is_k_rainbow_connected(
@@ -221,11 +214,12 @@ def is_k_rainbow_connected(
         raise ValueError("requires a connected graph")
     if not 2 <= k <= g.n:
         raise ValueError(f"k must satisfy 2 <= k <= n, got {k}")
-    searcher = _StreeSearcher(g, coloring)
+    _, inc, bits, max_edges = _search_input(g, coloring)
     checked = 0
     for subset in itertools.combinations(range(g.n), k):
         checked += 1
-        if searcher.search(subset, node_budget) is None:
+        budget = _Budget(node_budget, None)
+        if _rainbow_tree(inc, bits, subset, max_edges, budget) is None:
             return RainbowVerdict(False, subset, checked)
     return RainbowVerdict(True, None, checked)
 
@@ -408,15 +402,15 @@ class BoundsReport:
         }
 
 
+#: bounds_report runs the exact solver with this node budget.
+_EXACT_NODE_BUDGET = 2_000_000
+
+#: bounds_report computes the Steiner diameter up to this many k-subsets.
+_SDIAM_SUBSET_LIMIT = 20_000
+
+
 def bounds_report(
-    g: Graph,
-    k: int,
-    *,
-    include_exact: bool | str = "auto",
-    verify: bool | str = "auto",
-    exact_node_budget: int | None = 2_000_000,
-    time_budget_s: float | None = None,
-    sdiam_subset_limit: int = 20_000,
+    g: Graph, k: int, *, time_budget_s: float | None = None
 ) -> BoundsReport:
     """All known bounds on the k-rainbow index of g, with provenance.
 
@@ -433,7 +427,7 @@ def bounds_report(
     n, delta = g.n, g.min_degree
 
     lower: list[BoundEntry] = [BoundEntry(k - 1, "minimum tree size (k-1)")]
-    if math.comb(n, k) <= sdiam_subset_limit:
+    if math.comb(n, k) <= _SDIAM_SUBSET_LIMIT:
         lower.append(BoundEntry(steiner_diameter(g, k), "steiner diameter"))
     else:
         lower.append(BoundEntry(None, "steiner diameter (not computed)"))
@@ -476,14 +470,11 @@ def bounds_report(
         )
 
     exact_value: int | None = None
-    run_exact = include_exact is True or (
-        include_exact == "auto" and (n <= 9 or g.m <= 16)
-    )
-    if run_exact:
+    if n <= 9 or g.m <= 16:
         result = exact_rx_k(
             g,
             k,
-            node_budget=exact_node_budget,
+            node_budget=_EXACT_NODE_BUDGET,
             time_budget_s=time_budget_s,
             force=True,
         )
@@ -496,10 +487,7 @@ def bounds_report(
                 )
 
     verified: bool | None = None
-    run_verify = verify is True or (
-        verify == "auto" and math.comb(n, k) <= 2_000 and n <= 14
-    )
-    if run_verify:
+    if math.comb(n, k) <= 2_000 and n <= 14:
         verified = all(
             bool(is_k_rainbow_connected(g, coloring, k)) for _, coloring in colorings
         )

@@ -235,3 +235,17 @@ def test_malformed_graph_file_exit_two(tmp_path, capsys):
     graph_file.write_text("2 1\n0 0\n")
     code, _, err = run(capsys, "exact", "--input", str(graph_file), "--k", "2")
     assert code == 2 and "loop" in err
+
+
+def test_report_many_terminals_on_more_than_twenty_vertices(tmp_path, capsys):
+    # k = 21 > 10 terminals on n = 22: the Steiner distance must still be
+    # computed, not refused as too large for one of its two methods
+    graph_file = tmp_path / "g22.edgelist"
+    run(
+        capsys, "gen", "--family", "gnp", "--n", "22", "--p", "0.3",
+        "--seed", "1", "--out", str(graph_file),
+    )
+    code, out, err = run(capsys, "report", "--input", str(graph_file), "--k", "21")
+    assert code == 0, err
+    lower = json.loads(out)["lower"]
+    assert {"source": "steiner diameter", "value": 20} in lower

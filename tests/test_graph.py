@@ -2,7 +2,7 @@ import itertools
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rainbowindex import (
@@ -18,16 +18,27 @@ from rainbowindex import (
     format_edge_list,
     generate,
     gnp_connected_graph,
+    is_k_step_dominating,
     k_step_neighborhood,
     parse_edge_list,
     path_graph,
     petersen_graph,
     set_distance,
+    shortest_path_between_sets,
     steiner_distance,
     steiner_diameter,
 )
-from rainbowindex.graph import bfs_forest, induced_components
-from tests.test_dominate_incremental import ref_components_within
+from rainbowindex.graph import (
+    _steiner_dp,
+    _steiner_enumerate,
+    bfs_forest,
+    induced_components,
+)
+from tests.test_dominate_incremental import (
+    ref_bfs,
+    ref_components_within,
+    ref_shortest_path,
+)
 
 
 @st.composite
@@ -164,6 +175,9 @@ def test_set_distance_examples():
     assert set_distance(p7, [0, 1], [5, 6]) == 4
     with pytest.raises(ValueError):
         set_distance(c6, [], [1])
+    for bad in ([-1], [6]):
+        with pytest.raises(ValueError, match="out of range"):
+            set_distance(c6, [0], bad)
 
 
 def test_k_step_neighborhood_examples():
@@ -229,8 +243,8 @@ def test_steiner_dp_agrees_with_enumeration(g, data):
     terms = data.draw(
         st.sets(st.integers(0, g.n - 1), min_size=k, max_size=k)
     )
-    d_dp, w_dp = steiner_distance(g, terms, method="dp")
-    d_en, w_en = steiner_distance(g, terms, method="enumerate")
+    d_dp, w_dp = _steiner_dp(g, sorted(terms))
+    d_en, w_en = _steiner_enumerate(g, sorted(terms))
     assert d_dp == d_en
     assert w_dp.is_valid_for(g) and w_dp.size == d_dp
     assert w_en.is_valid_for(g) and w_en.size == d_en
@@ -339,3 +353,34 @@ def test_bfs_forest_rejects_out_of_range_vertices():
     for bad in ([-1, 0], [0, 3]):
         with pytest.raises(ValueError, match="out of range"):
             bfs_forest(path_graph(3), bad)
+
+
+# ---------------------------------------------------------------------------
+# Distance helpers against the plain queue BFS
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_subsets(), st.data())
+def test_distance_helpers_match_references(case, data):
+    g, a = case
+    assume(a)
+    b = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+    u, v = data.draw(st.integers(0, g.n - 1)), data.draw(st.integers(0, g.n - 1))
+    dist = ref_bfs(g, a)
+    assert bfs_distances(g, a) == dist
+    assert distance(g, u, v) == ref_bfs(g, [u])[v]
+    for j in range(5):
+        within = all(d is not None and d <= j for d in dist)
+        assert is_k_step_dominating(g, a, j) == within
+    for j in range(1, 5):
+        ring = tuple(x for x in range(g.n) if dist[x] == j)
+        assert k_step_neighborhood(g, a, j) == ring
+    reach = [dist[x] for x in b if dist[x] is not None]
+    assert set_distance(g, a, b) == (min(reach) if reach else None)
+    expected_path = ref_shortest_path(g, a, b) if reach else None
+    assert shortest_path_between_sets(g, a, b) == expected_path
+    if g.is_connected:
+        assert diameter(g) == max(max(ref_bfs(g, [x])) for x in range(g.n))
+    else:
+        with pytest.raises(ValueError, match="connected"):
+            diameter(g)
