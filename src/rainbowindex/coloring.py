@@ -63,7 +63,7 @@ class EdgeColoring:
     color_count: int
 
     def __post_init__(self):
-        if set(self.colors.keys()) != set(self.graph.edges):
+        if self.colors.keys() != self.graph.edges:
             raise ValueError("coloring must cover exactly the graph's edges")
         for e, c in self.colors.items():
             if not 1 <= c <= max(self.color_count, 1):

@@ -8,15 +8,22 @@ unused colors, than the edges still allowed.
 
 * ``exists_rainbow_stree``: the search, allowing one edge per color in use,
   with the found tree pruned to a witness.
-* ``is_k_rainbow_connected``: runs the search over all C(n, k) subsets in
-  lexicographic order, one node budget per subset, and reports the first
-  failure; it needs only the verdict, so it builds no witnesses.
+* ``is_k_rainbow_connected``: walks all C(n, k) subsets in lexicographic
+  order and reports the first failure. A rainbow tree found for one subset
+  is a witness for every subset of its vertices, so a subset inside the
+  vertex set of an earlier tree is settled without a search (witness
+  cover); it cannot be a failure, so the first failure and the count of
+  subsets checked are those of a search per subset. Each search has its own
+  node budget. Only the verdict is needed, so no witnesses are built.
 * ``exact_rx_k``: smallest c admitting a k-rainbow coloring, by canonical
   backtracking over edge colors (color j+1 may first appear only after j),
-  pruned by the search, allowing c edges, for every subset. A subset keeps
-  its last tree until that tree repeats a color. Once every edge is colored
-  the check is exact, so complete colorings are not re-verified. Budget
-  exhaustion yields an explicit unknown-with-bounds result, never a guess.
+  pruned by the search, allowing c edges, for every subset. Each subset
+  keeps a tree and its vertex mask. When that tree repeats a color, any
+  other subset's tree that is still rainbow and spans the terminals takes
+  its place (the tree pool); only if none does is the subset searched
+  again. Once every edge is colored the check is exact, so complete
+  colorings are not re-verified. Budget exhaustion yields an explicit
+  unknown-with-bounds result, never a guess.
 * ``bounds_report``: assembles lower/upper bounds with provenance labels.
   Which parts run follows from the instance size: the Steiner diameter up to
   20,000 k-subsets, the exact solver (2M-node budget) at desk scale, and
@@ -88,9 +95,13 @@ class RainbowTreeWitness:
 
 @dataclass(frozen=True)
 class RainbowVerdict:
+    """``subsets_checked`` counts subsets up to the verdict, covered ones
+    included; ``searches`` counts those that needed a search of their own."""
+
     ok: bool
     failing_subset: tuple[int, ...] | None
     subsets_checked: int
+    searches: int
 
     def __bool__(self) -> bool:
         return self.ok
@@ -105,6 +116,13 @@ def _incidence(g: Graph) -> tuple[list[Edge], list[list[tuple[int, int]]]]:
     return edges, inc
 
 
+def _mask(vertices) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
 def _rainbow_tree(inc, bits, terms, max_edges, budget=None) -> list[int] | None:
     """Edge indices of a tree grown from ``terms[0]`` that contains every
     terminal, has at most ``max_edges`` edges and uses no color twice.
@@ -115,9 +133,7 @@ def _rainbow_tree(inc, bits, terms, max_edges, budget=None) -> list[int] | None:
     allowance of the tree through edges of unused color. ``budget`` ticks
     once per expanded state.
     """
-    target = 0
-    for t in terms:
-        target |= 1 << t
+    target = _mask(terms)
     memo: set[tuple[int, int]] = set()
 
     def grow(tree, verts, used, chosen):
@@ -152,7 +168,10 @@ def _rainbow_tree(inc, bits, terms, max_edges, budget=None) -> list[int] | None:
         memo.add(key)
         return None
 
-    return grow(1 << terms[0], [terms[0]], 0, [])
+    try:
+        return grow(1 << terms[0], [terms[0]], 0, [])
+    finally:
+        del grow  # grow refers to itself; free the memo when the search ends
 
 
 def _search_input(g: Graph, coloring: EdgeColoring):
@@ -214,14 +233,21 @@ def is_k_rainbow_connected(
         raise ValueError("requires a connected graph")
     if not 2 <= k <= g.n:
         raise ValueError(f"k must satisfy 2 <= k <= n, got {k}")
-    _, inc, bits, max_edges = _search_input(g, coloring)
-    checked = 0
+    edges, inc, bits, max_edges = _search_input(g, coloring)
+    covers: list[int] = []  # vertex masks of the trees found so far
+    checked = searches = 0
     for subset in itertools.combinations(range(g.n), k):
         checked += 1
+        need = _mask(subset)
+        if any(not need & ~cover for cover in covers):
+            continue
+        searches += 1
         budget = _Budget(node_budget, None)
-        if _rainbow_tree(inc, bits, subset, max_edges, budget) is None:
-            return RainbowVerdict(False, subset, checked)
-    return RainbowVerdict(True, None, checked)
+        tree = _rainbow_tree(inc, bits, subset, max_edges, budget)
+        if tree is None:
+            return RainbowVerdict(False, subset, checked, searches)
+        covers.append(need | _mask(v for i in tree for v in edges[i]))
+    return RainbowVerdict(True, None, checked, searches)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +319,9 @@ def _search_k_rainbow_coloring(
     edges, inc = _incidence(g)
     m = len(edges)
     bits = [0] * m  # color bit per edge, 0 = uncolored
-    # each subset with its last tree; the tree stays valid while rainbow
-    subsets = [[s, None] for s in itertools.combinations(range(g.n), k)]
+    # each subset with its terminal mask and a (tree, vertex mask) pair; a
+    # tree stays valid while rainbow
+    subsets = [[s, _mask(s), None] for s in itertools.combinations(range(g.n), k)]
 
     def rainbow(tree: list[int]) -> bool:
         used = 0
@@ -308,15 +335,21 @@ def _search_k_rainbow_coloring(
         # optimistic: uncolored edges are wildcards, so once every edge is
         # colored this is the exact k-rainbow check
         for idx, entry in enumerate(subsets):
-            terms, tree = entry
-            if tree is not None and rainbow(tree):
+            terms, need, held = entry
+            if held is not None and rainbow(held[0]):
                 continue
-            tree = _rainbow_tree(inc, bits, terms, c)
-            if tree is None:
-                # fail-first: remember the troublemaker up front
-                subsets.insert(0, subsets.pop(idx))
-                return False
-            entry[1] = tree
+            # any still-rainbow tree spanning the terminals will do
+            for _, _, pooled in subsets:
+                if pooled is not None and not need & ~pooled[1] and rainbow(pooled[0]):
+                    entry[2] = pooled
+                    break
+            else:
+                tree = _rainbow_tree(inc, bits, terms, c)
+                if tree is None:
+                    # fail-first: remember the troublemaker up front
+                    subsets.insert(0, subsets.pop(idx))
+                    return False
+                entry[2] = tree, need | _mask(v for i in tree for v in edges[i])
         return True
 
     def place(i: int, max_used: int):

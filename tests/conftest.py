@@ -40,4 +40,4 @@ def corpus() -> list[tuple[str, Graph]]:
 
 @pytest.fixture(scope="session")
 def small_corpus(corpus) -> list[tuple[str, Graph]]:
-    return [(name, g) for name, g in corpus if g.n <= 14]
+    return [(name, g) for name, g in corpus if g.n <= 15]

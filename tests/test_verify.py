@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -25,6 +26,7 @@ from rainbowindex import (
     spanning_tree_coloring,
     steiner_diameter,
 )
+from rainbowindex import verify as verify_module
 from tests.oracles import oracle_exact_rx, oracle_exists_rainbow_tree
 from tests.test_graph import connected_graphs
 
@@ -138,6 +140,76 @@ def test_verdict_agrees_with_spanning_tree_oracle_small_fuzz():
         if witness is not None:
             assert witness.is_valid_for(g, coloring)
         assert (witness is not None) == oracle_exists_rainbow_tree(g, coloring, terms)
+
+
+def _oracle_verdict(g, coloring, k):
+    """(ok, failing_subset, subsets_checked) from the oracle alone, one
+    subset at a time in lexicographic order."""
+    checked = 0
+    for subset in itertools.combinations(range(g.n), k):
+        checked += 1
+        if not oracle_exists_rainbow_tree(g, coloring, subset):
+            return False, subset, checked
+    return True, None, checked
+
+
+def _verdict_cases(count, seed):
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(4, 9)
+        k = rng.randint(2, min(4, n))
+        if i % 3 == 2:
+            # two pendant vertices with the top ids hang off one hub by edges
+            # of one color, the rest is injective: exactly the subsets holding
+            # both pendants fail, so the first failure comes late
+            core = gnp_connected_graph(n - 2, 0.3, seed=rng.randrange(10**6))
+            hub = rng.randrange(n - 2)
+            g = Graph.build(n, list(core.edges) + [(hub, n - 2), (hub, n - 1)])
+            colors = {e: j + 2 for j, e in enumerate(core.sorted_edges())}
+            colors[(hub, n - 2)] = colors[(hub, n - 1)] = 1
+            c = core.m + 1
+        else:
+            g = gnp_connected_graph(n, rng.choice((0.35, 0.5, 0.7)), seed=rng.randrange(10**6))
+            c = rng.randint(2, n - 1)
+            colors = {e: rng.randint(1, c) for e in g.sorted_edges()}
+        yield g, EdgeColoring(g, colors, c), k
+
+
+def test_verdict_with_cover_matches_per_subset_oracle():
+    # a subset inside an earlier tree is skipped; that must never skip a
+    # failure or move the first one
+    late = 0
+    for g, coloring, k in _verdict_cases(300, seed=11):
+        verdict = is_k_rainbow_connected(g, coloring, k)
+        expected = _oracle_verdict(g, coloring, k)
+        assert (verdict.ok, verdict.failing_subset, verdict.subsets_checked) == expected
+        assert 1 <= verdict.searches <= verdict.subsets_checked
+        late += not verdict.ok and verdict.failing_subset[-2:] == (g.n - 2, g.n - 1)
+    assert late >= 50
+
+
+def test_verdict_counts_searches():
+    from rainbowindex import color_pipeline
+
+    g = gnp_connected_graph(20, 0.3, seed=1)
+    coloring, _ = color_pipeline(g, 3)
+    verdict = is_k_rainbow_connected(g, coloring, 3)
+    assert verdict.ok and verdict.subsets_checked == 1140
+    assert verdict.searches == 6
+
+
+def test_rainbow_tree_search_leaves_no_garbage():
+    # the search's nested function refers to itself; unless that cycle is
+    # broken, every memo waits for the cyclic collector
+    g = cycle_graph(6)
+    _, inc, bits, max_edges = verify_module._search_input(g, all_distinct_coloring(g))
+    gc.collect()
+    gc.disable()
+    try:
+        assert verify_module._rainbow_tree(inc, bits, [0, 3], max_edges) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
