@@ -142,30 +142,25 @@ def cmd_color(args) -> int:
             "far_sets": [sorted(s) for s in trace.far_sets],
             "color_count": coloring.color_count,
         }
-    elif args.method == "kdom":
+    else:  # a leg construction, on a given or a greedy dominating set
+        j = args.k if args.method == "kdom" else args.k - 1
         dom = (
             _parse_domset(args.domset, g)
             if args.domset
-            else greedy_connected_k_dominating(g, args.k).vertices
+            else greedy_connected_k_dominating(g, j).vertices
         )
-        coloring = color_kdom(g, dom, args.k)
-        trace_payload = {"dominating": list(dom), "color_count": coloring.color_count}
-    elif args.method == "km1dom":
-        dom = (
-            _parse_domset(args.domset, g)
-            if args.domset
-            else greedy_connected_k_dominating(g, args.k - 1).vertices
-        )
-        coloring, km1 = color_km1dom(g, dom, args.k)
-        trace_payload = {
-            "dominating": list(km1.dominating),
-            "isolated_outside": sorted(km1.isolated_outside),
-            "side_even": sorted(km1.side_even),
-            "side_odd": sorted(km1.side_odd),
-            "color_count": coloring.color_count,
-        }
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown method {args.method}")
+        if args.method == "kdom":
+            coloring = color_kdom(g, dom, args.k)
+            trace_payload = {"dominating": list(dom), "color_count": coloring.color_count}
+        else:
+            coloring, km1 = color_km1dom(g, dom, args.k)
+            trace_payload = {
+                "dominating": list(km1.dominating),
+                "isolated_outside": sorted(km1.isolated_outside),
+                "side_even": sorted(km1.side_even),
+                "side_odd": sorted(km1.side_odd),
+                "color_count": coloring.color_count,
+            }
     _write_text(args.out, format_coloring(coloring))
     if args.trace is not None:
         _write_text(

@@ -15,15 +15,18 @@ certifies an upper bound on the k-rainbow index:
   other 2..k, with cross edges in a dedicated color. Uses at most
   |D| - 1 + k + 1 colors.
 
-In every construction the core D gets a spanning tree in fresh colors and
-leftover edges reuse color 1, which never harms any prescribed rainbow tree.
-Each coloring rule claims disjoint edge sets; a double claim raises.
+One assembler serves all three and ``spanning_tree_coloring`` (D = V): the
+construction claims its attachment edges in reserved colors 1..base, then
+``_Claims.finish`` gives the induced core D a spanning tree in fresh colors
+above base (or a supplied core coloring shifted past it) and every leftover
+edge color 1, which never harms any prescribed rainbow tree. Each rule
+claims disjoint edge sets; a double claim raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .decompose import SpanningSplit, split_k
 from .dominate import (
@@ -82,21 +85,6 @@ def all_distinct_coloring(g: Graph) -> EdgeColoring:
     return EdgeColoring(g, colors, max(g.m, 1) if g.m else 0)
 
 
-def spanning_tree_coloring(g: Graph) -> EdgeColoring:
-    """A spanning tree in n-1 distinct colors, leftovers reuse color 1.
-
-    Any vertex subset is connected by a rainbow subtree of the tree, so this
-    realizes the trivial n-1 upper bound for every k.
-    """
-    if not g.is_connected:
-        raise ValueError("requires a connected graph")
-    tree = bfs_tree_edges(g, range(g.n))
-    colors = {e: i + 1 for i, e in enumerate(sorted(tree))}
-    for e in g.sorted_edges():
-        colors.setdefault(e, 1)
-    return EdgeColoring(g, colors, max(g.n - 1, 1) if g.m else 0)
-
-
 class _Claims:
     """Edge -> color assignment that rejects double claims."""
 
@@ -111,6 +99,57 @@ class _Claims:
             )
         self.colors[e] = color
         self.rule_of[e] = rule
+
+    def legs(self, g: Graph, v: int, inside, colors) -> tuple[tuple[Edge, int], ...]:
+        """Claim v's edges to its lowest-id feet in ``inside``, one per color
+        in order, and return them with their colors."""
+        feet = sorted(w for w in g.adj[v] if w in inside)
+        legs = tuple((edge(v, foot), c) for foot, c in zip(feet, colors))
+        for e, c in legs:
+            self.claim(e, c, "leg")
+        return legs
+
+    def finish(
+        self, g: Graph, core, base: int, core_coloring: EdgeColoring | None = None
+    ) -> tuple[EdgeColoring, tuple[Edge, ...]]:
+        """Color the induced core above ``base``, then every unclaimed edge 1.
+
+        The core gets a BFS spanning tree in fresh colors base+1, base+2, ...,
+        or ``core_coloring``, a coloring of the induced subgraph (vertices
+        relabeled ascending), shifted past ``base``. Returns the coloring,
+        whose palette is ``base`` plus the core's colors, and the sorted core
+        edges.
+        """
+        if core_coloring is None:
+            core_edges = sorted(bfs_tree_edges(g, core))
+            for idx, e in enumerate(core_edges):
+                self.claim(e, base + 1 + idx, "core-tree")
+            core_colors = len(core_edges)
+        else:
+            sub, originals = induced_subgraph(g, core)
+            if core_coloring.graph != sub:
+                raise ValueError("core coloring does not match the induced core subgraph")
+            core_edges = []
+            for (a, b), c in core_coloring.colors.items():
+                core_edges.append(edge(originals[a], originals[b]))
+                self.claim(core_edges[-1], base + c, "core-coloring")
+            core_edges.sort()
+            core_colors = core_coloring.color_count
+        for e in g.sorted_edges():
+            if e not in self.colors:
+                self.claim(e, 1, "filler")
+        return EdgeColoring(g, self.colors, base + core_colors), tuple(core_edges)
+
+
+def spanning_tree_coloring(g: Graph) -> EdgeColoring:
+    """A spanning tree in n-1 distinct colors, leftovers reuse color 1.
+
+    Any vertex subset is connected by a rainbow subtree of the tree, so this
+    realizes the trivial n-1 upper bound for every k.
+    """
+    if not g.is_connected:
+        raise ValueError("requires a connected graph")
+    return _Claims().finish(g, range(g.n), 0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -129,20 +168,19 @@ class PipelineTrace:
     near_sets: tuple[frozenset[int], ...]  # outside vertices at part-distance 1
     far_sets: tuple[frozenset[int], ...]  # outside vertices at part-distance 2
     tree_edges: tuple[Edge, ...]
-    rule_of: Mapping[Edge, str]
 
 
 def color_pipeline(g: Graph, k: int) -> tuple[EdgeColoring, PipelineTrace]:
     """Decompose, dominate, and color with |D| - 1 + 2k colors.
 
-    Coloring rules, in priority order:
-      1. a spanning tree of the induced core gets |D| - 1 fresh colors
-         (2k+1, 2k+2, ...);
-      2. inside part i, edges between the part's dominating set and outside
+    Coloring rules, on disjoint edge sets:
+      1. inside part i, edges between the part's dominating set and outside
          vertices at part-distance 1 get color i; edges from outside vertices
          at part-distance 2 to any vertex at part-distance 1 get color k+i
          (the distance-1 endpoint may lie inside the core, which keeps every
          far vertex attached even when its nearer neighbors were absorbed);
+      2. a spanning tree of the induced core gets |D| - 1 fresh colors
+         (2k+1, 2k+2, ...);
       3. every remaining edge gets color 1.
     """
     if not g.is_connected:
@@ -158,11 +196,6 @@ def color_pipeline(g: Graph, k: int) -> tuple[EdgeColoring, PipelineTrace]:
     core_cert = union_connect(g, part_conn)
     core = set(core_cert.vertices)
     claims = _Claims()
-
-    tree = sorted(bfs_tree_edges(g, core))
-    for idx, e in enumerate(tree):
-        claims.claim(e, 2 * k + 1 + idx, "core-tree")
-
     near_sets: list[frozenset[int]] = []
     far_sets: list[frozenset[int]] = []
     for i, (part, dcert) in enumerate(zip(split.parts, part_doms), start=1):
@@ -179,16 +212,9 @@ def color_pipeline(g: Graph, k: int) -> tuple[EdgeColoring, PipelineTrace]:
         for u, v in part.sorted_edges():
             if (u in dom_i and v in near) or (v in dom_i and u in near):
                 claims.claim((u, v), i, f"attach:part-{i}")
-        for u, v in part.sorted_edges():
             if (u in far and v in shell1) or (v in far and u in shell1):
                 claims.claim((u, v), k + i, f"two-step:part-{i}")
-
-    for e in g.sorted_edges():
-        if e not in claims.colors:
-            claims.claim(e, 1, "filler")
-
-    color_count = len(core) - 1 + 2 * k
-    coloring = EdgeColoring(g, claims.colors, color_count)
+    coloring, tree = claims.finish(g, core, 2 * k)
     trace = PipelineTrace(
         split=split,
         part_doms=part_doms,
@@ -197,8 +223,7 @@ def color_pipeline(g: Graph, k: int) -> tuple[EdgeColoring, PipelineTrace]:
         core=core_cert.vertices,
         near_sets=tuple(near_sets),
         far_sets=tuple(far_sets),
-        tree_edges=tuple(tree),
-        rule_of=claims.rule_of,
+        tree_edges=tree,
     )
     return coloring, trace
 
@@ -207,33 +232,19 @@ def color_pipeline(g: Graph, k: int) -> tuple[EdgeColoring, PipelineTrace]:
 # Dominating-set-based colorings
 
 
-def _normalize_dominating(dominating) -> tuple[int, ...]:
+def _dominating_core(g: Graph, dominating, j: int, k: int, core_coloring) -> tuple[int, ...]:
+    """The set's sorted vertices, once it is j-dominating, induces a connected
+    subgraph and, if ``core_coloring`` is given, has at least k vertices."""
     if isinstance(dominating, DominationCertificate):
-        return dominating.vertices
-    return tuple(sorted(set(dominating)))
-
-
-def _core_tree_colors(
-    g: Graph,
-    dom: tuple[int, ...],
-    base: int,
-    claims: _Claims,
-    core_coloring: EdgeColoring | None,
-) -> int:
-    """Color the induced core: spanning tree in fresh colors, or a supplied
-    coloring of the induced subgraph shifted past ``base``. Returns the
-    number of core colors used."""
-    if core_coloring is None:
-        tree = sorted(bfs_tree_edges(g, dom))
-        for idx, e in enumerate(tree):
-            claims.claim(e, base + 1 + idx, "core-tree")
-        return len(dom) - 1
-    sub, originals = induced_subgraph(g, dom)
-    if core_coloring.graph != sub:
-        raise ValueError("core coloring does not match the induced core subgraph")
-    for (a, b), c in core_coloring.colors.items():
-        claims.claim(edge(originals[a], originals[b]), base + c, "core-coloring")
-    return core_coloring.color_count
+        dominating = dominating.vertices
+    dom = tuple(sorted(set(dominating)))
+    if not is_k_dominating(g, dom, j):
+        raise ValueError(f"set is not {'k' if j == k else '(k-1)'}-dominating")
+    if len(induced_components(g, dom)) != 1:
+        raise ValueError("set does not induce a connected subgraph")
+    if core_coloring is not None and len(dom) < k:
+        raise ValueError("core coloring requires |D| >= k")
+    return dom
 
 
 def color_kdom(
@@ -253,28 +264,16 @@ def color_kdom(
     accepted when |D| >= k, where any <=k core terminals extend to a full
     k-subset inside the core.
     """
-    dom = _normalize_dominating(dominating)
     if not 2 <= k <= g.n:
         raise ValueError(f"k must satisfy 2 <= k <= n, got {k}")
-    if not is_k_dominating(g, dom, k):
-        raise ValueError("set is not k-dominating")
-    if len(induced_components(g, dom)) != 1:
-        raise ValueError("set does not induce a connected subgraph")
-    if core_coloring is not None and len(dom) < k:
-        raise ValueError("core coloring requires |D| >= k")
+    dom = _dominating_core(g, dominating, k, k, core_coloring)
     inside = set(dom)
-    outside = [v for v in range(g.n) if v not in inside]
     claims = _Claims()
-    leg_base = k if outside else 0
-    for v in outside:
-        feet = sorted(w for w in g.adj[v] if w in inside)
-        for i, foot in enumerate(feet[:k], start=1):
-            claims.claim(edge(v, foot), i, "leg")
-    core_colors = _core_tree_colors(g, dom, leg_base, claims, core_coloring)
-    for e in g.sorted_edges():
-        if e not in claims.colors:
-            claims.claim(e, 1, "filler")
-    return EdgeColoring(g, claims.colors, leg_base + core_colors)
+    for v in range(g.n):
+        if v not in inside:
+            claims.legs(g, v, inside, range(1, k + 1))
+    base = k if len(dom) < g.n else 0
+    return claims.finish(g, dom, base, core_coloring)[0]
 
 
 @dataclass(frozen=True)
@@ -307,20 +306,13 @@ def color_km1dom(
     deficient side a 2-edge detour for the missing color. At most
     |D| - 1 + k + 1 colors.
     """
-    dom = _normalize_dominating(dominating)
     if not 2 <= k <= g.n:
         raise ValueError(f"k must satisfy 2 <= k <= n, got {k}")
     if g.min_degree < k:
         raise ValueError(f"minimum degree {g.min_degree} < k={k}")
-    if not is_k_dominating(g, dom, k - 1):
-        raise ValueError("set is not (k-1)-dominating")
-    if len(induced_components(g, dom)) != 1:
-        raise ValueError("set does not induce a connected subgraph")
-    if core_coloring is not None and len(dom) < k:
-        raise ValueError("core coloring requires |D| >= k")
+    dom = _dominating_core(g, dominating, k - 1, k, core_coloring)
     inside = set(dom)
-    outside = [v for v in range(g.n) if v not in inside]
-    forest = bfs_forest(g, outside)
+    forest = bfs_forest(g, (v for v in range(g.n) if v not in inside))
     parents = set(forest.values())
     isolated = frozenset(v for v, p in forest.items() if p is None and v not in parents)
     side_even: set[int] = set()
@@ -332,43 +324,23 @@ def color_km1dom(
 
     claims = _Claims()
     legs: dict[int, tuple[tuple[Edge, int], ...]] = {}
-
-    def assign_legs(v: int, count: int, color_of_index) -> None:
-        feet = sorted(w for w in g.adj[v] if w in inside)
-        assigned = []
-        for i, foot in enumerate(feet[:count], start=1):
-            c = color_of_index(i)
-            claims.claim(edge(v, foot), c, "leg")
-            assigned.append((edge(v, foot), c))
-        legs[v] = tuple(assigned)
-
-    for v in sorted(isolated):
-        assign_legs(v, k, lambda i: i)
-    for v in sorted(side_even):
-        assign_legs(v, k - 1, lambda i: i)
-    for v in sorted(side_odd):
-        assign_legs(v, k - 1, lambda i: i + 1)
-
+    for side, colors in (
+        (isolated, range(1, k + 1)),
+        (side_even, range(1, k)),
+        (side_odd, range(2, k + 1)),
+    ):
+        for v in sorted(side):
+            legs[v] = claims.legs(g, v, inside, colors)
     cross_edges = [
         (u, v)
         for u, v in g.sorted_edges()
         if (u in side_even and v in side_odd) or (u in side_odd and v in side_even)
     ]
-    leg_base = k if outside else 0
-    cross_color: int | None = None
-    if cross_edges:
-        cross_color = k + 1
-        for e in cross_edges:
-            claims.claim(e, cross_color, "cross")
-    base = leg_base + (1 if cross_edges else 0)
-    core_colors = _core_tree_colors(g, dom, base, claims, core_coloring)
-    for e in g.sorted_edges():
-        if e not in claims.colors:
-            claims.claim(e, 1, "filler")
-    coloring = EdgeColoring(g, claims.colors, base + core_colors)
-    tree_edges = tuple(
-        sorted(e for e, rule in claims.rule_of.items() if rule.startswith("core"))
-    )
+    cross_color = k + 1 if cross_edges else None
+    for e in cross_edges:
+        claims.claim(e, cross_color, "cross")
+    base = (k if forest else 0) + (1 if cross_edges else 0)
+    coloring, tree_edges = claims.finish(g, dom, base, core_coloring)
     trace = Km1Trace(
         dominating=dom,
         isolated_outside=isolated,

@@ -60,8 +60,15 @@ class SearchBudgetExceeded(RuntimeError):
     """Raised when a node budget or deadline runs out mid-search."""
 
 
+def _check_budgets(node_budget, time_budget_s) -> None:
+    for name, value in (("node", node_budget), ("time", time_budget_s)):
+        if value is not None and not value >= 0:
+            raise ValueError(f"{name} budget must be >= 0, got {value}")
+
+
 class _Budget:
     def __init__(self, node_budget: int | None, time_budget_s: float | None):
+        _check_budgets(node_budget, time_budget_s)
         self.node_budget = node_budget
         self.deadline = (
             time.monotonic() + time_budget_s if time_budget_s is not None else None
@@ -185,24 +192,20 @@ def _search_input(g: Graph, coloring: EdgeColoring):
 
 
 def _prune_to_terminals(edges: list[Edge], terminals: frozenset[int]) -> set[Edge]:
-    """Drop non-terminal leaves so the witness tree stays lean."""
-    remaining = set(edges)
-    while True:
-        deg: dict[int, int] = {}
-        for u, v in remaining:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        removable = None
-        for e in sorted(remaining):
-            u, v = e
-            if (deg[u] == 1 and u not in terminals) or (
-                deg[v] == 1 and v not in terminals
-            ):
-                removable = e
-                break
-        if removable is None:
-            return remaining
-        remaining.remove(removable)
+    """The least subtree spanning the terminals, from a tree's edges in the
+    order it grew from the lowest terminal: in one reverse pass, an edge
+    stays iff the vertex it added leads to a terminal."""
+    seen = {min(terminals)}
+    grown = []  # (tree vertex, added vertex) per edge
+    for u, v in edges:
+        grown.append((u, v) if u in seen else (v, u))
+        seen.add(grown[-1][1])
+    needed, kept = set(terminals), set()
+    for e, (old, new) in zip(reversed(edges), reversed(grown)):
+        if new in needed:
+            needed.add(old)
+            kept.add(e)
+    return kept
 
 
 def exists_rainbow_stree(
@@ -456,6 +459,7 @@ def bounds_report(
         raise ValueError("bounds_report requires a connected graph")
     if not 2 <= k <= g.n:
         raise ValueError(f"k must satisfy 2 <= k <= n, got {k}")
+    _check_budgets(None, time_budget_s)
     started = time.monotonic()
     n, delta = g.n, g.min_degree
 

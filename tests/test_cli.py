@@ -193,6 +193,23 @@ def test_exact_text_and_json(tmp_path, capsys):
     assert payload["status"] == "exact" and payload["value"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("exact", "--node-budget", "-5"),
+        ("exact", "--timeout", "-1"),
+        ("exact", "--timeout", "nan"),
+        ("report", "--timeout", "-1"),
+    ],
+)
+def test_negative_budget_exit_two(tmp_path, capsys, argv):
+    graph_file = tmp_path / "c6.edgelist"
+    run(capsys, "gen", "--family", "cycle", "--n", "6", "--out", str(graph_file))
+    command, *options = argv
+    code, out, err = run(capsys, command, "--input", str(graph_file), "--k", "2", *options)
+    assert code == 2 and out == "" and "budget must be >= 0" in err
+
+
 def test_report_json_schema(tmp_path, capsys):
     graph_file = tmp_path / "p5.edgelist"
     run(capsys, "gen", "--family", "path", "--n", "5", "--out", str(graph_file))

@@ -264,6 +264,29 @@ def test_stree_budget_counts_only_explored_nodes():
         exists_rainbow_stree(g, coloring, [0, 2], node_budget=1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, c: exact_rx_k(g, 2, node_budget=-5),
+        lambda g, c: exact_rx_k(g, 2, time_budget_s=-1.0),
+        lambda g, c: is_k_rainbow_connected(g, c, 2, node_budget=-1),
+        lambda g, c: exists_rainbow_stree(g, c, [0, 3], node_budget=-1),
+    ],
+    ids=["exact-nodes", "exact-time", "verify", "stree"],
+)
+def test_negative_budgets_are_rejected(call):
+    g = cycle_graph(6)
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        call(g, all_distinct_coloring(g))
+
+
+def test_report_rejects_negative_timeout_up_front():
+    # above desk scale, so the exact solver that holds the budget never runs
+    g = gnp_connected_graph(30, 0.3, seed=2)
+    with pytest.raises(ValueError, match="^time budget must be >= 0, got -1.0$"):
+        bounds_report(g, 2, time_budget_s=-1.0)
+
+
 def test_exact_rejects_above_desk_scale():
     g = gnp_connected_graph(12, 0.5, seed=1)
     with pytest.raises(ValueError, match="desk scale"):
