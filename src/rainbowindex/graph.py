@@ -6,7 +6,9 @@ Two BFS primitives answer every distance, layer, component, tree and path
 question: ``balls`` gives the cumulative distance layers of a source set
 as bitmasks, and ``_first_arrivals`` yields (vertex, parent) pairs of one
 first-arrival BFS from all roots at once, for ``bfs_forest`` and
-``shortest_path_between_sets``.
+``shortest_path_between_sets``. Only ``_relax``, the Steiner diameter's
+row relaxation, walks its own layers, because its sources join the BFS at
+different times.
 
 Vertices are the integers 0..n-1. Graphs are immutable; every operation in
 this module is a pure function, so results may be computed concurrently.
@@ -18,10 +20,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
@@ -473,17 +477,76 @@ def steiner_distance(g: Graph, terminals: Iterable[int]) -> tuple[int, SteinerWi
     return _steiner_enumerate(g, ts)
 
 
+def _rows_cheaper(n: int, m: int, k: int) -> bool:
+    """True when ``steiner_diameter``'s shared rows are estimated cheaper
+    than one ``steiner_distance`` per k-subset: each row of a j-set costs
+    its 2^(j-1) splits of n entries plus a relaxation over the m edges,
+    and each subset costs the cheaper of its two paths, times n."""
+    rows = sum(math.comb(n, j) * (2 ** (j - 1) * n + m) for j in range(1, k))
+    return rows <= math.comb(n, k) * min(3**k, 2 ** (n - k)) * n
+
+
+def _relax(row: list[int], adj_bits: tuple[int, ...]) -> list[int]:
+    """Lower ``row`` in place to min over u of row[u] + d(u, v), in a
+    connected graph: a BFS in which each vertex v joins at time row[v]."""
+    starts: dict[int, int] = {}
+    for v, x in enumerate(row):
+        starts[x] = starts.get(x, 0) | 1 << v
+    everyone = (1 << len(row)) - 1
+    seen = frontier = 0
+    r = min(starts)
+    while seen != everyone:
+        reached = (frontier | starts.get(r, 0)) & ~seen
+        frontier = 0
+        for v in _set_bits(reached):
+            row[v] = r
+            frontier |= adj_bits[v]
+        seen |= reached
+        r += 1
+    return row
+
+
 def steiner_diameter(g: Graph, k: int) -> int:
-    """Maximum Steiner distance over all k-subsets of vertices."""
+    """Maximum Steiner distance over all k-subsets of vertices.
+
+    Picks one of two exact paths by an estimate from n, m and k alone (see
+    ``_rows_cheaper``). The per-subset path takes ``steiner_distance`` of
+    every k-subset. The row path shares one value-only Dreyfus-Wagner
+    table among all subsets: for each vertex set T of at most k-1
+    vertices, row_T[v] is the fewest edges of a tree containing T and v.
+    A singleton's row is its BFS distances; a larger T's row is the
+    elementwise minimum of row_A + row_(T-A) over the splits whose A holds
+    T's lowest vertex, relaxed along the edges. A k-set S has Steiner
+    distance row_(S-s)[s] for any s in S, so the answer is the largest
+    entry of any (k-1)-row, and those rows are not kept.
+    """
     if not g.is_connected:
         raise ValueError("steiner_diameter requires a connected graph")
     if not 2 <= k <= g.n:
         raise ValueError(f"k must satisfy 2 <= k <= n, got {k}")
-    best = 0
-    for combo in itertools.combinations(range(g.n), k):
-        d, _ = steiner_distance(g, combo)
-        if d > best:
-            best = d
+    if not _rows_cheaper(g.n, g.m, k):
+        subsets = itertools.combinations(range(g.n), k)
+        return max(steiner_distance(g, s)[0] for s in subsets)
+    rows = {1 << v: bfs_distances(g, [v]) for v in range(g.n)}
+    # the largest BFS distance: the answer for k = 2, a floor for larger k
+    best = max(map(max, rows.values()))  # type: ignore[type-var]
+    for j in range(2, k):
+        for combo in itertools.combinations(range(g.n), j):
+            mask = sum(1 << v for v in combo)
+            low = mask & -mask
+            rest = mask ^ low
+            sub = rest
+            merged = None
+            while sub:  # every proper submask of rest, with low added
+                sub = (sub - 1) & rest
+                a = low | sub
+                pair = map(add, rows[a], rows[mask ^ a])
+                merged = list(pair if merged is None else map(min, merged, pair))
+            row = _relax(merged, g.adj_bits)
+            if j < k - 1:
+                rows[mask] = row
+            else:
+                best = max(best, max(row))
     return best
 
 

@@ -285,7 +285,8 @@ def exact_rx_k(
     Desk scale is enforced (n <= 9 or m <= 16) unless ``force``. The search
     sweeps c upward from max(k-1, steiner diameter); each level either finds
     a coloring or exhaustively refutes it. On budget exhaustion the result is
-    "unknown" with the bounds established so far.
+    "unknown" with the bounds established so far. The budget is checked
+    before any work, and its deadline also covers the lower bound.
     """
     if not g.is_connected:
         raise ValueError("requires a connected graph")
@@ -295,9 +296,9 @@ def exact_rx_k(
         raise ValueError(
             "instance above desk scale (n > 9 and m > 16); pass force=True"
         )
+    budget = _Budget(node_budget, time_budget_s)
     lo = max(k - 1, steiner_diameter(g, k))
     hi = g.n - 1
-    budget = _Budget(node_budget, time_budget_s)
     if lo >= hi:
         return ExactResult("exact", hi, hi, hi, spanning_tree_coloring(g), budget.nodes)
     cap = min(hi, max_colors) if max_colors is not None else hi

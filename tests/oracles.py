@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's search code: rainbow-tree existence
 is decided by enumerating spanning trees of vertex supersets (via networkx),
-k-rainbow connectivity by picking at most one edge per color class, and the
-exact index by exhausting canonical colorings.
+k-rainbow connectivity by picking at most one edge per color class, the
+exact index by exhausting canonical colorings, and the Steiner k-diameter
+by connected vertex supersets of every k-set (via networkx).
 """
 
 from __future__ import annotations
@@ -20,6 +21,23 @@ def to_networkx(g: Graph) -> nx.Graph:
     G.add_nodes_from(range(g.n))
     G.add_edges_from(g.edges)
     return G
+
+
+def oracle_steiner_diameter(g: Graph, k: int) -> int:
+    """Largest Steiner distance over the k-sets of vertices; a k-set's
+    distance is one less than the size of its smallest vertex superset that
+    induces a connected subgraph."""
+    G = to_networkx(g)
+
+    def steiner_distance(S: tuple[int, ...]) -> int:
+        others = [v for v in range(g.n) if v not in S]
+        for extra in range(len(others) + 1):
+            for combo in itertools.combinations(others, extra):
+                if nx.is_connected(G.subgraph(S + combo)):
+                    return len(S) + extra - 1
+        raise ValueError("terminals are not connected in the graph")
+
+    return max(steiner_distance(S) for S in itertools.combinations(range(g.n), k))
 
 
 def oracle_exists_rainbow_tree(g: Graph, coloring: EdgeColoring, terminals) -> bool:

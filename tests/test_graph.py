@@ -28,12 +28,15 @@ from rainbowindex import (
     steiner_distance,
     steiner_diameter,
 )
+from rainbowindex import graph as graph_module
 from rainbowindex.graph import (
+    _rows_cheaper,
     _steiner_dp,
     _steiner_enumerate,
     bfs_forest,
     induced_components,
 )
+from tests.oracles import oracle_steiner_diameter
 from tests.test_dominate_incremental import (
     ref_bfs,
     ref_components_within,
@@ -291,6 +294,39 @@ def test_steiner_diameter_chain(g, data):
     k = data.draw(st.integers(2, g.n))
     sd = steiner_diameter(g, k)
     assert k - 1 <= sd <= g.n - 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(max_n=8))
+def test_steiner_diameter_matches_oracle(g):
+    for k in range(2, g.n + 1):
+        assert steiner_diameter(g, k) == oracle_steiner_diameter(g, k)
+
+
+def _refuse(*args):
+    raise AssertionError("steiner_diameter took the other path")
+
+
+def test_steiner_diameter_takes_the_rows_on_a_desk_scale_graph(monkeypatch):
+    # G(8, 14): an 8-cycle with six chords
+    g = Graph.build(
+        8,
+        [(i, (i + 1) % 8) for i in range(8)]
+        + [(0, 2), (0, 4), (1, 5), (2, 6), (3, 7), (5, 7)],
+    )
+    assert g.m == 14 and _rows_cheaper(8, 14, 4)
+    expected = oracle_steiner_diameter(g, 4)
+    monkeypatch.setattr(graph_module, "steiner_distance", _refuse)
+    assert steiner_diameter(g, 4) == expected
+
+
+def test_steiner_diameter_solves_each_subset_when_k_is_near_n(monkeypatch):
+    # rows would cover every set of up to 20 of the 22 vertices, about four
+    # million; the 22 subsets of size 21 are cheap
+    g = gnp_connected_graph(22, 0.3, seed=1)
+    assert not _rows_cheaper(22, g.m, 21)
+    monkeypatch.setattr(graph_module, "_relax", _refuse)
+    assert steiner_diameter(g, 21) == 20
 
 
 def test_steiner_diameter_rejects_bad_k():

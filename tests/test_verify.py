@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from fractions import Fraction
@@ -278,6 +279,33 @@ def test_negative_budgets_are_rejected(call):
     g = cycle_graph(6)
     with pytest.raises(ValueError, match="budget must be >= 0"):
         call(g, all_distinct_coloring(g))
+
+
+def test_exact_checks_its_budget_before_the_lower_bound(monkeypatch):
+    def refuse(g, k):
+        raise AssertionError("the Steiner lower bound ran before the budget check")
+
+    monkeypatch.setattr(verify_module, "steiner_diameter", refuse)
+    with pytest.raises(ValueError, match="^time budget must be >= 0, got -1$"):
+        exact_rx_k(path_graph(13), 6, time_budget_s=-1)
+
+
+def test_exact_deadline_covers_the_lower_bound(monkeypatch):
+    # a fake clock that the lower bound moves past the deadline: the search
+    # must stop at its first deadline check (every 256 nodes), not run on
+    clock = [0.0]
+    steiner_diameter_of = verify_module.steiner_diameter
+
+    def slow_lower_bound(g, k):
+        clock[0] += 10.0
+        return steiner_diameter_of(g, k)
+
+    fake_time = SimpleNamespace(monotonic=lambda: clock[0])
+    monkeypatch.setattr(verify_module, "time", fake_time)
+    monkeypatch.setattr(verify_module, "steiner_diameter", slow_lower_bound)
+    g = gnp_connected_graph(9, 0.4, seed=5)
+    result = exact_rx_k(g, 3, node_budget=1000, time_budget_s=1.0)
+    assert (result.status, result.nodes) == ("unknown", 256)
 
 
 def test_report_rejects_negative_timeout_up_front():
