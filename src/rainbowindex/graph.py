@@ -6,9 +6,11 @@ Two BFS primitives answer every distance, layer, component, tree and path
 question: ``balls`` gives the cumulative distance layers of a source set
 as bitmasks, and ``_first_arrivals`` yields (vertex, parent) pairs of one
 first-arrival BFS from all roots at once, for ``bfs_forest`` and
-``shortest_path_between_sets``. Only ``_relax``, the Steiner diameter's
-row relaxation, walks its own layers, because its sources join the BFS at
-different times.
+``shortest_path_between_sets``. Only ``_relax`` walks its own layers,
+because its sources join the BFS at different times. It lowers the rows of
+the one Dreyfus-Wagner engine, ``_steiner_rows``, which serves both
+``steiner_distance`` (walking a witness back from the values) and
+``steiner_diameter``.
 
 Vertices are the integers 0..n-1. Graphs are immutable; every operation in
 this module is a pure function, so results may be computed concurrently.
@@ -18,7 +20,6 @@ which makes every output reproducible.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import random
@@ -372,66 +373,81 @@ def is_tree_witness(g: Graph, edges: frozenset[Edge], terminals: Iterable[int]) 
     return len(induced_components(Graph(g.n, edges), vs)) == 1
 
 
-def _steiner_dp(g: Graph, terminals: list[int]) -> tuple[int, SteinerWitness]:
-    """Terminal-set dynamic program over (vertex, terminal-subset) states.
+def _splits(mask: int) -> Iterator[int]:
+    """The part A of each split of the vertex set ``mask`` into A and
+    mask - A with the lowest vertex in A, in descending order of A."""
+    low = mask & -mask
+    rest = mask ^ low
+    sub = rest
+    while sub:  # every proper submask of rest, with low added
+        sub = (sub - 1) & rest
+        yield low | sub
 
-    dp[mask][v] = minimum edges of a tree containing {terminals in mask, v};
-    transitions merge two submask trees at v or grow by one edge.
+
+def _steiner_rows(
+    g: Graph, universe: Iterable[int], top: int
+) -> Iterator[tuple[int, list[int]]]:
+    """Value-only Dreyfus-Wagner rows of a connected graph, smallest sets
+    first: (mask, row) for every nonempty vertex set T of ``universe`` with
+    at most ``top`` vertices, mask holding bit v for each v in T, where
+    row[v] is the fewest edges of a tree containing T and v.
+
+    A singleton's row is its BFS distances. A larger T's row is the
+    elementwise minimum of row_A + row_(T-A) over ``_splits`` of T, lowered
+    by ``_relax``. Only the rows still to be merged, those of fewer than
+    ``top`` vertices, are kept.
     """
-    n = g.n
-    k = len(terminals)
-    full = (1 << k) - 1
-    INF = n * n + 1
-    dp = [[INF] * n for _ in range(full + 1)]
-    choice: list[list[tuple | None]] = [[None] * n for _ in range(full + 1)]
-    for i, t in enumerate(terminals):
-        dp[1 << i][t] = 0
-    for mask in range(1, full + 1):
-        row = dp[mask]
-        ch = choice[mask]
-        low = mask & -mask
-        sub = (mask - 1) & mask
-        while sub:
-            if sub & low:  # canonical half to avoid double enumeration
-                other = mask ^ sub
-                ds, do = dp[sub], dp[other]
-                for v in range(n):
-                    cand = ds[v] + do[v]
-                    if cand < row[v]:
-                        row[v] = cand
-                        ch[v] = ("merge", sub)
-            sub = (sub - 1) & mask
-        heap = [(row[v], v) for v in range(n) if row[v] < INF]
-        heapq.heapify(heap)
-        while heap:
-            d, v = heapq.heappop(heap)
-            if d > row[v]:
-                continue
-            nd = d + 1
-            for w in g.adj[v]:
-                if nd < row[w]:
-                    row[w] = nd
-                    ch[w] = ("grow", v)
-                    heapq.heappush(heap, (nd, w))
-    best_v = min(range(n), key=lambda v: (dp[full][v], v))
-    value = dp[full][best_v]
-    if value >= INF:
-        raise ValueError("terminals are not connected in the graph")
+    rows: dict[int, list[int]] = {}
+    for j in range(1, top + 1):
+        for combo in itertools.combinations(universe, j):
+            mask = sum(1 << v for v in combo)
+            if j == 1:
+                row = bfs_distances(g, combo)
+            else:
+                merged = None
+                for a in _splits(mask):
+                    pair = map(add, rows[a], rows[mask ^ a])
+                    if merged is None:
+                        merged = list(pair)
+                    else:
+                        merged = [x if x < y else y for x, y in zip(merged, pair)]
+                row = _relax(merged, g.adj_bits)
+            if j < top:
+                rows[mask] = row
+            yield mask, row
+
+
+def _steiner_dp(g: Graph, terminals: list[int]) -> tuple[int, SteinerWitness]:
+    """Dreyfus-Wagner over the terminal sets (``_steiner_rows``), with a
+    witness walked back from the values alone.
+
+    The walk starts at the lowest-id vertex holding the least entry of the
+    full set's row. At a set T and vertex v with entry d > 0 it takes the
+    first split in ``_splits`` order whose two entries at v sum to d, and
+    only if there is none, the edge to the lowest-id neighbour w with
+    row_T[w] = d - 1.
+    """
+    rows = dict(_steiner_rows(g, terminals, len(terminals)))
+    full = sum(1 << t for t in terminals)
+    value = min(rows[full])
     edges_out: set[Edge] = set()
-    stack = [(full, best_v)]
+    stack = [(full, rows[full].index(value))]
     while stack:
         mask, v = stack.pop()
-        act = choice[mask][v]
-        if act is None:
+        row = rows[mask]
+        d = row[v]
+        if d == 0:
             continue
-        if act[0] == "grow":
-            u = act[1]
+        for a in _splits(mask):
+            if rows[a][v] + rows[mask ^ a][v] == d:
+                stack += [(a, v), (mask ^ a, v)]
+                break
+        else:
+            u = next((w for w in g.adj[v] if row[w] == d - 1), None)
+            if u is None:
+                raise InvariantViolation("steiner row entry without a predecessor")
             edges_out.add(edge(u, v))
             stack.append((mask, u))
-        else:
-            sub = act[1]
-            stack.append((sub, v))
-            stack.append((mask ^ sub, v))
     if len(edges_out) != value:
         raise InvariantViolation("steiner reconstruction mismatch")
     return value, SteinerWitness(frozenset(edges_out), frozenset(terminals))
@@ -457,10 +473,12 @@ def _steiner_enumerate(g: Graph, terminals: list[int]) -> tuple[int, SteinerWitn
 def steiner_distance(g: Graph, terminals: Iterable[int]) -> tuple[int, SteinerWitness]:
     """Minimum size of a tree containing the terminals, with a witness tree.
 
-    Two exact paths, cross-checked in the test suite: a terminal-subset
-    dynamic program, about 3^|S| n steps, and a sweep over vertex supersets
-    of S, at most 2^(n - |S|) connectivity checks of up to n vertices each.
-    The cheaper estimate wins.
+    Two exact paths, cross-checked in the test suite: the Dreyfus-Wagner
+    rows of the terminal sets (``_steiner_dp``), about 3^|S| split merges of
+    n entries each, and a sweep over vertex supersets of S, at most
+    2^(n - |S|) connectivity checks of up to n vertices each. The rows are
+    taken when 3^|S| <= 2^(n - |S|) n: the factor n is counted on the
+    sweep's side only, so the rule leans towards the rows.
     """
     ts = sorted(set(terminals))
     if not ts:
@@ -511,14 +529,12 @@ def steiner_diameter(g: Graph, k: int) -> int:
 
     Picks one of two exact paths by an estimate from n, m and k alone (see
     ``_rows_cheaper``). The per-subset path takes ``steiner_distance`` of
-    every k-subset. The row path shares one value-only Dreyfus-Wagner
-    table among all subsets: for each vertex set T of at most k-1
-    vertices, row_T[v] is the fewest edges of a tree containing T and v.
-    A singleton's row is its BFS distances; a larger T's row is the
-    elementwise minimum of row_A + row_(T-A) over the splits whose A holds
-    T's lowest vertex, relaxed along the edges. A k-set S has Steiner
-    distance row_(S-s)[s] for any s in S, so the answer is the largest
-    entry of any (k-1)-row, and those rows are not kept.
+    every k-subset. The row path shares the rows of ``_steiner_rows`` among
+    all subsets, for every vertex set T of at most k-1 vertices. A k-set S
+    has Steiner distance row_(S-s)[s] for any s in S, so the answer is the
+    largest entry of any (k-1)-row. A smaller T's row never holds more,
+    since the Steiner distance grows with the set and k <= n, so the
+    answer is the largest entry of any row.
     """
     if not g.is_connected:
         raise ValueError("steiner_diameter requires a connected graph")
@@ -527,27 +543,7 @@ def steiner_diameter(g: Graph, k: int) -> int:
     if not _rows_cheaper(g.n, g.m, k):
         subsets = itertools.combinations(range(g.n), k)
         return max(steiner_distance(g, s)[0] for s in subsets)
-    rows = {1 << v: bfs_distances(g, [v]) for v in range(g.n)}
-    # the largest BFS distance: the answer for k = 2, a floor for larger k
-    best = max(map(max, rows.values()))  # type: ignore[type-var]
-    for j in range(2, k):
-        for combo in itertools.combinations(range(g.n), j):
-            mask = sum(1 << v for v in combo)
-            low = mask & -mask
-            rest = mask ^ low
-            sub = rest
-            merged = None
-            while sub:  # every proper submask of rest, with low added
-                sub = (sub - 1) & rest
-                a = low | sub
-                pair = map(add, rows[a], rows[mask ^ a])
-                merged = list(pair if merged is None else map(min, merged, pair))
-            row = _relax(merged, g.adj_bits)
-            if j < k - 1:
-                rows[mask] = row
-            else:
-                best = max(best, max(row))
-    return best
+    return max(max(row) for _, row in _steiner_rows(g, range(g.n), k - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from rainbowindex import (
     GenerationError,
     Graph,
+    InvariantViolation,
     ParseError,
     bfs_distances,
     bfs_tree_edges,
@@ -242,7 +245,7 @@ def test_steiner_rejects_disconnected():
 @settings(max_examples=40, deadline=None)
 @given(connected_graphs(max_n=8), st.data())
 def test_steiner_dp_agrees_with_enumeration(g, data):
-    k = data.draw(st.integers(2, min(4, g.n)))
+    k = data.draw(st.integers(2, min(5, g.n)))
     terms = data.draw(
         st.sets(st.integers(0, g.n - 1), min_size=k, max_size=k)
     )
@@ -251,6 +254,19 @@ def test_steiner_dp_agrees_with_enumeration(g, data):
     assert d_dp == d_en
     assert w_dp.is_valid_for(g) and w_dp.size == d_dp
     assert w_en.is_valid_for(g) and w_en.size == d_en
+
+
+def test_steiner_dp_walk_back_refuses_an_entry_without_a_predecessor(monkeypatch):
+    # P3 with terminals {0, 2}: the pair's row claims 5 everywhere, which no
+    # split and no neighbour one edge closer explains
+    def rows(g, universe, top):
+        yield 0b001, [0, 1, 2]
+        yield 0b100, [2, 1, 0]
+        yield 0b101, [5, 5, 5]
+
+    monkeypatch.setattr(graph_module, "_steiner_rows", rows)
+    with pytest.raises(InvariantViolation):
+        _steiner_dp(path_graph(3), [0, 2])
 
 
 @settings(max_examples=40, deadline=None)
@@ -273,6 +289,49 @@ def test_steiner_monotone_under_terminal_growth(g, data):
     d_small, _ = steiner_distance(g, small)
     d_big, _ = steiner_distance(g, big)
     assert d_small <= d_big
+
+
+def _steiner_corpus():
+    """Seeded (graph, terminals) cases: n = 6-16, |S| = 2-6. The small graphs
+    with many terminals take the superset sweep, the rest the DP."""
+    rng = random.Random(23)
+    for _ in range(60):
+        n = rng.randint(6, 16)
+        g = gnp_connected_graph(n, rng.choice((0.25, 0.4, 0.6)), seed=rng.randrange(10**6))
+        yield g, rng.sample(range(n), rng.randint(2, min(6, n)))
+
+
+def _witness_digest(solve) -> str:
+    items = []
+    for g, terminals in _steiner_corpus():
+        value, witness = solve(g, terminals)
+        items.append((value, sorted(witness.edges)))
+    return hashlib.sha256("\n".join(map(repr, items)).encode()).hexdigest()
+
+
+#: sha256 over (value, sorted witness edges) of steiner_distance on the
+#: corpus, recorded before the two Dreyfus-Wagner loops became one.
+PINNED_STEINER = "516a59b75d13058fd5d59e856243d8c633bc6724a37b1d2e2937205deb536c31"
+
+#: the same for _steiner_dp on every case, the sweep's cases included.
+PINNED_STEINER_DP = "d8bcac36160d3f5ab4317cb41510099e5f176ba34a60233fc5b2eb50efe3b782"
+
+
+def test_pinned_steiner_witnesses(monkeypatch):
+    paths = []
+    for name in ("_steiner_dp", "_steiner_enumerate"):
+
+        def spy(g, terminals, name=name, solve=getattr(graph_module, name)):
+            paths.append(name)
+            return solve(g, terminals)
+
+        monkeypatch.setattr(graph_module, name, spy)
+    assert _witness_digest(steiner_distance) == PINNED_STEINER
+    assert set(paths) == {"_steiner_dp", "_steiner_enumerate"}
+
+
+def test_pinned_steiner_dp_witnesses():
+    assert _witness_digest(lambda g, s: _steiner_dp(g, sorted(s))) == PINNED_STEINER_DP
 
 
 def test_steiner_diameter_examples():
