@@ -209,11 +209,12 @@ def color_pipeline(g: Graph, k: int) -> tuple[EdgeColoring, PipelineTrace]:
         far = frozenset(v for v in range(g.n) if v not in core and ring2 >> v & 1)
         near_sets.append(near)
         far_sets.append(far)
+        attach, two_step = f"attach:part-{i}", f"two-step:part-{i}"
         for u, v in part.sorted_edges():
             if (u in dom_i and v in near) or (v in dom_i and u in near):
-                claims.claim((u, v), i, f"attach:part-{i}")
+                claims.claim((u, v), i, attach)
             if (u in far and v in shell1) or (v in far and u in shell1):
-                claims.claim((u, v), k + i, f"two-step:part-{i}")
+                claims.claim((u, v), k + i, two_step)
     coloring, tree = claims.finish(g, core, 2 * k)
     trace = PipelineTrace(
         split=split,

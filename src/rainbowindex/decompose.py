@@ -4,8 +4,12 @@ split_two partitions the edge set into two spanning subgraphs whose degrees
 differ by at most 2 at every vertex: attach an auxiliary vertex to all
 odd-degree vertices, walk an Euler circuit of each component of the
 augmented graph, 2-color the edges alternately along the walk, then discard
-the auxiliary edges. Consequently each side keeps minimum degree at least
-floor((delta - 1) / 2) where delta is the input's minimum degree.
+the auxiliary edges. The walk is fixed by its tie-breaks: the auxiliary
+vertex's circuit comes first, then a circuit from each vertex with unwalked
+edges in ascending order, and every step takes the lowest unwalked
+neighbour (the auxiliary vertex last). Consequently each side keeps
+minimum degree at least floor((delta - 1) / 2) where delta is the input's
+minimum degree.
 
 split_k iterates this halving to produce k edge-disjoint spanning parts:
 with t the integer satisfying 2^t <= k < 2^(t+1) and s = k - 2^t, it keeps
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .graph import Edge, Graph, InvariantViolation, edge
+from .graph import Edge, Graph, InvariantViolation
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,7 @@ class SpanningSplit:
             union |= part.edges
         if total != len(union):
             problems.append("parts are not pairwise edge-disjoint")
-        if union != set(self.parent.edges):
+        if union != self.parent.edges:
             problems.append("parts do not cover the parent edge set")
         for i, (part, need) in enumerate(
             zip(self.parts, self.required_min_degrees())
@@ -78,43 +82,34 @@ def split_two(g: Graph) -> tuple[Graph, Graph]:
     degree >= floor((delta - 1) / 2) and per-vertex degree gap <= 2."""
     n = g.n
     aux = n
-    neighbors: list[list[int]] = [list(g.adj[v]) for v in range(n)]
-    neighbors.append([])
-    for v in range(n):
-        if len(neighbors[v]) % 2 == 1:
-            neighbors[v].append(aux)
-            neighbors[aux].append(v)
-    used: set[Edge] = set()
-    ptr = [0] * (n + 1)
+    stride = n + 1
+    # unwalked neighbours, highest first so that pop() takes the lowest; an
+    # odd vertex's aux sits at the front and is popped last
+    rest = [[aux, *nbrs[::-1]] if len(nbrs) % 2 else [*nbrs[::-1]] for nbrs in g.adj]
+    rest.append([v for v in reversed(range(n)) if len(g.adj[v]) % 2])
+    walked: set[int] = set()  # w * stride + v once the walk took v -> w
     sides: tuple[set[Edge], set[Edge]] = (set(), set())
-
-    def walk_circuit(start: int) -> None:
+    for start in (aux, *range(n)):
         stack = [start]
         order: list[int] = []
         while stack:
             v = stack[-1]
-            lst = neighbors[v]
-            while ptr[v] < len(lst) and edge(v, lst[ptr[v]]) in used:
-                ptr[v] += 1
-            if ptr[v] < len(lst):
-                w = lst[ptr[v]]
-                used.add(edge(v, w))
+            nbrs = rest[v]
+            while nbrs and v * stride + nbrs[-1] in walked:
+                nbrs.pop()
+            if nbrs:
+                w = nbrs.pop()
+                walked.add(w * stride + v)
                 stack.append(w)
             else:
                 order.append(stack.pop())
         order.reverse()
-        for i in range(len(order) - 1):
-            x, y = order[i], order[i + 1]
-            if x != aux and y != aux:
-                sides[i % 2].add(edge(x, y))
-
-    if neighbors[aux]:
-        walk_circuit(aux)
-    for v in range(n):
-        while ptr[v] < len(neighbors[v]) and edge(v, neighbors[v][ptr[v]]) in used:
-            ptr[v] += 1
-        if ptr[v] < len(neighbors[v]):
-            walk_circuit(v)
+        for parity, side in enumerate(sides):
+            side.update(
+                (x, y) if x < y else (y, x)
+                for x, y in zip(order[parity::2], order[parity + 1 :: 2])
+                if x != aux and y != aux
+            )
 
     first, second = Graph(n, frozenset(sides[0])), Graph(n, frozenset(sides[1]))
     if first.edges | second.edges != g.edges:

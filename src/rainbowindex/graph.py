@@ -124,8 +124,14 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return edge(u, v) in self.edges
 
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+    def sorted_edges(self) -> tuple[Edge, ...]:
+        """The edges in ascending order, as a tuple; sorted on the first call
+        and cached, so every caller shares one order."""
+        return self._edge_order
+
+    @cached_property
+    def _edge_order(self) -> tuple[Edge, ...]:
+        return tuple(sorted(self.edges))
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:

@@ -114,7 +114,7 @@ class RainbowVerdict:
         return self.ok
 
 
-def _incidence(g: Graph) -> tuple[list[Edge], list[list[tuple[int, int]]]]:
+def _incidence(g: Graph) -> tuple[tuple[Edge, ...], list[list[tuple[int, int]]]]:
     """Sorted edges, and per vertex its (neighbor, edge index) pairs in
     sorted adjacency order."""
     edges = g.sorted_edges()

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -149,3 +151,42 @@ def test_split_partition_on_corpus_sample():
                 union |= part.edges
                 total += part.m
             assert union == set(g.edges) and total == g.m
+
+
+def _digest(items) -> str:
+    return hashlib.sha256("\n".join(map(repr, items)).encode()).hexdigest()
+
+
+def _split_corpus():
+    """Seeded graphs covering the walk's edge cases: no vertices, one
+    vertex, isolated vertices, several components, no odd vertex (so no
+    auxiliary circuit), and a dense G(60, 0.5)."""
+    yield Graph(0, frozenset())
+    yield Graph(1, frozenset())
+    yield Graph(5, frozenset())
+    yield complete_graph(5)  # all degrees even
+    yield cycle_graph(6)  # all degrees even
+    yield Graph.build(8, [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 7), (7, 4)])
+    yield Graph.build(7, [(0, 1), (1, 2), (4, 5)])  # paths and isolated vertices
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(2, 16)
+        p = rng.choice((0.15, 0.3, 0.5, 0.8))
+        pairs = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        yield Graph.build(n, pairs)
+    yield gnp_connected_graph(60, 0.5, seed=3)
+
+
+#: sha256 over split_two's two sides and split_k's parts (k = 2..5), as
+#: sorted edge lists per graph of the corpus.
+PINNED_SPLITS = "5fb10f99386ee9622374a9a49542b0cef4da20ab01da9f0e89760b1b2c9fed1f"
+
+
+def test_pinned_split_sides():
+    items = []
+    for g in _split_corpus():
+        first, second = split_two(g)
+        items.append((sorted(first.edges), sorted(second.edges)))
+        for k in range(2, 6):
+            items.append([sorted(p.edges) for p in split_k(g, k).parts])
+    assert _digest(items) == PINNED_SPLITS

@@ -451,6 +451,19 @@ def test_bfs_forest_rejects_out_of_range_vertices():
 
 
 # ---------------------------------------------------------------------------
+# Cached edge order
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_with_subsets())
+def test_sorted_edges_is_the_cached_sort(case):
+    g, _ = case
+    order = g.sorted_edges()
+    assert order == tuple(sorted(g.edges))
+    assert g.sorted_edges() is order
+
+
+# ---------------------------------------------------------------------------
 # Distance helpers against the plain queue BFS
 
 
