@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .coloring import (
@@ -212,24 +211,24 @@ def _format_report_text(report) -> str:
         f"graph: n={report.graph.n} m={report.graph.m} delta={report.graph.min_degree}",
         f"k: {report.k}",
         "lower bounds:",
+        *map(_format_entry, report.lower),
+        "upper bounds:",
+        *map(_format_entry, report.upper),
     ]
-    for entry in report.lower:
-        value = "not computed" if entry.value is None else _fmt_value(entry.value)
-        lines.append(f"  {value:>14}  {entry.source}")
-    lines.append("upper bounds:")
-    for entry in report.upper:
-        value = "not computed" if entry.value is None else _fmt_value(entry.value)
-        lines.append(f"  {value:>14}  {entry.source}")
     lines.append(f"exact: {report.exact if report.exact is not None else 'null'}")
     lines.append(f"verified: {report.verified if report.verified is not None else 'null'}")
     lines.append(f"runtime_ms: {report.runtime_ms:.1f}")
     return "\n".join(lines) + "\n"
 
 
-def _fmt_value(value) -> str:
-    if isinstance(value, Fraction) and value.denominator != 1:
-        return f"{float(value):.3f}"
-    return str(int(value))
+def _format_entry(entry) -> str:
+    """One bound line: its ``json_value``, a float to three decimals."""
+    value = entry.json_value()
+    if value is None:
+        value = "not computed"
+    elif isinstance(value, float):
+        value = f"{value:.3f}"
+    return f"  {value:>14}  {entry.source}"
 
 
 def cmd_report(args) -> int:

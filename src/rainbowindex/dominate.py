@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -25,7 +24,9 @@ from .graph import (
     InvariantViolation,
     balls,
     induced_components,
+    set_bits,
     shortest_path_between_sets,
+    spread,
 )
 
 STEP = "step"
@@ -119,59 +120,35 @@ def greedy_two_step_dominating(part: Graph) -> DominationCertificate:
     vertex enlarges the closed neighborhood by at least delta + 1, which
     caps the final size at n / (delta + 1).
 
-    The bookkeeping is incremental. Distances are kept only up to 3, and an
-    added vertex relaxes them with a BFS that stops at radius 3 and wherever
-    it fails to shorten a distance (distances only go down). Distance-3
-    vertices wait in a lazy min-heap, and the closed-neighborhood count is
-    kept running for the per-step delta + 1 check. The cost is one radius-3
-    ball per added vertex instead of one full BFS per added vertex.
+    The bookkeeping is incremental: bitmasks ``within[r]`` of the vertices
+    within distance r <= 3 of the set, seeded by ``balls`` and padded with
+    its last layer. An added vertex grows each layer, one ``spread`` step
+    at a time, only by the vertices whose distance it lowers, so the cost
+    is at most one radius-3 ball per added vertex, not one full BFS. The
+    closed neighborhood ``within[1]`` gives the per-step delta + 1 check.
     """
     if part.n == 0:
         raise ValueError("empty graph")
     delta = part.min_degree
-    adj = part.adj
+    adj_bits = part.adj_bits
     dom = [comp[0] for comp in part.components]
-    dist = [4] * part.n  # 4 stands for "farther than 3"
-    level3: list[int] = []  # lazy min-heap of vertices at distance 3
-    cover = 0  # vertices at distance <= 1
-
-    def relax(sources: list[int]) -> None:
-        nonlocal cover
-        queue: deque[int] = deque()
-        for s in sources:
-            if dist[s] > 1:
-                cover += 1
-            dist[s] = 0
-            queue.append(s)
-        while queue:
-            v = queue.popleft()
-            d = dist[v] + 1
-            if d > 3:
-                continue
-            for w in adj[v]:
-                if d < dist[w]:
-                    if dist[w] > 1 >= d:
-                        cover += 1
-                    elif d == 3:
-                        heapq.heappush(level3, w)
-                    dist[w] = d
-                    queue.append(w)
-
-    relax(dom)
-    if cover < len(dom) * (delta + 1):
+    layers = balls(part, dom)
+    within = [layers[min(r, len(layers) - 1)] for r in range(4)]
+    if within[1].bit_count() < len(dom) * (delta + 1):
         raise InvariantViolation("seed closed neighborhoods cover too few vertices")
-    while True:
-        while level3 and dist[level3[0]] != 3:
-            heapq.heappop(level3)
-        if not level3:
-            break
-        v = heapq.heappop(level3)
+    while at_three := within[3] & ~within[2]:
+        v = (at_three & -at_three).bit_length() - 1
         dom.append(v)
-        before = cover
-        relax([v])
-        if cover - before < delta + 1:
+        before = within[1].bit_count()
+        lowered = 1 << v
+        within[0] |= lowered
+        for r in (1, 2, 3):
+            lowered = (lowered | spread(lowered, adj_bits)) & ~within[r]
+            within[r] |= lowered
+        gained = within[1].bit_count() - before
+        if gained < delta + 1:
             raise InvariantViolation(
-                f"adding vertex {v} covered {cover - before} < delta + 1 new vertices"
+                f"adding vertex {v} covered {gained} < delta + 1 new vertices"
             )
     bound = Fraction(part.n, delta + 1)
     if len(dom) > bound:
@@ -198,13 +175,15 @@ def connect_two_step(
     dominates g, the closest pair is always at distance <= 5, so the result
     has size <= 5|D| - 4. Ties go to the pair with the lowest minimum ids.
 
-    The bookkeeping is incremental. Each component gets one bitmask BFS
-    when it forms, which gives its distance to every component already
+    Components are vertex bitmasks (the minimum id is the lowest set bit),
+    and the bookkeeping is incremental. Each component gets one ``balls``
+    BFS when it forms, which gives its distance to every component already
     present; those pair distances wait in a lazy min-heap keyed by
     (distance, lower minimum id, higher minimum id), and pairs with a
-    merged-away member are skipped when popped. A merge searches only from
-    the new component, so the run costs one BFS per component ever formed
-    (at most 2|D|), not one BFS per live component per merge.
+    merged-away member are skipped when popped. A merge absorbs every
+    component meeting the path's interior or its ``spread``, so the run
+    costs one BFS per component ever formed (at most 2|D|), not one BFS per
+    live component per merge.
     """
     dom0 = sorted(set(dominating))
     if not g.is_connected:
@@ -213,45 +192,43 @@ def connect_two_step(
         raise ValueError("part must be a spanning subgraph of the host graph")
     if not is_k_step_dominating(part, dom0, 2):
         raise ValueError("input is not a 2-step dominating set of the part")
-    owner: list[int | None] = [None] * g.n  # component id of each set vertex
-    comps: dict[int, tuple[int, ...]] = {}
-    masks: dict[int, int] = {}  # vertex bitmask of each component
+    adj_bits = g.adj_bits
+    comps: dict[int, int] = {}  # vertex bitmask of each live component
     pairs: list[tuple[int, int, int, int, int]] = []  # (d, min, min, id, id)
     ids = itertools.count()
 
-    def add_component(vertices: tuple[int, ...]) -> None:
+    def add_component(mask: int) -> None:
         cid = next(ids)
-        layers = balls(g, vertices)
+        low = (mask & -mask).bit_length() - 1
+        layers = balls(g, set_bits(mask))
         for oid, other in comps.items():
-            d = next(r for r, ball in enumerate(layers) if ball & masks[oid])
-            (lo, lo_id), (hi, hi_id) = sorted([(vertices[0], cid), (other[0], oid)])
+            d = next(r for r, ball in enumerate(layers) if ball & other)
+            other_low = (other & -other).bit_length() - 1
+            (lo, lo_id), (hi, hi_id) = sorted([(low, cid), (other_low, oid)])
             heapq.heappush(pairs, (d, lo, hi, lo_id, hi_id))
-        comps[cid] = vertices
-        masks[cid] = layers[0]
-        for v in vertices:
-            owner[v] = cid
+        comps[cid] = mask
 
     for comp in induced_components(g, dom0):
-        add_component(comp)
+        add_component(sum(1 << v for v in comp))
     while len(comps) > 1:
         d, _, _, a, b = heapq.heappop(pairs)
         if a not in comps or b not in comps:
             continue
         if d > 5:
             raise InvariantViolation(f"closest component pair at distance {d} > 5")
-        path = shortest_path_between_sets(g, comps[a], comps[b])
+        path = shortest_path_between_sets(g, set_bits(comps[a]), set_bits(comps[b]))
         if path is None or len(path) - 2 > 4:
             raise InvariantViolation(
                 f"merge path {path} has more than 4 interior vertices"
             )
-        interior = path[1:-1]
-        touched = {owner[w] for p in interior for w in (p, *g.adj[p])}
-        merged = set(interior)
-        for cid in touched & comps.keys():
-            merged.update(comps.pop(cid))
-            del masks[cid]
-        add_component(tuple(sorted(merged)))
-    (vertices,) = comps.values()
+        merged = sum(1 << p for p in path[1:-1])
+        reach = merged | spread(merged, adj_bits)
+        for cid, mask in list(comps.items()):
+            if mask & reach:
+                merged |= comps.pop(cid)
+        add_component(merged)
+    (mask,) = comps.values()
+    vertices = tuple(set_bits(mask))
     bound = Fraction(5 * len(dom0) - 4)
     if len(vertices) > bound:
         raise InvariantViolation(f"{len(vertices)} vertices exceed the bound {bound}")
@@ -274,7 +251,8 @@ def union_connect(
 
     Each detached component sits at distance exactly 2 from the component
     holding the first input (that input 2-step dominates g), so a single
-    midpoint vertex attaches it; the lowest-id midpoint is chosen.
+    midpoint vertex attaches it: a vertex outside the set in the ``spread``
+    of both components; the lowest-id midpoint is chosen.
     """
     if not certificates:
         raise ValueError("need at least one certificate")
@@ -290,6 +268,11 @@ def union_connect(
     for cert in certificates:
         dom |= cert.vertex_set()
     anchor_root = certificates[0].vertices[0]
+    adj_bits = g.adj_bits
+
+    def reach(vertices: Iterable[int]) -> int:
+        return spread(sum(1 << v for v in vertices), adj_bits)
+
     connectors: list[int] = []
     while True:
         comps = induced_components(g, dom)
@@ -297,9 +280,8 @@ def union_connect(
             break
         anchor = next(c for c in comps if anchor_root in c)
         target = next(c for c in comps if c is not anchor)
-        # outside D, a vertex in both closed neighborhoods is a midpoint
-        candidates = balls(g, anchor)[1] & balls(g, target)[1]
-        candidates &= ~sum(1 << v for v in dom)
+        # outside D, a vertex in both closed neighborhoods is adjacent to both
+        candidates = reach(anchor) & reach(target) & ~sum(1 << v for v in dom)
         if not candidates:
             raise InvariantViolation("no length-2 connection found; inputs invalid")
         w = (candidates & -candidates).bit_length() - 1

@@ -6,8 +6,11 @@ Two BFS primitives answer every distance, layer, component, tree and path
 question: ``balls`` gives the cumulative distance layers of a source set
 as bitmasks, and ``_first_arrivals`` yields (vertex, parent) pairs of one
 first-arrival BFS from all roots at once, for ``bfs_forest`` and
-``shortest_path_between_sets``. Only ``_relax`` walks its own layers,
-because its sources join the BFS at different times. It lowers the rows of
+``shortest_path_between_sets``. ``spread`` is the one bitmask BFS step:
+``balls`` grows its layers with it, and so do the dominate constructions.
+Only ``_relax`` walks its own layers, because its sources join the BFS at
+different times and it writes each vertex's row value while it walks a
+layer; a ``spread`` step would walk each layer twice. It lowers the rows of
 the one Dreyfus-Wagner engine, ``_steiner_rows``, which serves both
 ``steiner_distance`` (walking a witness back from the values) and
 ``steiner_diameter``.
@@ -169,23 +172,29 @@ def balls(g: Graph, sources: Iterable[int]) -> list[int]:
     layers = [mask]
     seen = frontier = mask
     while True:
-        grown = 0
-        # bin() spells out the frontier in C; find() then walks its set bits
-        # faster than peeling them off the integer one at a time.
-        bits = bin(frontier)
-        top = len(bits) - 1
-        i = bits.find("1", 2)
-        while i != -1:
-            grown |= adj_bits[top - i]
-            i = bits.find("1", i + 1)
-        frontier = grown & ~seen
+        frontier = spread(frontier, adj_bits) & ~seen
         if not frontier:
             return layers
         seen |= frontier
         layers.append(seen)
 
 
-def _set_bits(mask: int) -> Iterator[int]:
+def spread(mask: int, adj_bits: tuple[int, ...]) -> int:
+    """One BFS step: the union of the adjacency masks of the vertices in
+    ``mask`` (``Graph.adj_bits``)."""
+    grown = 0
+    # bin() spells out the mask in C; find() then walks its set bits faster
+    # than peeling them off the integer one at a time.
+    bits = bin(mask)
+    top = len(bits) - 1
+    i = bits.find("1", 2)
+    while i != -1:
+        grown |= adj_bits[top - i]
+        i = bits.find("1", i + 1)
+    return grown
+
+
+def set_bits(mask: int) -> Iterator[int]:
     """The set bits of ``mask``, ascending."""
     bits = bin(mask)[:1:-1]
     i = bits.find("1")
@@ -199,7 +208,7 @@ def bfs_distances(g: Graph, sources: Iterable[int]) -> list[int | None]:
     dist: list[int | None] = [None] * g.n
     inner = 0
     for r, ball in enumerate(balls(g, sources)):
-        for v in _set_bits(ball & ~inner):
+        for v in set_bits(ball & ~inner):
             dist[v] = r
         inner = ball
     return dist
@@ -232,7 +241,7 @@ def k_step_neighborhood(g: Graph, dom: Iterable[int], j: int) -> tuple[int, ...]
     layers = balls(g, dom)
     if j >= len(layers):
         return ()
-    return tuple(_set_bits(layers[j] & ~layers[j - 1]))
+    return tuple(set_bits(layers[j] & ~layers[j - 1]))
 
 
 def diameter(g: Graph) -> int:
@@ -522,7 +531,7 @@ def _relax(row: list[int], adj_bits: tuple[int, ...]) -> list[int]:
     while seen != everyone:
         reached = (frontier | starts.get(r, 0)) & ~seen
         frontier = 0
-        for v in _set_bits(reached):
+        for v in set_bits(reached):
             row[v] = r
             frontier |= adj_bits[v]
         seen |= reached

@@ -271,6 +271,11 @@ class ExactResult:
         return self.status == "exact"
 
 
+def _desk_scale(g: Graph) -> bool:
+    """n <= 9 or m <= 16: what ``exact_rx_k`` takes without ``force``."""
+    return g.n <= 9 or g.m <= 16
+
+
 def exact_rx_k(
     g: Graph,
     k: int,
@@ -292,7 +297,7 @@ def exact_rx_k(
         raise ValueError("requires a connected graph")
     if not 2 <= k <= g.n:
         raise ValueError(f"k must satisfy 2 <= k <= n, got {k}")
-    if not force and not (g.n <= 9 or g.m <= 16):
+    if not force and not _desk_scale(g):
         raise ValueError(
             "instance above desk scale (n > 9 and m > 16); pass force=True"
         )
@@ -508,13 +513,9 @@ def bounds_report(
         )
 
     exact_value: int | None = None
-    if n <= 9 or g.m <= 16:
+    if _desk_scale(g):
         result = exact_rx_k(
-            g,
-            k,
-            node_budget=_EXACT_NODE_BUDGET,
-            time_budget_s=time_budget_s,
-            force=True,
+            g, k, node_budget=_EXACT_NODE_BUDGET, time_budget_s=time_budget_s
         )
         if result.known:
             exact_value = result.value

@@ -238,6 +238,19 @@ def test_report_text_matches_json_values(tmp_path, capsys):
     for entry in payload["lower"]:
         if entry["value"] is not None:
             assert entry["source"] in text_out
+    # every upper line prints its JSON value, a float to three decimals
+    upper_text = text_out.split("upper bounds:\n")[1].split("exact:")[0]
+    printed = [line.strip().split("  ", 1) for line in upper_text.splitlines()]
+    expected = [
+        [
+            "not computed" if v is None else f"{v:.3f}" if isinstance(v, float) else str(v),
+            entry["source"],
+        ]
+        for entry in payload["upper"]
+        for v in [entry["value"]]
+    ]
+    assert printed == expected
+    assert ["26.667", "pairwise reference: 20n/delta"] in printed
 
 
 def test_report_rejects_disconnected(tmp_path, capsys):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 import rainbowindex
 from rainbowindex import (
+    DominationCertificate,
     Graph,
     color_pipeline,
     connect_two_step,
@@ -30,6 +32,7 @@ from rainbowindex import (
     greedy_connected_k_dominating,
     greedy_two_step_dominating,
     split_k,
+    union_connect,
 )
 
 # ---------------------------------------------------------------------------
@@ -128,6 +131,20 @@ def ref_connect_two_step(g: Graph, dominating) -> tuple[int, ...]:
         dom.update(ref_shortest_path(g, comps[i], comps[j])[1:-1])
 
 
+def ref_union_connect(g: Graph, sets) -> tuple[int, ...]:
+    """Add the lowest-id midpoint outside D between the component holding
+    the first set's lowest vertex and the lowest-id other component."""
+    dom = set().union(*sets)
+    while True:
+        comps = ref_components_within(g, dom)
+        if len(comps) <= 1:
+            return tuple(sorted(dom))
+        anchor = next(c for c in comps if sets[0][0] in c)
+        target = next(c for c in comps if c != anchor)
+        closed = [set(c).union(*(g.adj[v] for v in c)) for c in (anchor, target)]
+        dom.add(min((closed[0] & closed[1]) - dom))
+
+
 def ref_greedy_connected_k(g: Graph, j: int) -> tuple[int, ...]:
     def satisfied(dom):
         return all(
@@ -170,20 +187,61 @@ def sparse_connected_graphs(draw, max_n=40):
     return Graph.build(n, pairs)
 
 
-@settings(max_examples=80, deadline=None)
-@given(sparse_connected_graphs(), st.integers(1, 4))
+@st.composite
+def dense_connected_graphs(draw, max_n=40):
+    """Random spanning tree plus G(n, p) with p >= 0.3: dense enough that the
+    BFS of a whole graph or a split part often ends before radius 3."""
+    n = draw(st.integers(1, max_n))
+    p = draw(st.floats(0.3, 0.7))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pairs = {(rng.randrange(v), v) for v in range(1, n)}
+    pairs |= {(u, v) for v in range(n) for u in range(v) if rng.random() < p}
+    return Graph.build(n, pairs)
+
+
+any_graphs = st.one_of(sparse_connected_graphs(), dense_connected_graphs())
+
+
+@settings(max_examples=120, deadline=None)
+@given(any_graphs, st.integers(1, 4))
 def test_greedy_two_step_matches_reference(g, k):
     for part in (g, *split_k(g, k).parts):
         assert greedy_two_step_dominating(part).vertices == ref_greedy_two_step(part)
 
 
-@settings(max_examples=80, deadline=None)
-@given(sparse_connected_graphs(), st.integers(1, 4))
+@settings(max_examples=120, deadline=None)
+@given(any_graphs, st.integers(1, 4))
 def test_connect_two_step_matches_reference(g, k):
     for part in (g, *split_k(g, k).parts):
         dom = ref_greedy_two_step(part)
         got = connect_two_step(g, part, dom).vertices
         assert got == ref_connect_two_step(g, dom)
+
+
+def grown_set(g: Graph, rnd) -> tuple[int, ...]:
+    """A connected 2-step dominating set grown from a random vertex by
+    random neighbours."""
+    grown = {rnd.randrange(g.n)}
+    while any(d is None or d > 2 for d in ref_bfs(g, grown)):
+        grown.add(rnd.choice(sorted({w for v in grown for w in g.adj[v]} - grown)))
+    return tuple(sorted(grown))
+
+
+@settings(max_examples=120, deadline=None)
+@given(any_graphs, st.integers(1, 4), st.none() | st.randoms(use_true_random=False))
+def test_union_connect_matches_reference(g, k, rnd):
+    """On the connected sets of split_k's k parts, or (given ``rnd``) on k
+    grown sets: on dense graphs those are small and often far enough apart
+    to need connectors, which the parts' sets rarely are."""
+    if rnd is None:
+        sets = [
+            connect_two_step(g, part, greedy_two_step_dominating(part).vertices).vertices
+            for part in split_k(g, k).parts
+        ]
+    else:
+        sets = [grown_set(g, rnd) for _ in range(k)]
+    certs = [DominationCertificate(g, vs, "step", 2, True) for vs in sets]
+    assert union_connect(g, certs).vertices == ref_union_connect(g, sets)
 
 
 @settings(max_examples=80, deadline=None)

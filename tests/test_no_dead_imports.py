@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and no
+library module imports another module's underscore-prefixed name.
 
 ``__init__.py`` is skipped: its imports are the package's re-exports.
 """
@@ -29,6 +30,17 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     return [(line, name) for line, name in imported if name not in used]
 
 
+def private_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each underscore-prefixed name imported from a module."""
+    return [
+        (node.lineno, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
 def test_modules_found():
     assert "coloring.py" in MODULES and "__init__.py" not in MODULES
 
@@ -46,3 +58,17 @@ def test_detector_flags_an_unused_name():
         "x: Mapping = {}\n"
     )
     assert unused_imports(source) == [(2, "os"), (3, "Iterable")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_imports(module):
+    assert private_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_detector_flags_a_private_name():
+    source = (
+        "from __future__ import annotations\n"
+        "from .graph import Graph, _relax\n"
+        "from . import _private as public\n"
+    )
+    assert private_imports(source) == [(2, "_relax"), (3, "_private")]
