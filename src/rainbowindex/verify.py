@@ -9,12 +9,20 @@ unused colors, than the edges still allowed.
 * ``exists_rainbow_stree``: the search, allowing one edge per color in use,
   with the found tree pruned to a witness.
 * ``is_k_rainbow_connected``: walks all C(n, k) subsets in lexicographic
-  order and reports the first failure. A rainbow tree found for one subset
-  is a witness for every subset of its vertices, so a subset inside the
-  vertex set of an earlier tree is settled without a search (witness
-  cover); it cannot be a failure, so the first failure and the count of
-  subsets checked are those of a search per subset. Each search has its own
-  node budget. Only the verdict is needed, so no witnesses are built.
+  order and reports the first failure. It searches G/F, where F is a
+  spanning forest of the edges whose color appears on no other edge: each
+  component of those edges becomes one vertex, and the unique-color edges
+  are dropped, while parallel edges of other colors stay. This is exact. A
+  unique color cannot clash, so a rainbow tree of G/F expands to one of G
+  by the F-trees of the vertices it touches, and a rainbow tree of G maps
+  to a connected rainbow image in G/F holding a spanning tree. So the edge
+  allowance is the number of colors used more than once. A rainbow tree
+  found for one subset is a witness for every subset of the original
+  vertices of the contracted vertices it touches, so a subset inside that
+  set of an earlier tree is settled without a search (witness cover); it
+  cannot be a failure, so the first failure and the count of subsets
+  checked are those of a search per subset. Each search has its own node
+  budget. Only the verdict is needed, so no witnesses are built.
 * ``exact_rx_k``: smallest c admitting a k-rainbow coloring, by canonical
   backtracking over edge colors (color j+1 may first appear only after j),
   pruned by the search, allowing c edges, for every subset. Each subset
@@ -35,6 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,7 +59,6 @@ from .graph import (
     Edge,
     Graph,
     InvariantViolation,
-    edge,
     is_tree_witness,
     steiner_diameter,
 )
@@ -103,7 +111,10 @@ class RainbowTreeWitness:
 @dataclass(frozen=True)
 class RainbowVerdict:
     """``subsets_checked`` counts subsets up to the verdict, covered ones
-    included; ``searches`` counts those that needed a search of their own."""
+    included; ``searches`` counts those that needed a search of their own.
+    A subset that no earlier tree covers is one search even when all its
+    terminals fall in one contracted vertex: the search then returns the
+    empty tree, and that vertex's members become its cover."""
 
     ok: bool
     failing_subset: tuple[int, ...] | None
@@ -114,13 +125,14 @@ class RainbowVerdict:
         return self.ok
 
 
-def _incidence(g: Graph) -> tuple[tuple[Edge, ...], list[list[tuple[int, int]]]]:
-    """Sorted edges, and per vertex its (neighbor, edge index) pairs in
-    sorted adjacency order."""
-    edges = g.sorted_edges()
-    index = {e: i for i, e in enumerate(edges)}
-    inc = [[(w, index[edge(v, w)]) for w in g.adj[v]] for v in range(g.n)]
-    return edges, inc
+def _incidence(n: int, ends) -> list[list[tuple[int, int]]]:
+    """Per vertex its (neighbor, edge index) pairs, in edge order; for
+    sorted edges that is sorted adjacency order."""
+    inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (x, y) in enumerate(ends):
+        inc[x].append((y, i))
+        inc[y].append((x, i))
+    return inc
 
 
 def _mask(vertices) -> int:
@@ -186,9 +198,38 @@ def _search_input(g: Graph, coloring: EdgeColoring):
     over (g, coloring); a rainbow tree has at most one edge per color in use."""
     if coloring.graph != g:
         raise ValueError("coloring does not belong to this graph")
-    edges, inc = _incidence(g)
+    edges = g.sorted_edges()
     bits = [1 << coloring.colors[e] for e in edges]
-    return edges, inc, bits, len(coloring.used_colors())
+    return edges, _incidence(g.n, edges), bits, len(coloring.used_colors())
+
+
+def _contracted_search_input(g: Graph, coloring: EdgeColoring):
+    """The search input over G/F, F a spanning forest of the edges whose color
+    appears on no other edge: each vertex's contracted vertex (components of
+    those edges, numbered by minimum id), and the endpoints, incidence and
+    color bits of the other edges, in sorted edge order, with the number of
+    colors used more than once as the edge allowance. An edge inside one
+    component becomes a loop and is dropped; that includes every unique-color
+    edge."""
+    if coloring.graph != g:
+        raise ValueError("coloring does not belong to this graph")
+    edges = g.sorted_edges()
+    colors = [coloring.colors[e] for e in edges]
+    uses = Counter(colors)
+    unique = frozenset(e for e, c in zip(edges, colors) if uses[c] == 1)
+    groups = Graph(g.n, unique).components
+    image = [0] * g.n
+    for x, members in enumerate(groups):
+        for v in members:
+            image[v] = x
+    ends: list[tuple[int, int]] = []
+    bits = []
+    for (u, v), c in zip(edges, colors):
+        if image[u] != image[v]:
+            ends.append((image[u], image[v]))
+            bits.append(1 << c)
+    allowance = sum(1 for count in uses.values() if count > 1)
+    return image, ends, _incidence(len(groups), ends), bits, allowance
 
 
 def _prune_to_terminals(edges: list[Edge], terminals: frozenset[int]) -> set[Edge]:
@@ -236,20 +277,21 @@ def is_k_rainbow_connected(
         raise ValueError("requires a connected graph")
     if not 2 <= k <= g.n:
         raise ValueError(f"k must satisfy 2 <= k <= n, got {k}")
-    edges, inc, bits, max_edges = _search_input(g, coloring)
-    covers: list[int] = []  # vertex masks of the trees found so far
+    image, ends, inc, bits, max_edges = _contracted_search_input(g, coloring)
+    covers: list[int] = []  # contracted-vertex masks of the trees found so far
     checked = searches = 0
     for subset in itertools.combinations(range(g.n), k):
         checked += 1
-        need = _mask(subset)
+        need = _mask(image[v] for v in subset)
         if any(not need & ~cover for cover in covers):
             continue
         searches += 1
         budget = _Budget(node_budget, None)
-        tree = _rainbow_tree(inc, bits, subset, max_edges, budget)
+        terms = sorted({image[v] for v in subset})
+        tree = _rainbow_tree(inc, bits, terms, max_edges, budget)
         if tree is None:
             return RainbowVerdict(False, subset, checked, searches)
-        covers.append(need | _mask(v for i in tree for v in edges[i]))
+        covers.append(need | _mask(x for i in tree for x in ends[i]))
     return RainbowVerdict(True, None, checked, searches)
 
 
@@ -325,7 +367,8 @@ def _search_k_rainbow_coloring(
     g: Graph, k: int, c: int, budget: _Budget
 ) -> EdgeColoring | None:
     """Backtracking over edge colors in canonical first-use order."""
-    edges, inc = _incidence(g)
+    edges = g.sorted_edges()
+    inc = _incidence(g.n, edges)
     m = len(edges)
     bits = [0] * m  # color bit per edge, 0 = uncolored
     # each subset with its terminal mask and a (tree, vertex mask) pair; a

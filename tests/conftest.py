@@ -40,4 +40,5 @@ def corpus() -> list[tuple[str, Graph]]:
 
 @pytest.fixture(scope="session")
 def small_corpus(corpus) -> list[tuple[str, Graph]]:
-    return [(name, g) for name, g in corpus if g.n <= 15]
+    """The corpus graphs small enough to verify every k-subset: n <= 20."""
+    return [(name, g) for name, g in corpus if g.n <= 20]

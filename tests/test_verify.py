@@ -15,12 +15,17 @@ from rainbowindex import (
     SearchBudgetExceeded,
     SteinerWitness,
     all_distinct_coloring,
+    bfs_tree_edges,
     bounds_report,
+    color_kdom,
+    color_km1dom,
+    color_pipeline,
     complete_graph,
     cycle_graph,
     exact_rx_k,
     exists_rainbow_stree,
     gnp_connected_graph,
+    greedy_connected_k_dominating,
     is_k_rainbow_connected,
     min_degree_upper_bound,
     path_graph,
@@ -154,25 +159,71 @@ def _oracle_verdict(g, coloring, k):
     return True, None, checked
 
 
-def _verdict_cases(count, seed):
+def _random_colors(rng, n, k):
+    g = gnp_connected_graph(n, rng.choice((0.35, 0.5, 0.7)), seed=rng.randrange(10**6))
+    c = rng.randint(2, n - 1)
+    return g, {e: rng.randint(1, c) for e in g.sorted_edges()}, c
+
+
+def _pendant_colors(rng, n, k):
+    # two pendant vertices with the top ids hang off one hub by edges of one
+    # color, the rest is injective: exactly the subsets holding both pendants
+    # fail, so the first failure comes late
+    core = gnp_connected_graph(n - 2, 0.3, seed=rng.randrange(10**6))
+    hub = rng.randrange(n - 2)
+    g = Graph.build(n, list(core.edges) + [(hub, n - 2), (hub, n - 1)])
+    colors = {e: j + 2 for j, e in enumerate(core.sorted_edges())}
+    colors[(hub, n - 2)] = colors[(hub, n - 1)] = 1
+    return g, colors, core.m + 1
+
+
+def _leg_colors(rng, n, k):
+    """The constructions' shape: a connected core whose BFS tree has colors
+    of its own, each vertex outside it with up to k legs into it colored
+    1, 2, ... in order, and every other edge in a random leg color. The core
+    contracts to one vertex that the legs join by parallel edges."""
+    core = rng.sample(range(n), rng.randint(1, n - 1))
+    outside = [v for v in range(n) if v not in core]
+    pairs = [(core[rng.randrange(i)], core[i]) for i in range(1, len(core))]
+    pairs += [p for p in itertools.combinations(core, 2) if rng.random() < 0.3]
+    legs = {}
+    for v in outside:
+        feet = rng.sample(core, min(len(core), rng.randint(1, k)))
+        legs.update(((min(v, w), max(v, w)), i + 1) for i, w in enumerate(feet))
+    pairs += [p for p in itertools.combinations(outside, 2) if rng.random() < 0.3]
+    g = Graph.build(n, pairs + list(legs))
+    tree = bfs_tree_edges(g, core)
+    colors = {e: rng.randint(1, k) for e in g.sorted_edges()}
+    colors.update(legs)
+    colors.update((e, k + 1 + j) for j, e in enumerate(sorted(tree)))
+    return g, colors, k + len(tree)
+
+
+def _leg_colors_tree_edge_recolored(rng, n, k):
+    """As ``_leg_colors`` with one core-tree edge recolored to a leg color,
+    so the core contracts to two vertices."""
+    g, colors, c = _leg_colors(rng, n, k)
+    tree = sorted(e for e, col in colors.items() if col > k)
+    if tree:
+        colors[rng.choice(tree)] = rng.randint(1, k)
+    return g, colors, c
+
+
+def _distinct_colors(rng, n, k):
+    """Every edge its own color: the graph contracts to one vertex and the
+    edge allowance is 0."""
+    g = gnp_connected_graph(n, rng.choice((0.35, 0.5, 0.7)), seed=rng.randrange(10**6))
+    palette = list(range(1, g.m + 1))
+    rng.shuffle(palette)
+    return g, dict(zip(g.sorted_edges(), palette)), g.m
+
+
+def _verdict_cases(count, seed, kinds=(_random_colors, _random_colors, _pendant_colors)):
     rng = random.Random(seed)
     for i in range(count):
         n = rng.randint(4, 9)
         k = rng.randint(2, min(4, n))
-        if i % 3 == 2:
-            # two pendant vertices with the top ids hang off one hub by edges
-            # of one color, the rest is injective: exactly the subsets holding
-            # both pendants fail, so the first failure comes late
-            core = gnp_connected_graph(n - 2, 0.3, seed=rng.randrange(10**6))
-            hub = rng.randrange(n - 2)
-            g = Graph.build(n, list(core.edges) + [(hub, n - 2), (hub, n - 1)])
-            colors = {e: j + 2 for j, e in enumerate(core.sorted_edges())}
-            colors[(hub, n - 2)] = colors[(hub, n - 1)] = 1
-            c = core.m + 1
-        else:
-            g = gnp_connected_graph(n, rng.choice((0.35, 0.5, 0.7)), seed=rng.randrange(10**6))
-            c = rng.randint(2, n - 1)
-            colors = {e: rng.randint(1, c) for e in g.sorted_edges()}
+        g, colors, c = kinds[i % len(kinds)](rng, n, k)
         yield g, EdgeColoring(g, colors, c), k
 
 
@@ -189,14 +240,41 @@ def test_verdict_with_cover_matches_per_subset_oracle():
     assert late >= 50
 
 
-def test_verdict_counts_searches():
-    from rainbowindex import color_pipeline
+def test_contracted_verdict_matches_per_subset_oracle():
+    # the verifier searches the graph with its unique-color edges contracted;
+    # leg colorings keep parallel edges between contracted vertices, which
+    # must all stay, and all-distinct colorings contract to one vertex
+    failing = 0
+    kinds = (_leg_colors, _leg_colors_tree_edge_recolored, _distinct_colors)
+    for g, coloring, k in _verdict_cases(150, seed=12, kinds=kinds):
+        verdict = is_k_rainbow_connected(g, coloring, k)
+        expected = _oracle_verdict(g, coloring, k)
+        assert (verdict.ok, verdict.failing_subset, verdict.subsets_checked) == expected
+        assert 1 <= verdict.searches <= verdict.subsets_checked
+        failing += not verdict.ok
+    assert 20 <= failing <= 100
 
+
+def test_constructions_verify_at_thirty_vertices():
+    # each core contracts to one vertex, so each check takes under a second
+    # (before contraction each ran for more than 30 s)
+    g = gnp_connected_graph(30, 0.3, seed=1)
+    colorings = [
+        color_pipeline(g, 3)[0],
+        color_kdom(g, greedy_connected_k_dominating(g, 3), 3),
+        color_km1dom(g, greedy_connected_k_dominating(g, 2), 3)[0],
+    ]
+    for coloring in colorings:
+        verdict = is_k_rainbow_connected(g, coloring, 3)
+        assert verdict.ok and verdict.subsets_checked == 4060
+
+
+def test_verdict_counts_searches():
     g = gnp_connected_graph(20, 0.3, seed=1)
     coloring, _ = color_pipeline(g, 3)
     verdict = is_k_rainbow_connected(g, coloring, 3)
     assert verdict.ok and verdict.subsets_checked == 1140
-    assert verdict.searches == 6
+    assert verdict.searches == 4
 
 
 def test_rainbow_tree_search_leaves_no_garbage():
