@@ -4,11 +4,16 @@ exact / report.
 Exit codes: 0 success or verified, 1 verification failure, 2 usage or
 format error. Every subcommand is deterministic for fixed arguments and
 seed (the report's runtime_ms field excepted).
+
+The parser is built on the first ``main`` call and reused by every later
+call in the same process (parsing does not change it), so a caller that
+runs many commands in one process pays for it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -241,7 +246,10 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; one shared instance per process, so callers
+    must not add to it."""
     parser = argparse.ArgumentParser(
         prog="rainbowindex",
         description="k-rainbow index constructions, verification, and bounds",

@@ -272,26 +272,37 @@ def exists_rainbow_stree(
 def is_k_rainbow_connected(
     g: Graph, coloring: EdgeColoring, k: int, node_budget: int | None = None
 ) -> RainbowVerdict:
-    """Check every k-subset; returns the first failing subset if any."""
+    """Check every k-subset; returns the first failing subset if any.
+
+    A subset is skipped when an earlier tree covers it. Each tree is kept
+    as the mask of the contracted vertices it misses, so the test is one
+    AND: the subset's mask, the OR of its vertices' contracted-vertex bits,
+    must share no bit with it.
+    """
     if not g.is_connected:
         raise ValueError("requires a connected graph")
     if not 2 <= k <= g.n:
         raise ValueError(f"k must satisfy 2 <= k <= n, got {k}")
     image, ends, inc, bits, max_edges = _contracted_search_input(g, coloring)
-    covers: list[int] = []  # contracted-vertex masks of the trees found so far
-    checked = searches = 0
-    for subset in itertools.combinations(range(g.n), k):
-        checked += 1
-        need = _mask(image[v] for v in subset)
-        if any(not need & ~cover for cover in covers):
-            continue
-        searches += 1
-        budget = _Budget(node_budget, None)
-        terms = sorted({image[v] for v in subset})
-        tree = _rainbow_tree(inc, bits, terms, max_edges, budget)
-        if tree is None:
-            return RainbowVerdict(False, subset, checked, searches)
-        covers.append(need | _mask(x for i in tree for x in ends[i]))
+    vertex_bit = [1 << x for x in image]
+    every = (1 << (max(image) + 1)) - 1  # all contracted vertices
+    outs: list[int] = []  # per tree found so far, the contracted vertices it misses
+    searches = 0
+    for checked, subset in enumerate(itertools.combinations(range(g.n), k), 1):
+        need = 0
+        for v in subset:
+            need |= vertex_bit[v]
+        for out in outs:
+            if not need & out:
+                break
+        else:
+            searches += 1
+            budget = _Budget(node_budget, None)
+            terms = sorted({image[v] for v in subset})
+            tree = _rainbow_tree(inc, bits, terms, max_edges, budget)
+            if tree is None:
+                return RainbowVerdict(False, subset, checked, searches)
+            outs.append(every & ~(need | _mask(x for i in tree for x in ends[i])))
     return RainbowVerdict(True, None, checked, searches)
 
 
@@ -332,8 +343,9 @@ def exact_rx_k(
     Desk scale is enforced (n <= 9 or m <= 16) unless ``force``. The search
     sweeps c upward from max(k-1, steiner diameter); each level either finds
     a coloring or exhaustively refutes it. On budget exhaustion the result is
-    "unknown" with the bounds established so far. The budget is checked
-    before any work, and its deadline also covers the lower bound.
+    "unknown" with the bounds established so far. The budget and
+    ``max_colors`` (a negative cap is an error) are checked before any work,
+    and the deadline also covers the lower bound.
     """
     if not g.is_connected:
         raise ValueError("requires a connected graph")
@@ -344,6 +356,8 @@ def exact_rx_k(
             "instance above desk scale (n > 9 and m > 16); pass force=True"
         )
     budget = _Budget(node_budget, time_budget_s)
+    if max_colors is not None and max_colors < 0:
+        raise ValueError(f"max colors must be >= 0, got {max_colors}")
     lo = max(k - 1, steiner_diameter(g, k))
     hi = g.n - 1
     if lo >= hi:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from rainbowindex import parse_coloring, parse_edge_list, read_edge_list
-from rainbowindex.cli import main
+from rainbowindex.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -210,6 +210,14 @@ def test_negative_budget_exit_two(tmp_path, capsys, argv):
     assert code == 2 and out == "" and "budget must be >= 0" in err
 
 
+def test_negative_max_colors_exit_two(tmp_path, capsys):
+    graph_file = tmp_path / "c6.edgelist"
+    run(capsys, "gen", "--family", "cycle", "--n", "6", "--out", str(graph_file))
+    argv = ("exact", "--input", str(graph_file), "--k", "2", "--max-colors", "-5")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: max colors must be >= 0, got -5\n")
+
+
 def test_report_json_schema(tmp_path, capsys):
     graph_file = tmp_path / "p5.edgelist"
     run(capsys, "gen", "--family", "path", "--n", "5", "--out", str(graph_file))
@@ -279,3 +287,35 @@ def test_report_many_terminals_on_more_than_twenty_vertices(tmp_path, capsys):
     assert code == 0, err
     lower = json.loads(out)["lower"]
     assert {"source": "steiner diameter", "value": 20} in lower
+
+
+def test_parser_is_reused_across_calls(tmp_path, capsys):
+    # one process, one parser: a usage error, then valid calls, each giving
+    # the exit code and output of a call with a freshly built parser
+    graph_file = tmp_path / "c6.edgelist"
+    coloring_file = tmp_path / "c6.col"
+    run(capsys, "gen", "--family", "cycle", "--n", "6", "--out", str(graph_file))
+    run(capsys, "color", "-i", str(graph_file), "--method", "pipeline", "--k", "2",
+        "-o", str(coloring_file))
+    verify = ("verify", "-g", str(graph_file), "-c", str(coloring_file), "--k", "2")
+    calls = [
+        ("verify", "--k", "x"),
+        verify,
+        verify,
+        ("exact", "-i", str(graph_file), "--k", "2", "--format", "json"),
+    ]
+
+    def call(argv):
+        try:
+            return run(capsys, *argv)
+        except SystemExit as exc:
+            return (exc.code, *capsys.readouterr())
+
+    expected = []
+    for argv in calls:
+        build_parser.cache_clear()
+        expected.append(call(argv))
+    build_parser.cache_clear()
+    assert [call(argv) for argv in calls] == expected
+    assert [code for code, _, _ in expected] == [2, 0, 0, 0]
+    assert build_parser() is build_parser()

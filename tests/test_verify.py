@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import random
 from types import SimpleNamespace
@@ -255,6 +256,23 @@ def test_contracted_verdict_matches_per_subset_oracle():
     assert 20 <= failing <= 100
 
 
+#: sha256 over (ok, failing_subset, subsets_checked, searches) per case of
+#: the corpus below, recorded before the cover check became a flat loop.
+PINNED_VERDICTS = "93764d7e9953f6d6e818b3fc0b62f005861b62496d4fa16f7979d8f1589231d9"
+
+
+def test_pinned_verdicts():
+    # searches is pinned too: it depends on which subsets the covers skip
+    kinds = (_random_colors, _leg_colors, _leg_colors_tree_edge_recolored, _distinct_colors)
+    items = []
+    for g, coloring, k in _verdict_cases(400, seed=13, kinds=kinds):
+        v = is_k_rainbow_connected(g, coloring, k)
+        items.append((v.ok, v.failing_subset, v.subsets_checked, v.searches))
+    assert sum(not ok for ok, *_ in items) == 164
+    digest = hashlib.sha256("\n".join(map(repr, items)).encode()).hexdigest()
+    assert digest == PINNED_VERDICTS
+
+
 def test_constructions_verify_at_thirty_vertices():
     # each core contracts to one vertex, so each check takes under a second
     # (before contraction each ran for more than 30 s)
@@ -412,6 +430,11 @@ def test_exact_max_colors_cap():
     assert result.status == "unknown"
     assert result.lower == 3 and result.upper == 5
     assert exact_rx_k(g, 2, max_colors=3).value == 3
+
+
+def test_exact_rejects_negative_max_colors():
+    with pytest.raises(ValueError, match="^max colors must be >= 0, got -5$"):
+        exact_rx_k(cycle_graph(6), 2, max_colors=-5)
 
 
 def test_exact_witness_verifies():
