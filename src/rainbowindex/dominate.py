@@ -14,7 +14,6 @@ re-runs the predicate from scratch.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -176,14 +175,17 @@ def connect_two_step(
     has size <= 5|D| - 4. Ties go to the pair with the lowest minimum ids.
 
     Components are vertex bitmasks (the minimum id is the lowest set bit),
-    and the bookkeeping is incremental. Each component gets one ``balls``
-    BFS when it forms, which gives its distance to every component already
-    present; those pair distances wait in a lazy min-heap keyed by
-    (distance, lower minimum id, higher minimum id), and pairs with a
-    merged-away member are skipped when popped. A merge absorbs every
-    component meeting the path's interior or its ``spread``, so the run
-    costs one BFS per component ever formed (at most 2|D|), not one BFS per
-    live component per merge.
+    and the bookkeeping is incremental. Each live component keeps its
+    cumulative distance balls from radius 1 up, grown one ``spread`` step
+    at a time only on demand. Pair distances wait in a lazy min-heap keyed
+    by (distance, lower minimum id, higher minimum id): exact, min(i + j)
+    over the balls that meet, when the balls reached so far meet, else the
+    lower bound ra + rb + 1. A bound that reaches the top grows the smaller
+    ball (both on a tie) and goes back refined, so the first exact pair
+    popped is the closest pair; pairs with a merged-away member are
+    skipped. A merge absorbs every component meeting the path's interior
+    or its ``spread``, and their radius-1 balls with them, so no ball grows
+    past the few steps that merges need.
     """
     dom0 = sorted(set(dominating))
     if not g.is_connected:
@@ -193,42 +195,69 @@ def connect_two_step(
     if not is_k_step_dominating(part, dom0, 2):
         raise ValueError("input is not a 2-step dominating set of the part")
     adj_bits = g.adj_bits
-    comps: dict[int, int] = {}  # vertex bitmask of each live component
-    pairs: list[tuple[int, int, int, int, int]] = []  # (d, min, min, id, id)
-    ids = itertools.count()
+    comps: dict[int, list[int]] = {}  # id -> cumulative balls, [mask, ...]
+    lows: list[int] = []  # id -> minimum vertex; ids count up from 0
+    pairs: list[tuple[int, int, int, int, int, bool]] = []
 
-    def add_component(mask: int) -> None:
-        cid = next(ids)
-        low = (mask & -mask).bit_length() - 1
-        layers = balls(g, set_bits(mask))
-        for oid, other in comps.items():
-            d = next(r for r, ball in enumerate(layers) if ball & other)
-            other_low = (other & -other).bit_length() - 1
-            (lo, lo_id), (hi, hi_id) = sorted([(low, cid), (other_low, oid)])
-            heapq.heappush(pairs, (d, lo, hi, lo_id, hi_id))
-        comps[cid] = mask
+    def push(a: int, b: int) -> None:
+        """Queue (key, lower min, higher min, id, id, exact) for the pair."""
+        la, lb = comps[a], comps[b]
+        exact = bool(la[-1] & lb[-1])
+        if exact:
+            key = min(
+                i + j for i, x in enumerate(la) for j, y in enumerate(lb) if x & y
+            )
+        else:
+            key = len(la) + len(lb) - 1
+        (lo, lo_id), (hi, hi_id) = sorted([(lows[a], a), (lows[b], b)])
+        heapq.heappush(pairs, (key, lo, hi, lo_id, hi_id, exact))
+
+    def grow(layers: list[int]) -> None:
+        """Add the next ball: the last one and the spread of its rim."""
+        layers.append(layers[-1] | spread(layers[-1] & ~layers[-2], adj_bits))
+
+    def add_component(layers: list[int]) -> None:
+        cid = len(lows)
+        lows.append((layers[0] & -layers[0]).bit_length() - 1)
+        others = list(comps)
+        comps[cid] = layers
+        for oid in others:
+            push(cid, oid)
 
     for comp in induced_components(g, dom0):
-        add_component(sum(1 << v for v in comp))
+        mask = sum(1 << v for v in comp)
+        add_component([mask, mask | spread(mask, adj_bits)])
     while len(comps) > 1:
-        d, _, _, a, b = heapq.heappop(pairs)
+        d, _, _, a, b, exact = heapq.heappop(pairs)
         if a not in comps or b not in comps:
+            continue
+        if not exact:
+            ra, rb = len(comps[a]), len(comps[b])
+            if ra <= rb:
+                grow(comps[a])
+            if rb <= ra:
+                grow(comps[b])
+            push(a, b)
             continue
         if d > 5:
             raise InvariantViolation(f"closest component pair at distance {d} > 5")
-        path = shortest_path_between_sets(g, set_bits(comps[a]), set_bits(comps[b]))
+        path = shortest_path_between_sets(
+            g, set_bits(comps[a][0]), set_bits(comps[b][0])
+        )
         if path is None or len(path) - 2 > 4:
             raise InvariantViolation(
                 f"merge path {path} has more than 4 interior vertices"
             )
         merged = sum(1 << p for p in path[1:-1])
-        reach = merged | spread(merged, adj_bits)
-        for cid, mask in list(comps.items()):
-            if mask & reach:
-                merged |= comps.pop(cid)
-        add_component(merged)
-    (mask,) = comps.values()
-    vertices = tuple(set_bits(mask))
+        ball = reach = merged | spread(merged, adj_bits)
+        for cid, layers in list(comps.items()):
+            if layers[0] & reach:
+                merged |= layers[0]
+                ball |= layers[1]
+                del comps[cid]
+        add_component([merged, ball])
+    (layers,) = comps.values()
+    vertices = tuple(set_bits(layers[0]))
     bound = Fraction(5 * len(dom0) - 4)
     if len(vertices) > bound:
         raise InvariantViolation(f"{len(vertices)} vertices exceed the bound {bound}")

@@ -7,7 +7,10 @@ question: ``balls`` gives the cumulative distance layers of a source set
 as bitmasks, and ``_first_arrivals`` yields (vertex, parent) pairs of one
 first-arrival BFS from all roots at once, for ``bfs_forest`` and
 ``shortest_path_between_sets``. ``spread`` is the one bitmask BFS step:
-``balls`` grows its layers with it, and so do the dominate constructions.
+``balls`` grows its layers with it, and so do the dominate constructions
+and ``shortest_path_between_sets``, which grows balls from both sets until
+they meet and then runs its first-arrival BFS only on the vertices of
+shortest paths between them.
 Only ``_relax`` walks its own layers, because its sources join the BFS at
 different times and it writes each vertex's row value while it walks a
 layer; a ``spread`` step would walk each layer twice. It lowers the rows of
@@ -161,11 +164,7 @@ def balls(g: Graph, sources: Iterable[int]) -> list[int]:
     """BFS by bitmasks: entry r holds every vertex within distance r of the
     sources; the list ends once the reachable part is covered. Raises
     ValueError for a source outside 0..n-1 or an empty source set."""
-    mask = 0
-    for s in sorted(set(sources)):
-        if not 0 <= s < g.n:
-            raise ValueError(f"vertex {s} out of range")
-        mask |= 1 << s
+    mask = _mask(g, sources)
     if not mask:
         raise ValueError("source set must be nonempty")
     adj_bits = g.adj_bits
@@ -177,6 +176,17 @@ def balls(g: Graph, sources: Iterable[int]) -> list[int]:
             return layers
         seen |= frontier
         layers.append(seen)
+
+
+def _mask(g: Graph, vertices: Iterable[int]) -> int:
+    """The bitmask of ``vertices``; ValueError names the lowest vertex
+    outside 0..n-1."""
+    mask = 0
+    for v in sorted(set(vertices)):
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
+        mask |= 1 << v
+    return mask
 
 
 def spread(mask: int, adj_bits: tuple[int, ...]) -> int:
@@ -276,19 +286,51 @@ def shortest_path_between_sets(
 ) -> list[int] | None:
     """One shortest path from set A to set B (vertex list), or None.
 
-    Deterministic: multi-source BFS with sorted sources and sorted adjacency,
-    first arrival wins.
+    Deterministic: the path of a multi-source BFS with sorted sources and
+    sorted adjacency, first arrival wins. Raises ValueError for a vertex
+    outside 0..n-1.
+
+    That BFS runs only inside the corridor: the vertices v with
+    d(A, v) + d(v, B) = d(A, B). Bitmask balls grow from A and from B,
+    the smaller frontier first, until they meet at distance d; sweeping
+    back from the meeting vertices through each side's balls gives the
+    corridor. Every first-arrival parent of a corridor vertex lies in the
+    corridor and keeps its queue rank, so the path is the one a BFS of the
+    whole graph finds, and the search visits only what lies between A and B.
     """
-    sb = set(b)
+    amask, bmask = _mask(g, a), _mask(g, b)
+    if not amask or not bmask:
+        return None
+    adj_bits = g.adj_bits
+    sides = ([amask], [bmask])  # cumulative balls around A and around B
+    fronts = [amask, bmask]
+    while not sides[0][-1] & sides[1][-1]:
+        s = fronts[1].bit_count() < fronts[0].bit_count()
+        layers = sides[s]
+        fronts[s] = spread(fronts[s], adj_bits) & ~layers[-1]
+        if not fronts[s]:
+            return None
+        layers.append(layers[-1] | fronts[s])
+    meet = corridor = sides[0][-1] & sides[1][-1]
+    for layers in sides:
+        # a neighbour in the next smaller ball is one step nearer this side
+        # and at most one step farther from the other: still on the corridor
+        layer = meet
+        for ball in reversed(layers[:-1]):
+            layer = spread(layer, adj_bits) & ball
+            corridor |= layer
+    seen = [True] * g.n
+    for v in set_bits(corridor):
+        seen[v] = False
     parent: dict[int, int | None] = {}
-    for v, p in _first_arrivals(g, sorted(set(a)), [False] * g.n):
+    for v, p in _first_arrivals(g, set_bits(amask & corridor), seen):
         parent[v] = p
-        if v in sb:
+        if bmask >> v & 1:
             path = [v]
             while parent[path[-1]] is not None:
                 path.append(parent[path[-1]])  # type: ignore[arg-type]
             return path[::-1]
-    return None
+    raise InvariantViolation("corridor search missed the set it met")
 
 
 def bfs_forest(

@@ -19,18 +19,22 @@ from collections import deque
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 import rainbowindex
+import rainbowindex.dominate as dominate
 from rainbowindex import (
     DominationCertificate,
     Graph,
+    InvariantViolation,
     color_pipeline,
     connect_two_step,
+    cycle_graph,
     gnp_connected_graph,
     greedy_connected_k_dominating,
     greedy_two_step_dominating,
+    path_graph,
     split_k,
     union_connect,
 )
@@ -115,7 +119,8 @@ def ref_greedy_two_step(part: Graph) -> tuple[int, ...]:
     return tuple(sorted(dom))
 
 
-def ref_connect_two_step(g: Graph, dominating) -> tuple[int, ...]:
+def ref_connect_two_step(g: Graph, dominating, merged_at=None) -> tuple[int, ...]:
+    """The connected set; appends each merge's distance to ``merged_at``."""
     dom = set(dominating)
     while True:
         comps = ref_components_within(g, dom)
@@ -128,6 +133,8 @@ def ref_connect_two_step(g: Graph, dominating) -> tuple[int, ...]:
             for j in range(i + 1, len(comps))
         )
         assert d <= 5
+        if merged_at is not None:
+            merged_at.append(d)
         dom.update(ref_shortest_path(g, comps[i], comps[j])[1:-1])
 
 
@@ -216,6 +223,64 @@ def test_connect_two_step_matches_reference(g, k):
         dom = ref_greedy_two_step(part)
         got = connect_two_step(g, part, dom).vertices
         assert got == ref_connect_two_step(g, dom)
+
+
+def thinned_set(g: Graph, rnd, drops: int) -> tuple[int, ...]:
+    """A 2-step dominating set of g: all vertices, then up to ``drops``
+    random vertices taken out, each only if the rest still 2-step dominates.
+    Many drops leave sparse sets whose components lie 3 to 5 apart, which
+    greedy sets rarely do."""
+    dom = set(range(g.n))
+    for v in rnd.sample(range(g.n), min(drops, g.n)):
+        rest = dom - {v}
+        if rest and all(d is not None and d <= 2 for d in ref_bfs(g, rest)):
+            dom = rest
+    return tuple(sorted(dom))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sparse_connected_graphs(),
+    st.randoms(use_true_random=False),
+    st.integers(0, 40),
+)
+def test_connect_two_step_matches_reference_on_thinned_sets(g, rnd, drops):
+    dom = thinned_set(g, rnd, drops)
+    merged_at: list[int] = []
+    assert connect_two_step(g, g, dom).vertices == ref_connect_two_step(
+        g, dom, merged_at
+    )
+    target(float(max(merged_at, default=0)), label="farthest merge")
+
+
+@pytest.mark.parametrize(
+    "g, dom, merged_at",
+    [
+        (path_graph(11), [0, 5, 10], [5, 5]),
+        (path_graph(14), [0, 3, 8, 13], [3, 5, 5]),
+        (cycle_graph(12), [0, 3, 6, 9], [3, 3, 3]),
+        (cycle_graph(12), [0, 4, 8], [4, 4]),
+        (cycle_graph(15), [0, 5, 10], [5, 5]),
+        (cycle_graph(17), [0, 4, 9, 13], [4, 4, 4]),
+    ],
+)
+def test_connect_two_step_merges_far_components(g, dom, merged_at):
+    """Spaced sets on paths and cycles: every pair starts 3 or more apart,
+    beyond its radius-1 balls, so the merge order rests on lower bounds
+    refined as the balls grow."""
+    got: list[int] = []
+    expected = ref_connect_two_step(g, dom, got)
+    assert got == merged_at
+    assert connect_two_step(g, g, dom).vertices == expected
+
+
+def test_far_pair_raises_with_its_true_distance(monkeypatch):
+    """A pair beyond distance 5 (possible only when the input check is
+    bypassed) is reported with its distance, not with a lower bound."""
+    monkeypatch.setattr(dominate, "is_k_step_dominating", lambda g, dom, j: True)
+    p20 = path_graph(20)
+    with pytest.raises(InvariantViolation, match="at distance 10 > 5"):
+        connect_two_step(p20, p20, [0, 10])
 
 
 def grown_set(g: Graph, rnd) -> tuple[int, ...]:

@@ -44,6 +44,7 @@ from tests.test_dominate_incremental import (
     ref_bfs,
     ref_components_within,
     ref_shortest_path,
+    sparse_connected_graphs,
 )
 
 
@@ -492,3 +493,33 @@ def test_distance_helpers_match_references(case, data):
     else:
         with pytest.raises(ValueError, match="connected"):
             diameter(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_connected_graphs(), st.data())
+def test_shortest_path_matches_reference_on_connected_graphs(g, data):
+    """The path oracle where graphs_with_subsets rarely goes: its graphs are
+    mostly disconnected, so here A and B lie in one component and are 3 or
+    more apart, overlap, or one of them is the whole vertex set."""
+    vertex = st.integers(0, g.n - 1)
+    a = data.draw(st.sets(vertex, min_size=1, max_size=3))
+    case = data.draw(st.sampled_from(["far", "overlap", "all of A", "all of B"]))
+    if case == "far":
+        far = [v for v, d in enumerate(ref_bfs(g, a)) if d >= 3]
+        assume(far)
+        b = data.draw(st.sets(st.sampled_from(far), min_size=1))
+    elif case == "overlap":
+        b = data.draw(st.sets(vertex)) | {data.draw(st.sampled_from(sorted(a)))}
+    elif case == "all of A":
+        a, b = set(range(g.n)), data.draw(st.sets(vertex, min_size=1))
+    else:
+        b = set(range(g.n))
+    assert shortest_path_between_sets(g, a, b) == ref_shortest_path(g, a, b)
+
+
+def test_shortest_path_rejects_out_of_range_vertices():
+    p4 = path_graph(4)
+    for a, b in (([-1], [2]), ([4], [2]), ([2], [4]), ([0], [1, -1])):
+        bad = min(v for v in a + b if not 0 <= v < 4)
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+            shortest_path_between_sets(p4, a, b)
