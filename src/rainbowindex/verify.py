@@ -3,8 +3,9 @@
 One search, ``_rainbow_tree``, asks for every caller whether a rainbow tree
 contains a terminal set S. It grows a tree from the lowest terminal, treats
 uncolored edges as wildcards, memoizes failed (vertex set, color set) states
-and prunes once a terminal lies farther from the tree, through edges of
-unused colors, than the edges still allowed.
+and prunes once more terminals are missing than edges are still allowed, or
+a terminal lies farther from the tree, through edges of unused colors, than
+the edges still allowed.
 
 * ``exists_rainbow_stree``: the search, allowing one edge per color in use,
   with the found tree pruned to a witness.
@@ -26,12 +27,14 @@ unused colors, than the edges still allowed.
 * ``exact_rx_k``: smallest c admitting a k-rainbow coloring, by canonical
   backtracking over edge colors (color j+1 may first appear only after j),
   pruned by the search, allowing c edges, for every subset. Each subset
-  keeps a tree and its vertex mask. When that tree repeats a color, any
-  other subset's tree that is still rainbow and spans the terminals takes
-  its place (the tree pool); only if none does is the subset searched
-  again. Once every edge is colored the check is exact, so complete
-  colorings are not re-verified. Budget exhaustion yields an explicit
-  unknown-with-bounds result, never a guess.
+  keeps a tree with its vertex and edge masks. When that tree repeats a
+  color, any other subset's tree that is still rainbow and spans the
+  terminals takes its place (the tree pool); only if none does is the
+  subset searched again. Only coloring an edge can break a tree, and every
+  held tree is rainbow before it, so only trees through the edge just
+  colored are rechecked (watch lists). Once every edge is colored the
+  check is exact, so complete colorings are not re-verified. Budget
+  exhaustion yields an explicit unknown-with-bounds result, never a guess.
 * ``bounds_report``: assembles lower/upper bounds with provenance labels.
   Which parts run follows from the instance size: the Steiner diameter up to
   20,000 k-subsets, the exact solver (2M-node budget) at desk scale, and
@@ -148,8 +151,11 @@ def _rainbow_tree(inc, bits, terms, max_edges, budget=None) -> list[int] | None:
 
     ``bits[i]`` is edge i's color as a bit; 0 marks an uncolored edge, a
     wildcard any color may fill. Failed (tree, colors) states are memoized.
-    A state is pruned unless every terminal lies within the remaining edge
-    allowance of the tree through edges of unused color. ``budget`` ticks
+    Each edge brings one new vertex into the tree, so a state is pruned when
+    more terminals are missing than edges are left, and otherwise unless
+    every terminal lies within the remaining edge allowance of the tree
+    through edges of unused color. Both prunes drop only states that fail,
+    so the first tree found is that of the unpruned search. ``budget`` ticks
     once per expanded state.
     """
     target = _mask(terms)
@@ -163,8 +169,13 @@ def _rainbow_tree(inc, bits, terms, max_edges, budget=None) -> list[int] | None:
             return None
         if budget is not None:
             budget.tick()
+        # each edge adds one vertex, so every missing terminal needs its own
+        left = max_edges - len(chosen)
+        if (target & ~tree).bit_count() > left:
+            memo.add(key)
+            return None
         reach, frontier = tree, verts
-        for _ in range(max_edges - len(chosen)):
+        for _ in range(left):
             if target & ~reach == 0:
                 break
             nxt = []
@@ -385,8 +396,8 @@ def _search_k_rainbow_coloring(
     inc = _incidence(g.n, edges)
     m = len(edges)
     bits = [0] * m  # color bit per edge, 0 = uncolored
-    # each subset with its terminal mask and a (tree, vertex mask) pair; a
-    # tree stays valid while rainbow
+    # each subset with its terminal mask and a (tree, vertex mask, edge
+    # mask) triple; a tree stays valid while rainbow
     subsets = [[s, _mask(s), None] for s in itertools.combinations(range(g.n), k)]
 
     def rainbow(tree: list[int]) -> bool:
@@ -397,16 +408,22 @@ def _search_k_rainbow_coloring(
             used |= bits[i]
         return True
 
-    def prune_ok() -> bool:
+    def prune_ok(placed: int) -> bool:
         # optimistic: uncolored edges are wildcards, so once every edge is
-        # colored this is the exact k-rainbow check
+        # colored this is the exact k-rainbow check. Every held tree was
+        # rainbow with edge ``placed`` uncolored (backtracking only uncolors
+        # edges), so a tree without that edge is still rainbow.
         for idx, entry in enumerate(subsets):
             terms, need, held = entry
-            if held is not None and rainbow(held[0]):
+            if held is not None and (not held[2] >> placed & 1 or rainbow(held[0])):
                 continue
             # any still-rainbow tree spanning the terminals will do
             for _, _, pooled in subsets:
-                if pooled is not None and not need & ~pooled[1] and rainbow(pooled[0]):
+                if (
+                    pooled is not None
+                    and not need & ~pooled[1]
+                    and (not pooled[2] >> placed & 1 or rainbow(pooled[0]))
+                ):
                     entry[2] = pooled
                     break
             else:
@@ -415,7 +432,8 @@ def _search_k_rainbow_coloring(
                     # fail-first: remember the troublemaker up front
                     subsets.insert(0, subsets.pop(idx))
                     return False
-                entry[2] = tree, need | _mask(v for i in tree for v in edges[i])
+                verts = _mask(v for i in tree for v in edges[i])
+                entry[2] = tree, need | verts, _mask(tree)
         return True
 
     def place(i: int, max_used: int):
@@ -425,7 +443,7 @@ def _search_k_rainbow_coloring(
         for col in range(1, top + 1):
             budget.tick()
             bits[i] = 1 << col
-            if prune_ok() and place(i + 1, max(max_used, col)):
+            if prune_ok(i) and place(i + 1, max(max_used, col)):
                 return True
         bits[i] = 0
         return False

@@ -1,7 +1,8 @@
 """Independent brute-force oracles the test suite checks the library against.
 
-These deliberately avoid the library's search code: rainbow-tree existence
-is decided by enumerating spanning trees of vertex supersets (via networkx),
+These deliberately avoid the library's search code: rainbow-tree existence,
+also with uncolored edges as wildcards and a cap on the edges, is decided by
+enumerating spanning trees of vertex supersets (via networkx),
 k-rainbow connectivity by picking at most one edge per color class, the
 exact index by exhausting canonical colorings, and the Steiner k-diameter
 by connected vertex supersets of every k-set (via networkx).
@@ -46,11 +47,26 @@ def oracle_exists_rainbow_tree(g: Graph, coloring: EdgeColoring, terminals) -> b
     A rainbow tree has at most (number of colors) edges, so supersets larger
     than that are skipped; this keeps the sweep exact.
     """
+    c = len(set(coloring.colors.values()))
+    return oracle_rainbow_tree_within(g, coloring.colors, terminals, c)
+
+
+def oracle_rainbow_tree_within(g: Graph, colors: dict, terminals, max_edges: int) -> bool:
+    """Whether a tree with at most ``max_edges`` edges contains S and uses
+    no color twice, by spanning-tree enumeration over connected vertex
+    supersets of S.
+
+    ``colors`` maps each edge to its color, or to 0 when it is uncolored.
+    Every uncolored edge gets a fresh color of its own, so it never clashes.
+    A tree needs one color per edge, so supersets with more vertices than
+    colors are skipped.
+    """
     S = sorted(set(terminals))
     if len(S) == 1:
         return True
-    c = len(set(coloring.colors.values()))
-    max_vertices = min(c + 1, g.n)
+    fresh = itertools.count(max(colors.values(), default=0) + 1)
+    full = {e: col or next(fresh) for e, col in colors.items()}
+    max_vertices = min(max_edges + 1, len(set(full.values())) + 1, g.n)
     if len(S) > max_vertices:
         return False
     G = to_networkx(g)
@@ -62,7 +78,7 @@ def oracle_exists_rainbow_tree(g: Graph, coloring: EdgeColoring, terminals) -> b
             if not nx.is_connected(sub):
                 continue
             for tree in nx.SpanningTreeIterator(sub):
-                cols = [coloring.colors[(min(u, v), max(u, v))] for u, v in tree.edges()]
+                cols = [full[(min(u, v), max(u, v))] for u, v in tree.edges()]
                 if len(set(cols)) == len(cols):
                     return True
     return False

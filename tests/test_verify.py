@@ -34,7 +34,12 @@ from rainbowindex import (
     steiner_diameter,
 )
 from rainbowindex import verify as verify_module
-from tests.oracles import oracle_exact_rx, oracle_exists_rainbow_tree
+from rainbowindex.graph import is_tree_witness
+from tests.oracles import (
+    oracle_exact_rx,
+    oracle_exists_rainbow_tree,
+    oracle_rainbow_tree_within,
+)
 from tests.test_graph import connected_graphs
 
 
@@ -86,10 +91,70 @@ def test_terminal_out_of_range_rejected():
 
 def test_budget_exhaustion_raises():
     g = complete_graph(7)
-    colors = {e: 1 for e in g.edges}
-    coloring = EdgeColoring(g, colors, 1)
     with pytest.raises(SearchBudgetExceeded):
-        exists_rainbow_stree(g, coloring, [0, 1, 2], node_budget=1)
+        exists_rainbow_stree(g, all_distinct_coloring(g), [0, 1, 2], node_budget=1)
+    # one color allows one edge for two missing terminals: the root state
+    # is refuted within its own node
+    mono = EdgeColoring(g, {e: 1 for e in g.edges}, 1)
+    assert exists_rainbow_stree(g, mono, [0, 1, 2], node_budget=1) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs(max_n=8), st.data())
+def test_rainbow_tree_with_wildcards_matches_oracle(g, data):
+    # the exact solver searches partial colorings: bits 0 are wildcards
+    edges = g.sorted_edges()
+    palette = data.draw(st.integers(1, 4), label="palette")
+    colors = {e: data.draw(st.integers(0, palette), label=f"color{e}") for e in edges}
+    bits = [1 << colors[e] if colors[e] else 0 for e in edges]
+    terms = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=1), label="S"))
+    c = data.draw(st.integers(len(terms) - 1, g.m), label="c")
+    inc = verify_module._incidence(g.n, edges)
+    tree = verify_module._rainbow_tree(inc, bits, terms, c)
+    assert (tree is not None) == oracle_rainbow_tree_within(g, colors, terms, c)
+    if tree is not None:
+        assert len(tree) <= c
+        assert is_tree_witness(g, frozenset(edges[i] for i in tree), terms)
+        colored = [bits[i] for i in tree if bits[i]]
+        assert len(set(colored)) == len(colored)
+
+
+class _CountingBudget:
+    def __init__(self):
+        self.nodes = 0
+
+    def tick(self):
+        self.nodes += 1
+
+
+_G8 = gnp_connected_graph(8, 0.5, seed=3)
+
+
+@pytest.mark.parametrize(
+    "g, terms, seed, palette, wildcards, max_edges, found, states",
+    [
+        # two terminals missing, one edge allowed: refuted at the root
+        (complete_graph(7), [0, 1, 2], 0, 1, 0.0, 1, None, 1),
+        (_G8, [0, 3, 5, 7], 23, 4, 0.0, 4, None, 11),
+        (_G8, [0, 3, 5, 7], 10, 4, 0.0, 4, [2, 3, 10, 14], 26),
+        (_G8, [0, 3, 5, 7], 3, 3, 0.3, 4, [0, 2, 6, 15], 8),
+    ],
+    ids=["one-color", "refuted", "found", "partial"],
+)
+def test_rainbow_tree_expands_pinned_states(
+    g, terms, seed, palette, wildcards, max_edges, found, states
+):
+    # pinned so that a weaker prune shows up as a larger count, not only as
+    # wall time; without the terminal-count bound they are 7, 31, 37 and 23
+    rng = random.Random(seed)
+    bits = [
+        0 if rng.random() < wildcards else 1 << rng.randint(1, palette)
+        for _ in range(g.m)
+    ]
+    inc = verify_module._incidence(g.n, g.sorted_edges())
+    budget = _CountingBudget()
+    assert verify_module._rainbow_tree(inc, bits, terms, max_edges, budget) == found
+    assert budget.nodes == states
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +350,17 @@ def test_constructions_verify_at_thirty_vertices():
     for coloring in colorings:
         verdict = is_k_rainbow_connected(g, coloring, 3)
         assert verdict.ok and verdict.subsets_checked == 4060
+
+
+def test_km1dom_at_thirty_vertices_counts_searches():
+    # the slowest construction check seen at n = 30: 728 searches, which
+    # took 0.6-0.8 s before the search refuted states missing more
+    # terminals than edges left, and about 0.3 s since
+    g = gnp_connected_graph(30, 0.3, seed=1)
+    coloring, _ = color_km1dom(g, greedy_connected_k_dominating(g, 2), 3)
+    verdict = is_k_rainbow_connected(g, coloring, 3)
+    assert verdict.ok and verdict.subsets_checked == 4060
+    assert verdict.searches == 728
 
 
 def test_verdict_counts_searches():
