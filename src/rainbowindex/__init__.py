@@ -35,7 +35,6 @@ from .graph import (
     shortest_path_between_sets,
     steiner_distance,
     steiner_diameter,
-    write_edge_list,
 )
 from .decompose import SpanningSplit, split_k, split_pow2, split_two
 from .dominate import (
@@ -60,7 +59,6 @@ from .coloring import (
     parse_coloring,
     read_coloring,
     spanning_tree_coloring,
-    write_coloring,
 )
 from .verify import (
     BoundEntry,

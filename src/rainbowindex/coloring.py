@@ -26,7 +26,7 @@ claims disjoint edge sets; a double claim raises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .decompose import SpanningSplit, split_k
 from .dominate import (
@@ -48,6 +48,7 @@ from .graph import (
     induced_components,
     induced_subgraph,
     parse_records,
+    set_bits,
 )
 
 
@@ -68,8 +69,12 @@ class EdgeColoring:
     def __post_init__(self):
         if self.colors.keys() != self.graph.edges:
             raise ValueError("coloring must cover exactly the graph's edges")
-        for e, c in self.colors.items():
-            if not 1 <= c <= max(self.color_count, 1):
+        top = max(self.color_count, 1)
+        values = self.colors.values()
+        if values and 1 <= min(values) and max(values) <= top:
+            return
+        for e, c in self.colors.items():  # name the first edge out of range
+            if not 1 <= c <= top:
                 raise ValueError(f"color {c} on edge {e} outside 1..{self.color_count}")
 
     def color(self, u: int, v: int) -> int:
@@ -100,10 +105,20 @@ class _Claims:
         self.colors[e] = color
         self.rule_of[e] = rule
 
+    def claim_all(self, edges: Iterable[Edge], color: int, rule: str) -> None:
+        """``claim`` each of ``edges`` in ``color``, in bulk."""
+        edges = list(edges)
+        fresh = dict.fromkeys(edges, color)
+        if len(fresh) < len(edges) or not self.colors.keys().isdisjoint(fresh):
+            for e in edges:
+                self.claim(e, color, rule)  # raises at the first double claim
+        self.colors.update(fresh)
+        self.rule_of.update(dict.fromkeys(fresh, rule))
+
     def legs(self, g: Graph, v: int, inside, colors) -> tuple[tuple[Edge, int], ...]:
         """Claim v's edges to its lowest-id feet in ``inside``, one per color
         in order, and return them with their colors."""
-        feet = sorted(w for w in g.adj[v] if w in inside)
+        feet = [w for w in g.adj[v] if w in inside]  # adj rows are sorted
         legs = tuple((edge(v, foot), c) for foot, c in zip(feet, colors))
         for e, c in legs:
             self.claim(e, c, "leg")
@@ -135,10 +150,10 @@ class _Claims:
                 self.claim(core_edges[-1], base + c, "core-coloring")
             core_edges.sort()
             core_colors = core_coloring.color_count
-        for e in g.sorted_edges():
-            if e not in self.colors:
-                self.claim(e, 1, "filler")
-        return EdgeColoring(g, self.colors, base + core_colors), tuple(core_edges)
+        # color 1 unless claimed; built in edge order, the order format_coloring reads
+        colors = dict.fromkeys(g.sorted_edges(), 1)
+        colors.update(self.colors)
+        return EdgeColoring(g, colors, base + core_colors), tuple(core_edges)
 
 
 def spanning_tree_coloring(g: Graph) -> EdgeColoring:
@@ -194,7 +209,7 @@ def color_pipeline(g: Graph, k: int) -> tuple[EdgeColoring, PipelineTrace]:
         for part, cert in zip(split.parts, part_doms)
     )
     core_cert = union_connect(g, part_conn)
-    core = set(core_cert.vertices)
+    outside = ~sum(1 << v for v in core_cert.vertices)
     claims = _Claims()
     near_sets: list[frozenset[int]] = []
     far_sets: list[frozenset[int]] = []
@@ -202,20 +217,24 @@ def color_pipeline(g: Graph, k: int) -> tuple[EdgeColoring, PipelineTrace]:
         layers = balls(part, dcert.vertices)
         layers += [layers[-1]] * 2  # empty rings past the last layer
         ring1 = layers[1] & ~layers[0]
-        ring2 = layers[2] & ~layers[1]
-        dom_i = set(dcert.vertices)
-        shell1 = {v for v in range(g.n) if ring1 >> v & 1}
-        near = frozenset(shell1 - core)
-        far = frozenset(v for v in range(g.n) if v not in core and ring2 >> v & 1)
-        near_sets.append(near)
-        far_sets.append(far)
-        attach, two_step = f"attach:part-{i}", f"two-step:part-{i}"
-        for u, v in part.sorted_edges():
-            if (u in dom_i and v in near) or (v in dom_i and u in near):
-                claims.claim((u, v), i, attach)
-            if (u in far and v in shell1) or (v in far and u in shell1):
-                claims.claim((u, v), k + i, two_step)
-    coloring, tree = claims.finish(g, core, 2 * k)
+        near_bits = ring1 & outside
+        far = tuple(set_bits(layers[2] & ~layers[1] & outside))
+        near_sets.append(frozenset(set_bits(near_bits)))
+        far_sets.append(frozenset(far))
+        # each rule's edges have exactly one endpoint in the row's vertex
+        # set (the dominating set, or the far vertices), so none repeats
+        adj_bits, dom = part.adj_bits, dcert.vertices
+        claims.claim_all(
+            (edge(u, v) for u in dom for v in set_bits(adj_bits[u] & near_bits)),
+            i,
+            f"attach:part-{i}",
+        )
+        claims.claim_all(
+            (edge(u, v) for u in far for v in set_bits(adj_bits[u] & ring1)),
+            k + i,
+            f"two-step:part-{i}",
+        )
+    coloring, tree = claims.finish(g, core_cert.vertices, 2 * k)
     trace = PipelineTrace(
         split=split,
         part_doms=part_doms,
@@ -338,8 +357,7 @@ def color_km1dom(
         if (u in side_even and v in side_odd) or (u in side_odd and v in side_even)
     ]
     cross_color = k + 1 if cross_edges else None
-    for e in cross_edges:
-        claims.claim(e, cross_color, "cross")
+    claims.claim_all(cross_edges, cross_color, "cross")
     base = (k if forest else 0) + (1 if cross_edges else 0)
     coloring, tree_edges = claims.finish(g, dom, base, core_coloring)
     trace = Km1Trace(
@@ -400,8 +418,3 @@ def parse_coloring(text: str, graph: Graph | None = None) -> EdgeColoring:
 def read_coloring(path, graph: Graph | None = None) -> EdgeColoring:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_coloring(fh.read(), graph)
-
-
-def write_coloring(coloring: EdgeColoring, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_coloring(coloring))

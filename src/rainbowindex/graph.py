@@ -18,6 +18,13 @@ the one Dreyfus-Wagner engine, ``_steiner_rows``, which serves both
 ``steiner_distance`` (walking a witness back from the values) and
 ``steiner_diameter``.
 
+A ``Graph`` builds its sorted adjacency rows once; its bitmask rows and
+its sorted edge order are read off those rows, not off the edge set.
+``parse_edge_list`` reads a document in the form ``format_edge_list``
+writes in bulk, and hands anything else to the line reader
+``parse_records``, the only place that raises ParseError or warns of a
+duplicate edge.
+
 Vertices are the integers 0..n-1. Graphs are immutable; every operation in
 this module is a pure function, so results may be computed concurrently.
 All tie-breaking (BFS order, witness choice) prefers the lowest vertex id,
@@ -29,10 +36,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
+from operator import add, eq
 from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
@@ -111,12 +120,9 @@ class Graph:
 
     @cached_property
     def adj_bits(self) -> tuple[int, ...]:
-        """Adjacency as bitmasks, for the search-heavy callers."""
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
+        """Adjacency as bitmasks, for the search-heavy callers: each row of
+        ``adj`` summed as powers of two in one C-level pass."""
+        return tuple(sum(map((1).__lshift__, row)) for row in self.adj)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -131,13 +137,18 @@ class Graph:
         return edge(u, v) in self.edges
 
     def sorted_edges(self) -> tuple[Edge, ...]:
-        """The edges in ascending order, as a tuple; sorted on the first call
-        and cached, so every caller shares one order."""
+        """The edges in ascending order, as a tuple; built on the first call
+        and cached, so every caller shares one order. It is read off the
+        sorted ``adj`` rows, not sorted: row u's tail past u holds u's edges
+        (u, v), v > u, in order, so the rows' tails in turn are the order."""
         return self._edge_order
 
     @cached_property
     def _edge_order(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.edges))
+        order: list[Edge] = []
+        for u, row in enumerate(self.adj):
+            order += zip(itertools.repeat(u), row[bisect_right(row, u) :])
+        return tuple(order)
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
@@ -708,6 +719,10 @@ def _need(value, name):
 # Line 1: "n m"; then m lines "u v" with 0 <= u, v < n and u != v. Lines
 # starting with '#' are ignored; duplicate edges collapse with a warning.
 
+#: The form ``format_edge_list`` writes: lines of two ASCII integers split by
+#: one space, every line ending in a newline.
+_CANONICAL_EDGE_LIST = re.compile(r"(?:[0-9]+ [0-9]+\n)+")
+
 
 def parse_records(
     text: str, header: str, record: str, not_integer: str
@@ -766,6 +781,27 @@ def parse_records(
 
 
 def parse_edge_list(text: str) -> Graph:
+    """The graph of an edge-list document.
+
+    A document in the canonical form (``_CANONICAL_EDGE_LIST``) whose
+    records number m, stay in range and hold no loop or duplicate is read in
+    bulk: one split, one int conversion and one set comprehension, with no
+    Python step per line. Any other document, including every one that is
+    malformed or repeats an edge, goes to the line reader ``parse_records``,
+    which alone raises ParseError (naming the line) and warns of duplicates.
+    """
+    if _CANONICAL_EDGE_LIST.fullmatch(text):
+        numbers = list(map(int, text.split()))
+        n, m = numbers[0], numbers[1]
+        us, vs = numbers[2::2], numbers[3::2]
+        if (
+            len(us) == m
+            and (not m or max(max(us), max(vs)) < n)
+            and not any(map(eq, us, vs))
+        ):
+            edges = {(u, v) if u < v else (v, u) for u, v in zip(us, vs)}
+            if len(edges) == m:
+                return Graph(n, frozenset(edges))
     records = parse_records(
         text, "n m", "edge line 'u v'", "edge endpoints must be integers"
     )
@@ -788,8 +824,3 @@ def format_edge_list(g: Graph) -> str:
 def read_edge_list(path) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_edge_list(fh.read())
-
-
-def write_edge_list(g: Graph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_edge_list(g))

@@ -359,3 +359,27 @@ def test_edge_coloring_validates_totality():
     g = complete_graph(3)
     with pytest.raises(ValueError):
         EdgeColoring(g, {(0, 1): 1}, 1)
+
+
+def test_edge_coloring_names_the_first_colour_out_of_range():
+    g = path_graph(4)
+    for bad in (0, 4, -2):
+        colors = {(0, 1): 1, (1, 2): bad, (2, 3): 9}
+        with pytest.raises(ValueError, match=rf"^color {bad} on edge \(1, 2\) outside 1\.\.3$"):
+            EdgeColoring(g, colors, 3)
+    with pytest.raises(ValueError, match=r"^color 2 on edge \(0, 1\) outside 1\.\.0$"):
+        EdgeColoring(Graph(2, frozenset({(0, 1)})), {(0, 1): 2}, 0)
+    EdgeColoring(Graph(2, frozenset({(0, 1)})), {(0, 1): 1}, 0)  # palette of at least 1
+
+
+def test_bulk_claim_raises_on_a_double_claim():
+    claims = coloring_module._Claims()
+    claims.claim((0, 1), 3, "leg")
+    with pytest.raises(InvariantViolation, match=r"edge \(0, 1\) claimed twice: leg then attach"):
+        claims.claim_all([(1, 2), (0, 1)], 1, "attach")
+    with pytest.raises(InvariantViolation, match=r"edge \(2, 3\) claimed twice: cross then cross"):
+        coloring_module._Claims().claim_all([(2, 3), (0, 2), (2, 3)], 4, "cross")
+    claims = coloring_module._Claims()
+    claims.claim_all([(1, 2), (0, 1)], 1, "attach")
+    assert claims.colors == {(1, 2): 1, (0, 1): 1}
+    assert claims.rule_of == {(1, 2): "attach", (0, 1): "attach"}

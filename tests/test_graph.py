@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import random
+import re
+import warnings
 
 import networkx as nx
 import pytest
@@ -462,6 +464,105 @@ def test_sorted_edges_is_the_cached_sort(case):
     order = g.sorted_edges()
     assert order == tuple(sorted(g.edges))
     assert g.sorted_edges() is order
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    assert g.adj_bits == tuple(masks)
+
+
+# ---------------------------------------------------------------------------
+# Bulk edge-list reader
+
+
+#: Edits of a canonical document, each a function of (lines, n, rng) giving
+#: the edited lines; the header is lines[0] and every line keeps its "\n".
+READER_MUTATIONS = {
+    "none": lambda lines, n, rng: lines,
+    "leading zero": lambda lines, n, rng: [lines[0]] + ["0" + x for x in lines[1:]],
+    "comment line": lambda lines, n, rng: _insert(lines, rng, "# note\n"),
+    "blank line": lambda lines, n, rng: _insert(lines, rng, "\n"),
+    "crlf": lambda lines, n, rng: [x.replace("\n", "\r\n") for x in lines],
+    "tab": lambda lines, n, rng: _edit_line(lines, rng, lambda x: x.replace(" ", "\t")),
+    "no final newline": lambda lines, n, rng: lines[:-1] + [lines[-1].rstrip("\n")],
+    "loop": lambda lines, n, rng: _add_record(lines, rng, f"{n - 1} {n - 1}\n"),
+    "duplicate": lambda lines, n, rng: _add_record(
+        lines, rng, " ".join(reversed(rng.choice(lines[1:]).split())) + "\n"
+    ),
+    "endpoint >= n": lambda lines, n, rng: _add_record(lines, rng, f"0 {n + rng.randrange(3)}\n"),
+    "too few records": lambda lines, n, rng: lines[:-1],
+    "too many records": lambda lines, n, rng: _set_count(lines, len(lines) - 2),
+    "3-field header": lambda lines, n, rng: [lines[0].replace("\n", " 0\n")] + lines[1:],
+    # the same digit in ARABIC-INDIC DIGIT form, which int() reads
+    "non-ASCII digit": lambda lines, n, rng: _edit_line(
+        lines, rng, lambda x: re.sub("[0-9]", lambda d: chr(0x660 + int(d[0])), x, count=1)
+    ),
+}
+
+
+def _insert(lines, rng, line):
+    at = rng.randrange(len(lines) + 1)
+    return lines[:at] + [line] + lines[at:]
+
+
+def _edit_line(lines, rng, change):
+    at = rng.randrange(len(lines))
+    return lines[:at] + [change(lines[at])] + lines[at + 1 :]
+
+
+def _set_count(lines, m):
+    return [f"{lines[0].split()[0]} {m}\n"] + lines[1:]
+
+
+def _add_record(lines, rng, record):
+    """Insert a record among the records and raise the declared count."""
+    at = rng.randrange(1, len(lines) + 1)
+    return _set_count(lines[:at] + [record] + lines[at:], len(lines))
+
+
+def _read(text):
+    """What parse_edge_list gives for ``text``: the graph or the ParseError's
+    text and line, then the warnings it raised, and whether the line reader
+    ran."""
+    calls = []
+    parse_records = graph_module.parse_records
+
+    def line_reader(*args):
+        calls.append(args)
+        return parse_records(*args)
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mp.setattr(graph_module, "parse_records", line_reader)
+        try:
+            result = parse_edge_list(text)
+        except ParseError as exc:
+            result = (str(exc), exc.line_no)
+    return result, [str(w.message) for w in caught], bool(calls)
+
+
+@settings(max_examples=400, deadline=None)
+@given(graphs_with_subsets(max_n=12), st.sampled_from(sorted(READER_MUTATIONS)), st.randoms())
+def test_bulk_reader_agrees_with_the_line_reader(case, mutation, rng):
+    """A canonical document is read in bulk, to the graph the line reader
+    builds; any edit the bulk path does not read the same hands the whole
+    document to the line reader, so errors, line numbers and duplicate
+    warnings come from it alone."""
+    g, _ = case
+    assume(g.n >= 1)
+    records = [f"{u} {v}\n" if rng.random() < 0.5 else f"{v} {u}\n" for u, v in g.edges]
+    rng.shuffle(records)
+    lines = [f"{g.n} {g.m}\n"] + records
+    if mutation == "duplicate":
+        assume(g.m >= 1)
+    text = "".join(READER_MUTATIONS[mutation](lines, g.n, rng))
+    result, caught, handed_over = _read(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_CANONICAL_EDGE_LIST", re.compile("(?!)"))
+        assert _read(text) == (result, caught, True)
+    assert handed_over == (mutation not in ("none", "leading zero"))
+    if not handed_over:
+        assert result == g and not caught
 
 
 # ---------------------------------------------------------------------------
