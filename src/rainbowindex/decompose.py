@@ -11,6 +11,12 @@ neighbour (the auxiliary vertex last). Consequently each side keeps
 minimum degree at least floor((delta - 1) / 2) where delta is the input's
 minimum degree.
 
+The walk runs over bitmask rows of unwalked neighbours, with the auxiliary
+vertex as bit n, so the lowest set bit is the tie-break and walking an edge
+clears it from both rows. The sides are built from rows too: side 0's rows
+from the circuits' alternate steps, side 1's as the parent's rows XOR
+side 0's, so neither side re-checks its edges or sorts adjacency rows.
+
 split_k iterates this halving to produce k edge-disjoint spanning parts:
 with t the integer satisfying 2^t <= k < 2^(t+1) and s = k - 2^t, it keeps
 k - 2s parts at the depth-t threshold (delta - 2^(t+1) + 2) / 2^t and splits
@@ -81,44 +87,48 @@ def split_two(g: Graph) -> tuple[Graph, Graph]:
     """Partition the edges into two spanning subgraphs, each with minimum
     degree >= floor((delta - 1) / 2) and per-vertex degree gap <= 2."""
     n = g.n
-    aux = n
-    stride = n + 1
-    # unwalked neighbours, highest first so that pop() takes the lowest; an
-    # odd vertex's aux sits at the front and is popped last
-    rest = [[aux, *nbrs[::-1]] if len(nbrs) % 2 else [*nbrs[::-1]] for nbrs in g.adj]
-    rest.append([v for v in reversed(range(n)) if len(g.adj[v]) % 2])
-    walked: set[int] = set()  # w * stride + v once the walk took v -> w
-    sides: tuple[set[Edge], set[Edge]] = (set(), set())
-    for start in (aux, *range(n)):
+    rows = g.adj_bits
+    aux = 1 << n  # the auxiliary vertex n: the highest bit, so taken last
+    odd = sum(1 << v for v, row in enumerate(rows) if row.bit_count() % 2)
+    # unwalked neighbours as bitmasks; each step takes the lowest
+    rest = [row | aux if odd >> v & 1 else row for v, row in enumerate(rows)]
+    rest.append(odd)
+    pairs: list[Edge] = []  # side 0: every other step of each circuit
+    for start in (n, *range(n)):
+        if not rest[start]:
+            continue
         stack = [start]
         order: list[int] = []
         while stack:
-            v = stack[-1]
-            nbrs = rest[v]
-            while nbrs and v * stride + nbrs[-1] in walked:
-                nbrs.pop()
-            if nbrs:
-                w = nbrs.pop()
-                walked.add(w * stride + v)
-                stack.append(w)
-            else:
-                order.append(stack.pop())
+            v = stack.pop()
+            row = rest[v]
+            while row:  # follow the trail from v until it is stuck
+                low = row & -row
+                rest[v] = row ^ low
+                stack.append(v)
+                w = low.bit_length() - 1
+                rest[w] = row = rest[w] ^ (1 << v)
+                v = w
+            order.append(v)
         order.reverse()
-        for parity, side in enumerate(sides):
-            side.update(
-                (x, y) if x < y else (y, x)
-                for x, y in zip(order[parity::2], order[parity + 1 :: 2])
-                if x != aux and y != aux
-            )
-
-    first, second = Graph(n, frozenset(sides[0])), Graph(n, frozenset(sides[1]))
-    if first.edges | second.edges != g.edges:
+        pairs += zip(order[::2], order[1::2])
+    side = frozenset((x, y) if x < y else (y, x) for x, y in pairs if x != n and y != n)
+    half = [0] * n
+    bit = [1 << v for v in range(n)]  # looked up, not shifted, per edge
+    for x, y in side:
+        half[x] |= bit[y]
+        half[y] |= bit[x]
+    other = [row ^ h for row, h in zip(rows, half)]
+    if any(h | o != row for row, h, o in zip(rows, half, other)):
         raise InvariantViolation("split_two lost edges")
-    if first.edges & second.edges:
+    if any(h & o for h, o in zip(half, other)):
         raise InvariantViolation("split_two sides share an edge")
-    for v in range(n):
-        if abs(first.degree(v) - second.degree(v)) > 2:
+    for v, (h, o) in enumerate(zip(half, other)):
+        if abs(h.bit_count() - o.bit_count()) > 2:
             raise InvariantViolation(f"split_two degree gap above 2 at vertex {v}")
+    # the sides' edges come from g, which was checked when it was built
+    first = Graph._derived(n, side, half)
+    second = Graph._derived(n, g.edges - side, other)
     bound = (g.min_degree - 1) // 2
     if first.min_degree < bound or second.min_degree < bound:
         raise InvariantViolation(f"split_two side min degree below {bound}")

@@ -24,7 +24,7 @@ from .graph import (
     balls,
     induced_components,
     set_bits,
-    shortest_path_between_sets,
+    shortest_path_between_masks,
     spread,
 )
 
@@ -241,9 +241,7 @@ def connect_two_step(
             continue
         if d > 5:
             raise InvariantViolation(f"closest component pair at distance {d} > 5")
-        path = shortest_path_between_sets(
-            g, set_bits(comps[a][0]), set_bits(comps[b][0])
-        )
+        path = shortest_path_between_masks(g, comps[a][0], comps[b][0])
         if path is None or len(path) - 2 > 4:
             raise InvariantViolation(
                 f"merge path {path} has more than 4 interior vertices"

@@ -7,10 +7,10 @@ question: ``balls`` gives the cumulative distance layers of a source set
 as bitmasks, and ``_first_arrivals`` yields (vertex, parent) pairs of one
 first-arrival BFS from all roots at once, for ``bfs_forest`` and
 ``shortest_path_between_sets``. ``spread`` is the one bitmask BFS step:
-``balls`` grows its layers with it, and so do the dominate constructions
-and ``shortest_path_between_sets``, which grows balls from both sets until
-they meet and then runs its first-arrival BFS only on the vertices of
-shortest paths between them.
+``balls`` grows its layers with it, and so do ``Graph.components``, the
+dominate constructions and ``shortest_path_between_sets``, which grows
+balls from both sets until they meet and then runs its first-arrival BFS
+only on the vertices of shortest paths between them.
 Only ``_relax`` walks its own layers, because its sources join the BFS at
 different times and it writes each vertex's row value while it walks a
 layer; a ``spread`` step would walk each layer twice. It lowers the rows of
@@ -19,7 +19,10 @@ the one Dreyfus-Wagner engine, ``_steiner_rows``, which serves both
 ``steiner_diameter``.
 
 A ``Graph`` builds its sorted adjacency rows once; its bitmask rows and
-its sorted edge order are read off those rows, not off the edge set.
+its sorted edge order are read off those rows, not off the edge set. A
+graph derived from a checked one (a ``split_two`` side) carries its bitmask
+rows from the start and builds sorted rows only when a caller reads them;
+its degrees and components are read off the bitmask rows.
 ``parse_edge_list`` reads a document in the form ``format_edge_list``
 writes in bulk, and hands anything else to the line reader
 ``parse_records``, the only place that raises ParseError or warns of a
@@ -82,7 +85,9 @@ class Graph:
     """Immutable simple undirected graph on vertex ids 0..n-1.
 
     ``edges`` holds normalized pairs (u, v) with u < v; loops and duplicates
-    are rejected at construction time.
+    are rejected at construction time. A graph derived from a checked one
+    (a split side, through ``_derived``) starts with its bitmask rows and
+    builds its sorted ``adj`` rows only when a caller reads them.
     """
 
     n: int
@@ -94,6 +99,16 @@ class Graph:
         for u, v in self.edges:
             if not (0 <= u < v < self.n):
                 raise ValueError(f"invalid edge ({u}, {v}) for n={self.n}")
+
+    @classmethod
+    def _derived(cls, n: int, edges: frozenset[Edge], adj_bits: list[int]) -> "Graph":
+        """A graph on edges taken from an already checked graph on the same
+        n vertices, with ``adj_bits`` given: no per-edge range check, and no
+        ``adj`` until it is read. The caller vouches that the rows are the
+        edges' rows."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, edges=edges, adj_bits=tuple(adj_bits))
+        return g
 
     @staticmethod
     def build(n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
@@ -125,13 +140,11 @@ class Graph:
         return tuple(sum(map((1).__lshift__, row)) for row in self.adj)
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.adj_bits[v].bit_count()
 
     @cached_property
     def min_degree(self) -> int:
-        if self.n == 0:
-            return 0
-        return min(len(lst) for lst in self.adj)
+        return min(map(int.bit_count, self.adj_bits), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge(u, v) in self.edges
@@ -152,8 +165,19 @@ class Graph:
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
-        """Connected components as sorted vertex tuples, ordered by minimum id."""
-        return induced_components(self)
+        """Connected components as sorted vertex tuples, ordered by minimum id:
+        each grown by ``spread`` from the lowest vertex not yet reached."""
+        adj_bits = self.adj_bits
+        comps = []
+        unseen = (1 << self.n) - 1
+        while unseen:
+            comp = frontier = unseen & -unseen
+            while frontier:
+                frontier = spread(frontier, adj_bits) & ~comp
+                comp |= frontier
+            unseen ^= comp
+            comps.append(tuple(set_bits(comp)))
+        return tuple(comps)
 
     @cached_property
     def is_connected(self) -> bool:
@@ -309,7 +333,15 @@ def shortest_path_between_sets(
     corridor and keeps its queue rank, so the path is the one a BFS of the
     whole graph finds, and the search visits only what lies between A and B.
     """
-    amask, bmask = _mask(g, a), _mask(g, b)
+    return shortest_path_between_masks(g, _mask(g, a), _mask(g, b))
+
+
+def shortest_path_between_masks(g: Graph, amask: int, bmask: int) -> list[int] | None:
+    """``shortest_path_between_sets`` for sets given as vertex bitmasks, the
+    form the dominate constructions hold them in. Raises ValueError for a
+    bit outside 0..n-1."""
+    if amask < 0 or bmask < 0 or (amask | bmask) >> g.n:
+        raise ValueError("vertex mask holds a bit outside 0..n-1")
     if not amask or not bmask:
         return None
     adj_bits = g.adj_bits
@@ -344,25 +376,19 @@ def shortest_path_between_sets(
     raise InvariantViolation("corridor search missed the set it met")
 
 
-def bfs_forest(
-    g: Graph, vertices: Iterable[int] | None = None
-) -> dict[int, int | None]:
-    """BFS forest of the subgraph induced on ``vertices`` (all of g by default).
+def bfs_forest(g: Graph, vertices: Iterable[int]) -> dict[int, int | None]:
+    """BFS forest of the subgraph induced on ``vertices``.
 
     Roots are taken in ascending id order and adjacency is scanned sorted, so
     each root is the minimum of its component and the first arrival wins.
     Returns each vertex's parent (None for a root) in discovery order.
     """
-    if vertices is None:
-        roots: Iterable[int] = range(g.n)
-        seen = [False] * g.n
-    else:
-        roots = sorted(set(vertices))
-        if roots and not (0 <= roots[0] and roots[-1] < g.n):
-            raise ValueError("vertex out of range")
-        seen = [True] * g.n
-        for v in roots:
-            seen[v] = False
+    roots = sorted(set(vertices))
+    if roots and not (0 <= roots[0] and roots[-1] < g.n):
+        raise ValueError("vertex out of range")
+    seen = [True] * g.n
+    for v in roots:
+        seen[v] = False
     parent: dict[int, int | None] = {}
     for root in roots:
         if not seen[root]:
@@ -370,11 +396,9 @@ def bfs_forest(
     return parent
 
 
-def induced_components(
-    g: Graph, vertices: Iterable[int] | None = None
-) -> tuple[tuple[int, ...], ...]:
-    """Components of the induced subgraph as sorted vertex tuples, ordered by
-    minimum id."""
+def induced_components(g: Graph, vertices: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """Components of the subgraph induced on ``vertices`` as sorted vertex
+    tuples, ordered by minimum id (``Graph.components`` for all of g)."""
     comps: list[list[int]] = []
     for v, p in bfs_forest(g, vertices).items():
         if p is None:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rainbowindex import (
     Graph,
+    InvariantViolation,
     complete_graph,
     cycle_graph,
     gnp_connected_graph,
@@ -15,7 +16,7 @@ from rainbowindex import (
     split_pow2,
     split_two,
 )
-from tests.test_graph import connected_graphs
+from tests.test_graph import connected_graphs, graphs_with_subsets
 
 
 def check_split_two(g, first, second):
@@ -190,3 +191,50 @@ def test_pinned_split_sides():
         for k in range(2, 6):
             items.append([sorted(p.edges) for p in split_k(g, k).parts])
     assert _digest(items) == PINNED_SPLITS
+
+
+def assert_same_as_fresh(part):
+    """A split side carries bitmask rows and skips the edge check; the graph
+    built afresh from its edges must agree with it on every view."""
+    fresh = Graph(part.n, part.edges)
+    assert part.adj_bits == fresh.adj_bits
+    assert part.min_degree == fresh.min_degree
+    assert part.components == fresh.components
+    assert part.adj == fresh.adj
+    assert part.sorted_edges() == fresh.sorted_edges()
+    assert part == fresh and hash(part) == hash(fresh)
+
+
+def test_derived_graphs_match_fresh_ones_on_corpus():
+    for g in _split_corpus():
+        for side in split_two(g):
+            assert_same_as_fresh(side)
+        for k in range(2, 6):
+            for part in split_k(g, k).parts:
+                assert_same_as_fresh(part)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_with_subsets(), st.integers(2, 5))
+def test_derived_graphs_match_fresh_ones_random(case, k):
+    g, _ = case
+    for side in split_two(g):
+        assert_same_as_fresh(side)
+    for part in split_k(g, k).parts:
+        assert_same_as_fresh(part)
+
+
+def test_split_parts_build_no_sorted_rows():
+    # the split reads only bitmask rows, so a part's sorted adjacency stays
+    # unbuilt until a caller asks for it
+    g = gnp_connected_graph(60, 0.5, seed=3)
+    cert = split_k(g, 4)
+    assert all("adj" not in part.__dict__ for part in cert.parts)
+
+
+def test_split_two_min_degree_check_fires():
+    # a parent that claims a larger min degree than its sides can keep
+    g = complete_graph(5)
+    g.__dict__["min_degree"] = 9
+    with pytest.raises(InvariantViolation, match="min degree below 4"):
+        split_two(g)

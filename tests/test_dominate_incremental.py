@@ -363,7 +363,7 @@ def test_invariant_violation_fires_under_optimize():
 
         if __debug__:
             sys.exit("not running under -O")
-        dominate.shortest_path_between_sets = lambda g, a, b: list(range(7))
+        dominate.shortest_path_between_masks = lambda g, a, b: list(range(7))
         g = path_graph(10)
         try:
             dominate.connect_two_step(g, g, [0, 5, 9])

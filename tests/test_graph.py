@@ -40,6 +40,7 @@ from rainbowindex.graph import (
     _steiner_enumerate,
     bfs_forest,
     induced_components,
+    shortest_path_between_masks,
 )
 from tests.oracles import oracle_steiner_diameter
 from tests.test_dominate_incremental import (
@@ -447,6 +448,27 @@ def test_induced_forest_matches_references(case):
             bfs_tree_edges(g, subset)
 
 
+def test_components_and_min_degree_on_bitmask_edge_cases():
+    """The bitmask component walk and min degree where the rows are empty
+    or short: no vertices, one vertex, isolated vertices, and an isolated
+    top vertex n - 1 that no ``spread`` step reaches."""
+    cases = [
+        Graph(0, frozenset()),
+        Graph(1, frozenset()),
+        Graph(4, frozenset()),
+        Graph.build(5, [(0, 1), (1, 2), (2, 3)]),  # vertex 4 isolated
+        Graph.build(6, [(1, 2), (3, 4)]),  # 0 and 5 isolated
+        Graph.build(3, [(0, 1)]),
+        Graph.build(70, [(v, v + 1) for v in range(68)]),  # 69 isolated
+    ]
+    for g in cases:
+        assert list(g.components) == ref_components_within(g, range(g.n))
+        assert g.min_degree == min((len(row) for row in g.adj), default=0)
+    assert Graph(0, frozenset()).components == ()
+    assert Graph(1, frozenset()).components == ((0,),)
+    assert Graph.build(5, [(0, 1), (1, 2), (2, 3)]).components[-1] == (4,)
+
+
 def test_bfs_forest_rejects_out_of_range_vertices():
     for bad in ([-1, 0], [0, 3]):
         with pytest.raises(ValueError, match="out of range"):
@@ -624,3 +646,22 @@ def test_shortest_path_rejects_out_of_range_vertices():
         bad = min(v for v in a + b if not 0 <= v < 4)
         with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
             shortest_path_between_sets(p4, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_subsets(), st.data())
+def test_mask_path_search_matches_the_set_one(case, data):
+    g, a = case
+    assume(g.n)
+    b = data.draw(st.sets(st.integers(0, g.n - 1)))
+    amask, bmask = sum(1 << v for v in a), sum(1 << v for v in b)
+    assert shortest_path_between_masks(g, amask, bmask) == shortest_path_between_sets(
+        g, a, b
+    )
+
+
+def test_mask_path_search_rejects_bits_out_of_range():
+    p4 = path_graph(4)
+    for amask, bmask in ((1 << 4, 1), (1, 1 << 4), (-1, 1), (1, -2)):
+        with pytest.raises(ValueError, match="outside 0..n-1"):
+            shortest_path_between_masks(p4, amask, bmask)
