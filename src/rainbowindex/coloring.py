@@ -26,6 +26,7 @@ claims disjoint edge sets; a double claim raises.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .decompose import SpanningSplit, split_k
@@ -150,7 +151,7 @@ class _Claims:
                 self.claim(core_edges[-1], base + c, "core-coloring")
             core_edges.sort()
             core_colors = core_coloring.color_count
-        # color 1 unless claimed; built in edge order, the order format_coloring reads
+        # color 1 unless claimed, in edge order
         colors = dict.fromkeys(g.sorted_edges(), 1)
         colors.update(self.colors)
         return EdgeColoring(g, colors, base + core_colors), tuple(core_edges)
@@ -380,11 +381,19 @@ def color_km1dom(
 
 
 def format_coloring(coloring: EdgeColoring) -> str:
+    """The coloring document: the header, then one "u v color" line per
+    edge in ascending edge order, all m lines written by one ``%`` format
+    over a flat tuple of the edges' fields."""
     g = coloring.graph
-    lines = [f"{g.n} {g.m} {coloring.color_count}"]
-    for u, v in g.sorted_edges():
-        lines.append(f"{u} {v} {coloring.colors[(u, v)]}")
-    return "\n".join(lines) + "\n"
+    order = g.sorted_edges()
+    fields: list[int] = [0] * (3 * g.m)
+    # itemgetter, not zip(*order): that holds one iterator per edge at once,
+    # and so many live objects set off the cyclic garbage collector
+    fields[0::3] = map(itemgetter(0), order)
+    fields[1::3] = map(itemgetter(1), order)
+    fields[2::3] = map(coloring.colors.__getitem__, order)
+    header = f"{g.n} {g.m} {coloring.color_count}\n"
+    return header + "%d %d %d\n" * g.m % tuple(fields)
 
 
 def parse_coloring(text: str, graph: Graph | None = None) -> EdgeColoring:

@@ -1,9 +1,11 @@
 import json
+import random
 
 import pytest
 
 from rainbowindex import parse_coloring, parse_edge_list, read_edge_list
 from rainbowindex.cli import build_parser, main
+from tests.test_graph import spy_on_ascending_reads
 
 
 def run(capsys, *argv):
@@ -95,6 +97,35 @@ def test_color_verify_roundtrip(tmp_path, capsys):
         "--k", "2",
     )
     assert code == 0 and out.strip() == "OK"
+
+
+def test_color_pipeline_output_does_not_depend_on_record_order(tmp_path, capsys, monkeypatch):
+    """The reader's ascending path and its general path give byte-identical
+    colourings and traces on a graph larger than the unit tests build: the
+    generated document, and its records shuffled with half of them
+    reversed."""
+    ordered, shuffled = tmp_path / "ordered.edgelist", tmp_path / "shuffled.edgelist"
+    run(capsys, "gen", "--family", "gnp", "--n", "300", "--p", "0.3", "--seed", "1",
+        "--out", str(ordered))
+    header, *records = ordered.read_text().splitlines(keepends=True)
+    rng = random.Random(1)
+    rng.shuffle(records)
+    records[::2] = (" ".join(r.split()[::-1]) + "\n" for r in records[::2])
+    shuffled.write_text(header + "".join(records))
+    ascending_reads = spy_on_ascending_reads(monkeypatch)
+    outputs = []
+    for graph_file in (ordered, shuffled):
+        out, trace = tmp_path / "out.col", tmp_path / "trace.json"
+        code, _, _ = run(
+            capsys, "color", "--input", str(graph_file), "--method", "pipeline",
+            "--k", "3", "--out", str(out), "--trace", str(trace),
+        )
+        assert code == 0
+        outputs.append((out.read_bytes(), trace.read_bytes()))
+        out.unlink()
+        trace.unlink()
+    assert len(ascending_reads) == 1
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_failure_exit_one(tmp_path, capsys):

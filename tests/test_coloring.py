@@ -16,11 +16,13 @@ from rainbowindex import (
     edge,
     exact_rx_k,
     format_coloring,
+    format_edge_list,
     gnp_connected_graph,
     greedy_connected_k_dominating,
     induced_subgraph,
     is_k_rainbow_connected,
     parse_coloring,
+    parse_edge_list,
     path_graph,
     petersen_graph,
 )
@@ -111,6 +113,17 @@ def test_pipeline_random(g, k):
     check_pipeline_trace(g, k, coloring, trace)
     check_pipeline_attachment(g, k, coloring, trace)
     assert is_k_rainbow_connected(g, coloring, k).ok
+
+
+def test_pipeline_root_builds_no_sorted_rows():
+    # the pipeline reads only bitmask rows of the graph it colours, so a root
+    # read from its canonical document never sorts adjacency rows
+    g = gnp_connected_graph(60, 0.5, seed=3)
+    for k in (2, 3, 4):
+        root = parse_edge_list(format_edge_list(g))
+        coloring, _ = color_pipeline(root, k)
+        assert coloring.graph is root
+        assert "adj" not in root.__dict__
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +323,18 @@ def test_coloring_round_trip():
     parsed = parse_coloring(format_coloring(coloring), g)
     assert parsed.colors == dict(coloring.colors)
     assert parsed.color_count == coloring.color_count
+
+
+def test_format_coloring_reads_colours_by_edge():
+    """One line per edge in ascending edge order, whatever order the
+    colour mapping holds its edges in; no lines for an edgeless graph."""
+    g = gnp_connected_graph(12, 0.4, seed=2)
+    order = sorted(g.edges)
+    colors = {e: 1 + i % 5 for i, e in enumerate(order)}
+    coloring = EdgeColoring(g, dict(reversed(colors.items())), 5)
+    lines = [f"{g.n} {g.m} 5"] + [f"{u} {v} {colors[(u, v)]}" for u, v in order]
+    assert format_coloring(coloring) == "\n".join(lines) + "\n"
+    assert format_coloring(EdgeColoring(Graph(3, frozenset()), {}, 0)) == "3 0 0\n"
 
 
 def test_coloring_parse_errors():

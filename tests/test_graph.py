@@ -511,6 +511,8 @@ READER_MUTATIONS = {
     "duplicate": lambda lines, n, rng: _add_record(
         lines, rng, " ".join(reversed(rng.choice(lines[1:]).split())) + "\n"
     ),
+    # the copy right after its record: still non-decreasing, not ascending
+    "repeated record": lambda lines, n, rng: _repeat_record(lines, rng),
     "endpoint >= n": lambda lines, n, rng: _add_record(lines, rng, f"0 {n + rng.randrange(3)}\n"),
     "too few records": lambda lines, n, rng: lines[:-1],
     "too many records": lambda lines, n, rng: _set_count(lines, len(lines) - 2),
@@ -542,6 +544,51 @@ def _add_record(lines, rng, record):
     return _set_count(lines[:at] + [record] + lines[at:], len(lines))
 
 
+def _repeat_record(lines, rng):
+    """Repeat a record right after itself and raise the declared count."""
+    at = rng.randrange(1, len(lines))
+    return _set_count(lines[: at + 1] + lines[at:], len(lines))
+
+
+#: Record layouts the reader test starts from, before any edit: about half
+#: the records reversed and all shuffled; the ascending order
+#: ``format_edge_list`` writes; and that order with two adjacent records
+#: swapped.
+READER_LAYOUTS = ("shuffled", "ascending", "ascending, two swapped")
+
+
+def _records(g, layout, rng):
+    if layout == "shuffled":
+        records = [f"{u} {v}\n" if rng.random() < 0.5 else f"{v} {u}\n" for u, v in g.edges]
+        rng.shuffle(records)
+        return records
+    records = [f"{u} {v}\n" for u, v in sorted(g.edges)]
+    if layout == "ascending, two swapped":
+        at = rng.randrange(len(records) - 1)
+        records[at : at + 2] = records[at + 1], records[at]
+    return records
+
+
+def spy_on_ascending_reads(mp) -> list:
+    """Patch ``Graph._ascending`` through the MonkeyPatch ``mp`` to record
+    the edge order of each call; returns the list it records into."""
+    reads = []
+    ascending = Graph._ascending
+
+    def spy(n, order):
+        reads.append(order)
+        return ascending(n, order)
+
+    mp.setattr(Graph, "_ascending", spy)
+    return reads
+
+
+def _is_ascending(records):
+    """True iff the records are strictly ascending pairs (u, v) with u < v."""
+    pairs = [tuple(map(int, record.split())) for record in records]
+    return all(u < v for u, v in pairs) and all(a < b for a, b in zip(pairs, pairs[1:]))
+
+
 def _read(text):
     """What parse_edge_list gives for ``text``: the graph or the ParseError's
     text and line, then the warnings it raised, and whether the line reader
@@ -563,28 +610,123 @@ def _read(text):
     return result, [str(w.message) for w in caught], bool(calls)
 
 
-@settings(max_examples=400, deadline=None)
-@given(graphs_with_subsets(max_n=12), st.sampled_from(sorted(READER_MUTATIONS)), st.randoms())
-def test_bulk_reader_agrees_with_the_line_reader(case, mutation, rng):
+@settings(max_examples=600, deadline=None)
+@given(
+    graphs_with_subsets(max_n=12),
+    st.sampled_from(sorted(READER_MUTATIONS)),
+    st.sampled_from(READER_LAYOUTS),
+    st.randoms(),
+)
+def test_bulk_reader_agrees_with_the_line_reader(case, mutation, layout, rng):
     """A canonical document is read in bulk, to the graph the line reader
     builds; any edit the bulk path does not read the same hands the whole
     document to the line reader, so errors, line numbers and duplicate
-    warnings come from it alone."""
+    warnings come from it alone. The bulk path starts the graph from the
+    records as its edge order exactly when they are strictly ascending
+    pairs (u, v) with u < v; two swapped records leave that branch but
+    still read the same graph."""
     g, _ = case
     assume(g.n >= 1)
-    records = [f"{u} {v}\n" if rng.random() < 0.5 else f"{v} {u}\n" for u, v in g.edges]
-    rng.shuffle(records)
+    if layout == "ascending, two swapped":
+        assume(g.m >= 2)
+    records = _records(g, layout, rng)
     lines = [f"{g.n} {g.m}\n"] + records
-    if mutation == "duplicate":
+    if mutation in ("duplicate", "repeated record"):
         assume(g.m >= 1)
     text = "".join(READER_MUTATIONS[mutation](lines, g.n, rng))
-    result, caught, handed_over = _read(text)
+    with pytest.MonkeyPatch.context() as mp:
+        ascending_reads = spy_on_ascending_reads(mp)
+        result, caught, handed_over = _read(text)
+    expected = mutation in ("none", "leading zero") and _is_ascending(records)
+    assert bool(ascending_reads) == expected
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph_module, "_CANONICAL_EDGE_LIST", re.compile("(?!)"))
         assert _read(text) == (result, caught, True)
     assert handed_over == (mutation not in ("none", "leading zero"))
     if not handed_over:
         assert result == g and not caught
+
+
+def _assert_same_graph(read, fresh):
+    assert read.adj == fresh.adj
+    assert read.adj_bits == fresh.adj_bits
+    assert read.sorted_edges() == fresh.sorted_edges() == tuple(sorted(fresh.edges))
+    assert read.components == fresh.components
+    assert read.min_degree == fresh.min_degree
+    assert read == fresh and hash(read) == hash(fresh)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_with_subsets(max_n=70))
+def test_ascending_document_reads_to_the_checked_graph(case):
+    """An unedited document in ``format_edge_list``'s order starts from its
+    records as the edge order, and is the graph the checked constructor
+    builds on every view."""
+    g, _ = case
+    read = parse_edge_list(format_edge_list(g))
+    assert "_edge_order" in read.__dict__
+    _assert_same_graph(read, Graph(g.n, g.edges))
+
+
+@pytest.mark.parametrize("n, p", [(130, 0.05), (130, 0.3), (200, 0.5)])
+def test_ascending_document_reads_to_the_checked_graph_on_wide_rows(n, p):
+    g = gnp_connected_graph(n, p, seed=7)
+    _assert_same_graph(parse_edge_list(format_edge_list(g)), Graph(g.n, g.edges))
+
+
+def test_reader_builds_no_rows_for_a_declared_vertex_count():
+    # the header's n is untrusted: rows are built only when a caller reads them
+    g = parse_edge_list("100000000 1\n0 1\n")
+    assert g.n == 100_000_000 and g.sorted_edges() == ((0, 1),)
+    assert "adj_bits" not in g.__dict__
+
+
+# ---------------------------------------------------------------------------
+# The bitmask-row BFS against a plain queue BFS
+
+
+def ref_bfs_forest(g: Graph, vertices) -> dict:
+    """``bfs_forest`` by a plain queue over the sorted rows ``g.adj``: each
+    root the lowest vertex not yet reached, first arrival wins."""
+    inside = set(vertices)
+    parent = {}
+    for root in sorted(inside):
+        if root in parent:
+            continue
+        parent[root] = None
+        queue = [root]
+        for v in queue:
+            for w in g.adj[v]:
+                if w in inside and w not in parent:
+                    parent[w] = v
+                    queue.append(w)
+    return parent
+
+
+@st.composite
+def wide_graphs_with_subsets(draw, max_n=130):
+    """G(n, p) up to ``max_n`` vertices, so the rows span several machine
+    words, with a vertex subset of any density."""
+    n = draw(st.integers(0, max_n))
+    p = draw(st.sampled_from([0.0, 0.01, 0.03, 0.1, 0.3, 0.7]))
+    keep = draw(st.sampled_from([0.2, 0.6, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+    return Graph.build(n, edges), {v for v in range(n) if rng.random() < keep}
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_graphs_with_subsets(), st.data())
+def test_bfs_forest_matches_a_plain_queue_bfs(case, data):
+    g, subset = case
+    forest = bfs_forest(g, subset)
+    assert list(forest.items()) == list(ref_bfs_forest(g, subset).items())
+    if subset and g.n:
+        b = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+        dist = ref_bfs(g, subset)
+        reachable = any(dist[v] is not None for v in b)
+        expected = ref_shortest_path(g, subset, b) if reachable else None
+        assert shortest_path_between_sets(g, subset, b) == expected
 
 
 # ---------------------------------------------------------------------------
