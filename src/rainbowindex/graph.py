@@ -26,12 +26,12 @@ degrees, components and BFS off those rows; its sorted ``adj`` rows are
 built only when a caller reads them (the kdom constructions, the Steiner
 witness walk). Two private constructors skip the per-edge check for edges
 already checked: a graph derived from a checked one (a ``split_two`` side)
-starts from its bitmask rows, and a graph read from a document whose
-records are strictly ascending pairs, checked in bulk, starts from those
-records as its sorted edge order. ``parse_edge_list`` reads a document in
-the form ``format_edge_list`` writes in bulk, and hands anything else to
-the line reader ``parse_records``, the only place that raises ParseError or
-warns of a duplicate edge.
+starts from its bitmask rows, and a graph read in bulk from a canonical
+document, its records checked and sorted in C-level passes, starts from
+those records as its sorted edge order. ``parse_edge_list`` reads a
+document in the form ``format_edge_list`` writes (in any record order) in
+bulk, and hands anything else to the line reader ``parse_records``, the
+only place that raises ParseError or warns of a duplicate edge.
 
 Vertices are the integers 0..n-1. Graphs are immutable; every operation in
 this module is a pure function, so results may be computed concurrently.
@@ -48,7 +48,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, eq, lt
+from operator import add, lt, ne
 from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
@@ -92,8 +92,8 @@ class Graph:
     are rejected at construction time. ``adj_bits`` and ``sorted_edges()``
     are built on first use, and the sorted ``adj`` rows only when a caller
     reads them. A graph derived from a checked one (a split side, through
-    ``_derived``) starts with its bitmask rows; a graph read from an
-    ascending document (through ``_ascending``) starts with its edge order.
+    ``_derived``) starts with its bitmask rows; a graph read in bulk from a
+    document (through ``_ascending``) starts with its edge order.
     """
 
     n: int
@@ -152,12 +152,13 @@ class Graph:
     def adj_bits(self) -> tuple[int, ...]:
         """Adjacency as bitmasks, for the search-heavy callers: one OR pass
         over the edges, with no sorted rows. The pass takes the edge order
-        if it is already built: about twice as fast as the set's hash order."""
+        if it is already built: about twice as fast as the set's hash order.
+        It shifts each bit as it goes; a table of all n bits would cost
+        O(n^2) bits however few the edges are (a star, an edgeless graph)."""
         rows = [0] * self.n
-        bit = [1 << v for v in range(self.n)]
         for u, v in self.__dict__.get("_edge_order", self.edges):
-            rows[u] |= bit[v]
-            rows[v] |= bit[u]
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         return tuple(rows)
 
     def degree(self, v: int) -> int:
@@ -172,8 +173,8 @@ class Graph:
 
     def sorted_edges(self) -> tuple[Edge, ...]:
         """The edges in ascending order, as a tuple; built on the first call
-        and cached, so every caller shares one order (a graph read from an
-        ascending document starts with it)."""
+        and cached, so every caller shares one order (a graph read in bulk
+        from a document starts with it)."""
         return self._edge_order
 
     @cached_property
@@ -826,29 +827,28 @@ def parse_edge_list(text: str) -> Graph:
     """The graph of an edge-list document.
 
     A document in the canonical form (``_CANONICAL_EDGE_LIST``) whose
-    records number m and stay in range is read in bulk, with no Python step
-    per line. If its records are strictly ascending pairs with u < v (the
-    form ``format_edge_list`` writes), two C-level comparisons check that,
-    and the graph starts with the records as its edge order. Otherwise one
-    set comprehension normalizes the pairs, and the bulk read stands if
-    they hold no loop or duplicate. Any other document, including every one
-    that is malformed or repeats an edge, goes to the line reader
-    ``parse_records``, which alone raises ParseError (naming the line) and
-    warns of duplicates.
+    records number m, stay in range and hold no loop or duplicate is read in
+    bulk, with no Python step per line: the records are normalized to u < v
+    (only if some record is reversed) and sorted, which is linear on the
+    ascending records ``format_edge_list`` writes, and one C-level
+    comparison of neighbouring pairs rejects duplicates. The graph starts
+    with the sorted pairs as its edge order, with no per-edge check. Any
+    other document, including every one that is malformed or repeats an
+    edge, goes to the line reader ``parse_records``, which alone raises
+    ParseError (naming the line) and warns of duplicates.
     """
     if _CANONICAL_EDGE_LIST.fullmatch(text):
         numbers = list(map(int, text.split()))
         n, m = numbers[0], numbers[1]
         us, vs = numbers[2::2], numbers[3::2]
-        if len(us) == m and (not m or max(max(us), max(vs)) < n):
-            if all(map(lt, us, vs)):
-                pairs = tuple(zip(us, vs))
-                if all(map(lt, pairs, pairs[1:])):
-                    return Graph._ascending(n, pairs)
-            if not any(map(eq, us, vs)):
-                edges = {(u, v) if u < v else (v, u) for u, v in zip(us, vs)}
-                if len(edges) == m:
-                    return Graph(n, frozenset(edges))
+        if (
+            len(us) == m
+            and (not m or max(max(us), max(vs)) < n)
+            and all(map(ne, us, vs))
+        ):
+            pairs = sorted(zip(us, vs) if all(map(lt, us, vs)) else map(edge, us, vs))
+            if all(map(lt, pairs, pairs[1:])):
+                return Graph._ascending(n, tuple(pairs))
     records = parse_records(
         text, "n m", "edge line 'u v'", "edge endpoints must be integers"
     )

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import re
+import tracemalloc
 import warnings
 
 import networkx as nx
@@ -583,12 +584,6 @@ def spy_on_ascending_reads(mp) -> list:
     return reads
 
 
-def _is_ascending(records):
-    """True iff the records are strictly ascending pairs (u, v) with u < v."""
-    pairs = [tuple(map(int, record.split())) for record in records]
-    return all(u < v for u, v in pairs) and all(a < b for a, b in zip(pairs, pairs[1:]))
-
-
 def _read(text):
     """What parse_edge_list gives for ``text``: the graph or the ParseError's
     text and line, then the warnings it raised, and whether the line reader
@@ -621,10 +616,8 @@ def test_bulk_reader_agrees_with_the_line_reader(case, mutation, layout, rng):
     """A canonical document is read in bulk, to the graph the line reader
     builds; any edit the bulk path does not read the same hands the whole
     document to the line reader, so errors, line numbers and duplicate
-    warnings come from it alone. The bulk path starts the graph from the
-    records as its edge order exactly when they are strictly ascending
-    pairs (u, v) with u < v; two swapped records leave that branch but
-    still read the same graph."""
+    warnings come from it alone. Whatever the record layout, a bulk read
+    starts the graph from its sorted edges as the edge order."""
     g, _ = case
     assume(g.n >= 1)
     if layout == "ascending, two swapped":
@@ -637,8 +630,7 @@ def test_bulk_reader_agrees_with_the_line_reader(case, mutation, layout, rng):
     with pytest.MonkeyPatch.context() as mp:
         ascending_reads = spy_on_ascending_reads(mp)
         result, caught, handed_over = _read(text)
-    expected = mutation in ("none", "leading zero") and _is_ascending(records)
-    assert bool(ascending_reads) == expected
+    assert ascending_reads == ([] if handed_over else [g.sorted_edges()])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph_module, "_CANONICAL_EDGE_LIST", re.compile("(?!)"))
         assert _read(text) == (result, caught, True)
@@ -679,6 +671,23 @@ def test_reader_builds_no_rows_for_a_declared_vertex_count():
     g = parse_edge_list("100000000 1\n0 1\n")
     assert g.n == 100_000_000 and g.sorted_edges() == ((0, 1),)
     assert "adj_bits" not in g.__dict__
+
+
+@pytest.mark.parametrize("records", ["", "".join(f"0 {v}\n" for v in range(1, 20_000))])
+def test_bitmask_rows_cost_what_the_edges_hold(records):
+    """The first ``adj_bits`` read of an edgeless graph and of a star on
+    20,000 vertices stays far below the 25 MB that a table of every vertex's
+    bit would hold; the rows themselves take about 0.3 MB."""
+    n, m = 20_000, records.count("\n")
+    g = parse_edge_list(f"{n} {m}\n{records}")
+    tracemalloc.start()
+    try:
+        rows = g.adj_bits
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert rows[0].bit_count() == g.m and sum(map(int.bit_count, rows)) == 2 * g.m
 
 
 # ---------------------------------------------------------------------------
