@@ -2,10 +2,12 @@
 
 One search, ``_rainbow_tree``, asks for every caller whether a rainbow tree
 contains a terminal set S. It grows a tree from the lowest terminal, treats
-uncolored edges as wildcards, memoizes failed (vertex set, color set) states
-and prunes once more terminals are missing than edges are still allowed, or
-a terminal lies farther from the tree, through edges of unused colors, than
-the edges still allowed.
+uncolored edges as wildcards and memoizes failed (vertex set, color set)
+states. Each edge adds one vertex, so a state may still add as many other
+vertices as its edges left exceed its missing terminals (its slack). It is
+refuted unless every missing terminal can be reached from the tree, through
+edges of unused colors, past at most that many non-terminals; with no slack
+left, only children that add a missing terminal are grown.
 
 * ``exists_rainbow_stree``: the search, allowing one edge per color in use,
   with the found tree pruned to a witness.
@@ -150,56 +152,77 @@ def _rainbow_tree(inc, bits, terms, max_edges, budget=None) -> list[int] | None:
     terminal, has at most ``max_edges`` edges and uses no color twice.
 
     ``bits[i]`` is edge i's color as a bit; 0 marks an uncolored edge, a
-    wildcard any color may fill. Failed (tree, colors) states are memoized.
-    Each edge brings one new vertex into the tree, so a state is pruned when
-    more terminals are missing than edges are left, and otherwise unless
-    every terminal lies within the remaining edge allowance of the tree
-    through edges of unused color. Both prunes drop only states that fail,
-    so the first tree found is that of the unpruned search. ``budget`` ticks
-    once per expanded state.
+    wildcard any color may fill. A state's children take the tree vertices
+    in join order, each with its incident edges in edge order. Failed
+    (tree, colors) states are memoized, and a child is looked up before it
+    is entered. Each edge brings one new vertex into the tree, so a state
+    with ``left`` edges left and ``short`` missing terminals may add at most
+    ``slack = left - short`` other vertices. It is refuted unless a walk
+    through edges of unused color, where entering a missing terminal costs
+    0 and any other vertex 1, reaches every missing terminal at cost at most
+    ``slack``; with no slack, only children that add a missing terminal are
+    grown. Both prunes drop only states that cannot finish, so the first
+    tree found is that of the unpruned search. ``budget`` ticks once per
+    state entered.
     """
     target = _mask(terms)
     memo: set[tuple[int, int]] = set()
+    verts = [terms[0]]  # the tree's vertices in join order
+    chosen: list[int] = []  # its edges in the same order
 
-    def grow(tree, verts, used, chosen):
-        if target & ~tree == 0:
-            return chosen
-        key = (tree, used)
-        if key in memo:
-            return None
-        if budget is not None:
-            budget.tick()
-        # each edge adds one vertex, so every missing terminal needs its own
-        left = max_edges - len(chosen)
-        if (target & ~tree).bit_count() > left:
-            memo.add(key)
-            return None
-        reach, frontier = tree, verts
-        for _ in range(left):
-            if target & ~reach == 0:
-                break
+    def reaches(level, reach, used, todo, slack):
+        # 0-1 walk from ``level``, the vertices at the current cost, until
+        # every terminal in ``todo`` is reached or the cost exceeds ``slack``
+        for _ in range(slack + 1):
             nxt = []
-            for v in frontier:
+            for v in level:
                 for w, i in inc[v]:
                     if not (reach >> w) & 1 and not bits[i] & used:
                         reach |= 1 << w
-                        nxt.append(w)
-            frontier = nxt
-        if target & ~reach:
-            memo.add(key)
-            return None
+                        if (todo >> w) & 1:
+                            todo ^= 1 << w
+                            if not todo:
+                                return True
+                            level.append(w)
+                        else:
+                            nxt.append(w)
+            level = nxt
+        return False
+
+    def grow(tree, used, left):
+        # the state misses a terminal and is not memoized; on success
+        # ``chosen`` holds the tree
+        if budget is not None:
+            budget.tick()
+        missing = target & ~tree
+        slack = left - missing.bit_count()
+        if slack < 0 or not reaches(verts[:], tree, used, missing, slack):
+            return False
+        # with no slack, a child that adds another vertex fails its count
+        allowed = missing if slack == 0 else -1
         for v in verts:
             for w, i in inc[v]:
-                if (tree >> w) & 1 or bits[i] & used:
+                bit = 1 << w
+                if tree & bit or bits[i] & used or not allowed & bit:
                     continue
-                found = grow(tree | 1 << w, verts + [w], used | bits[i], chosen + [i])
-                if found is not None:
-                    return found
-        memo.add(key)
-        return None
+                chosen.append(i)
+                if missing == bit:
+                    return True
+                child = tree | bit
+                key = (child, used | bits[i])
+                if key not in memo:
+                    verts.append(w)
+                    if grow(child, key[1], left - 1):
+                        return True
+                    verts.pop()
+                    memo.add(key)
+                chosen.pop()
+        return False
 
+    if target == 1 << terms[0]:
+        return []
     try:
-        return grow(1 << terms[0], [terms[0]], 0, [])
+        return chosen if grow(1 << terms[0], 0, max_edges) else None
     finally:
         del grow  # grow refers to itself; free the memo when the search ends
 

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's search code: rainbow-tree existence,
 also with uncolored edges as wildcards and a cap on the edges, is decided by
-enumerating spanning trees of vertex supersets (via networkx),
+enumerating spanning trees of vertex supersets (via networkx), the first
+tree the search grows by a plain depth-first search with no prunes,
 k-rainbow connectivity by picking at most one edge per color class, the
 exact index by exhausting canonical colorings, and the Steiner k-diameter
 by connected vertex supersets of every k-set (via networkx).
@@ -82,6 +83,36 @@ def oracle_rainbow_tree_within(g: Graph, colors: dict, terminals, max_edges: int
                 if len(set(cols)) == len(cols):
                     return True
     return False
+
+
+def oracle_first_rainbow_tree(n: int, ends: list, bits: list, terms: list, max_edges: int):
+    """Edge indices of the first tree a plain depth-first search finds, or
+    None: grown from ``terms[0]`` one edge at a time, with no memo and no
+    bound. A state's children take the tree vertices in join order, each
+    with its edges in index order, and stop at the first tree that holds
+    every terminal. ``bits[i]`` is edge i's color as a bit, 0 for an
+    uncolored edge, which never clashes; at most ``max_edges`` edges."""
+    inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (x, y) in enumerate(ends):
+        inc[x].append((y, i))
+        inc[y].append((x, i))
+    need = set(terms)
+
+    def dfs(verts: list[int], used: int, chosen: list[int]):
+        if need <= set(verts):
+            return chosen
+        if len(chosen) == max_edges:
+            return None
+        for v in verts:
+            for w, i in inc[v]:
+                if w in verts or bits[i] & used:
+                    continue
+                found = dfs(verts + [w], used | bits[i], chosen + [i])
+                if found is not None:
+                    return found
+        return None
+
+    return dfs([terms[0]], 0, [])
 
 
 def _is_tree_containing(edges: list, terminals: set[int]) -> bool:

@@ -38,6 +38,7 @@ from rainbowindex.graph import is_tree_witness
 from tests.oracles import (
     oracle_exact_rx,
     oracle_exists_rainbow_tree,
+    oracle_first_rainbow_tree,
     oracle_rainbow_tree_within,
 )
 from tests.test_graph import connected_graphs
@@ -135,9 +136,9 @@ _G8 = gnp_connected_graph(8, 0.5, seed=3)
     [
         # two terminals missing, one edge allowed: refuted at the root
         (complete_graph(7), [0, 1, 2], 0, 1, 0.0, 1, None, 1),
-        (_G8, [0, 3, 5, 7], 23, 4, 0.0, 4, None, 11),
-        (_G8, [0, 3, 5, 7], 10, 4, 0.0, 4, [2, 3, 10, 14], 26),
-        (_G8, [0, 3, 5, 7], 3, 3, 0.3, 4, [0, 2, 6, 15], 8),
+        (_G8, [0, 3, 5, 7], 23, 4, 0.0, 4, None, 7),
+        (_G8, [0, 3, 5, 7], 10, 4, 0.0, 4, [2, 3, 10, 14], 14),
+        (_G8, [0, 3, 5, 7], 3, 3, 0.3, 4, [0, 2, 6, 15], 5),
     ],
     ids=["one-color", "refuted", "found", "partial"],
 )
@@ -145,7 +146,10 @@ def test_rainbow_tree_expands_pinned_states(
     g, terms, seed, palette, wildcards, max_edges, found, states
 ):
     # pinned so that a weaker prune shows up as a larger count, not only as
-    # wall time; without the terminal-count bound they are 7, 31, 37 and 23
+    # wall time. With a walk that bounds only the distance to each terminal
+    # by the edges left, in place of the slack walk and its tight children,
+    # they were 1, 11, 26 and 8; without the terminal-count bound as well,
+    # 7, 31, 37 and 23
     rng = random.Random(seed)
     bits = [
         0 if rng.random() < wildcards else 1 << rng.randint(1, palette)
@@ -155,6 +159,43 @@ def test_rainbow_tree_expands_pinned_states(
     budget = _CountingBudget()
     assert verify_module._rainbow_tree(inc, bits, terms, max_edges, budget) == found
     assert budget.nodes == states
+
+
+def test_slack_walk_refutes_a_far_terminal_at_the_root():
+    # edges 0-1, 0-2, 2-3, 3-4, all colors distinct, terminals 0, 1 and 4.
+    # With 3 edges allowed, each terminal lies within 3 edges of the root,
+    # so a bound on distance alone cannot refute the root; but the path to 4
+    # enters two non-terminals, and the slack is 3 - 2 = 1
+    g = Graph.build(5, [(0, 1), (0, 2), (2, 3), (3, 4)])
+    inc = verify_module._incidence(g.n, g.sorted_edges())
+    bits = [2, 4, 8, 16]
+    budget = _CountingBudget()
+    assert verify_module._rainbow_tree(inc, bits, [0, 1, 4], 3, budget) is None
+    assert budget.nodes == 1
+    budget = _CountingBudget()
+    assert verify_module._rainbow_tree(inc, bits, [0, 1, 4], 4, budget) == [0, 1, 2, 3]
+    assert budget.nodes == 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(connected_graphs(max_n=9), st.data())
+def test_rainbow_tree_is_the_first_tree_of_a_plain_search(g, data):
+    # the memo and both prunes drop only states that cannot finish, so the
+    # search returns the tree that a search without them finds first
+    edges = g.sorted_edges()
+    palette = data.draw(st.integers(1, 5), label="palette")
+    bits = [
+        1 << c if c else 0
+        for c in (data.draw(st.integers(0, palette), label=f"color{e}") for e in edges)
+    ]
+    terms = data.draw(
+        st.lists(st.integers(0, g.n - 1), min_size=1, unique=True), label="S"
+    )
+    max_edges = data.draw(st.integers(0, 6), label="allowance")
+    inc = verify_module._incidence(g.n, edges)
+    assert verify_module._rainbow_tree(inc, bits, terms, max_edges) == (
+        oracle_first_rainbow_tree(g.n, list(edges), bits, terms, max_edges)
+    )
 
 
 # ---------------------------------------------------------------------------
