@@ -13,9 +13,12 @@ minimum degree.
 
 The walk runs over bitmask rows of unwalked neighbours, with the auxiliary
 vertex as bit n, so the lowest set bit is the tie-break and walking an edge
-clears it from both rows. The sides are built from rows too: side 0's rows
-from the circuits' alternate steps, side 1's as the parent's rows XOR
-side 0's, so neither side re-checks its edges or sorts adjacency rows.
+clears it from both rows. The sides are bitmask rows alone: side 0's rows
+are OR-ed from the circuits' alternate steps (skipping the steps through
+the auxiliary vertex), side 1's are the parent's rows XOR side 0's. No side
+re-checks its edges, sorts adjacency rows or builds an edge set; a caller
+that reads a side's edges builds them then, off its rows. SpanningSplit's
+certificate checks the parts on rows too.
 
 split_k iterates this halving to produce k edge-disjoint spanning parts:
 with t the integer satisfying 2^t <= k < 2^(t+1) and s = k - 2^t, it keeps
@@ -28,9 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import ceil
 
-from .graph import Edge, Graph, InvariantViolation
+from .graph import Graph, InvariantViolation
 
 
 @dataclass(frozen=True)
@@ -58,20 +62,26 @@ class SpanningSplit:
         )
 
     def check(self) -> list[str]:
-        """Re-validate every certificate claim; returns violation messages."""
+        """Re-validate every certificate claim; returns violation messages.
+
+        Works on bitmask rows: a row past a graph's n reads as empty, so a
+        part on another vertex count is judged on its edges as a set would.
+        """
         problems = []
-        union: set[Edge] = set()
-        total = 0
+        parent = self.parent.adj_bits
+        union: list[int] = []
+        shared = False
         for i, part in enumerate(self.parts):
             if part.n != self.parent.n:
                 problems.append(f"part {i} is not spanning")
-            if not part.edges <= self.parent.edges:
+            rows = part.adj_bits
+            if any(p & ~r for p, r in zip_longest(rows, parent, fillvalue=0)):
                 problems.append(f"part {i} has foreign edges")
-            total += part.m
-            union |= part.edges
-        if total != len(union):
+            shared = shared or any(p & u for p, u in zip(rows, union))
+            union = [p | u for p, u in zip_longest(rows, union, fillvalue=0)]
+        if shared:
             problems.append("parts are not pairwise edge-disjoint")
-        if union != self.parent.edges:
+        if any(u != r for u, r in zip_longest(union, parent, fillvalue=0)):
             problems.append("parts do not cover the parent edge set")
         for i, (part, need) in enumerate(
             zip(self.parts, self.required_min_degrees())
@@ -93,7 +103,7 @@ def split_two(g: Graph) -> tuple[Graph, Graph]:
     # unwalked neighbours as bitmasks; each step takes the lowest
     rest = [row | aux if odd >> v & 1 else row for v, row in enumerate(rows)]
     rest.append(odd)
-    pairs: list[Edge] = []  # side 0: every other step of each circuit
+    half = [0] * n  # side 0: every other step of each circuit
     for start in (n, *range(n)):
         if not rest[start]:
             continue
@@ -111,13 +121,10 @@ def split_two(g: Graph) -> tuple[Graph, Graph]:
                 v = w
             order.append(v)
         order.reverse()
-        pairs += zip(order[::2], order[1::2])
-    side = frozenset((x, y) if x < y else (y, x) for x, y in pairs if x != n and y != n)
-    half = [0] * n
-    bit = [1 << v for v in range(n)]  # looked up, not shifted, per edge
-    for x, y in side:
-        half[x] |= bit[y]
-        half[y] |= bit[x]
+        for x, y in zip(order[::2], order[1::2]):
+            if x != n and y != n:  # an auxiliary edge is dropped
+                half[x] |= 1 << y
+                half[y] |= 1 << x
     other = [row ^ h for row, h in zip(rows, half)]
     if any(h | o != row for row, h, o in zip(rows, half, other)):
         raise InvariantViolation("split_two lost edges")
@@ -127,8 +134,8 @@ def split_two(g: Graph) -> tuple[Graph, Graph]:
         if abs(h.bit_count() - o.bit_count()) > 2:
             raise InvariantViolation(f"split_two degree gap above 2 at vertex {v}")
     # the sides' edges come from g, which was checked when it was built
-    first = Graph._derived(n, side, half)
-    second = Graph._derived(n, g.edges - side, other)
+    first = Graph._derived(n, half)
+    second = Graph._derived(n, other)
     bound = (g.min_degree - 1) // 2
     if first.min_degree < bound or second.min_degree < bound:
         raise InvariantViolation(f"split_two side min degree below {bound}")

@@ -190,7 +190,7 @@ def connect_two_step(
     dom0 = sorted(set(dominating))
     if not g.is_connected:
         raise ValueError("connect_two_step requires a connected host graph")
-    if part.n != g.n or not part.edges <= g.edges:
+    if part.n != g.n or any(p & ~r for p, r in zip(part.adj_bits, g.adj_bits)):
         raise ValueError("part must be a spanning subgraph of the host graph")
     if not is_k_step_dominating(part, dom0, 2):
         raise ValueError("input is not a 2-step dominating set of the part")

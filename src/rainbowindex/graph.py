@@ -26,9 +26,10 @@ degrees, components and BFS off those rows; its sorted ``adj`` rows are
 built only when a caller reads them (the kdom constructions, the Steiner
 witness walk). Two private constructors skip the per-edge check for edges
 already checked: a graph derived from a checked one (a ``split_two`` side)
-starts from its bitmask rows, and a graph read in bulk from a canonical
-document, its records checked and sorted in C-level passes, starts from
-those records as its sorted edge order. ``parse_edge_list`` reads a
+is its bitmask rows alone, its edge set and edge order built on first read
+straight off the rows, and a graph read in bulk from a canonical document,
+its records checked and sorted in C-level passes, starts from those records
+as its sorted edge order. ``parse_edge_list`` reads a
 document in the form ``format_edge_list`` writes (in any record order) in
 bulk, and hands anything else to the line reader ``parse_records``, the
 only place that raises ParseError or warns of a duplicate edge.
@@ -92,8 +93,11 @@ class Graph:
     are rejected at construction time. ``adj_bits`` and ``sorted_edges()``
     are built on first use, and the sorted ``adj`` rows only when a caller
     reads them. A graph derived from a checked one (a split side, through
-    ``_derived``) starts with its bitmask rows; a graph read in bulk from a
-    document (through ``_ascending``) starts with its edge order.
+    ``_derived``) holds only its bitmask rows: ``edges`` and
+    ``sorted_edges()`` are built on first read, off the rows in ascending
+    order, and ``m`` counts row bits until then. A graph read in bulk from
+    a document (through ``_ascending``) starts with its edge order. Equality
+    and hashing are on (n, edges) either way.
     """
 
     n: int
@@ -107,14 +111,22 @@ class Graph:
                 raise ValueError(f"invalid edge ({u}, {v}) for n={self.n}")
 
     @classmethod
-    def _derived(cls, n: int, edges: frozenset[Edge], adj_bits: list[int]) -> "Graph":
+    def _derived(cls, n: int, adj_bits: list[int]) -> "Graph":
         """A graph on edges taken from an already checked graph on the same
-        n vertices, with ``adj_bits`` given: no per-edge range check, and no
-        ``adj`` until it is read. The caller vouches that the rows are the
-        edges' rows."""
+        n vertices, given as its bitmask rows: no per-edge range check, and
+        no ``edges``, edge order or ``adj`` until one is read. The caller
+        vouches that the rows are symmetric rows of a checked graph."""
         g = object.__new__(cls)
-        g.__dict__.update(n=n, edges=edges, adj_bits=tuple(adj_bits))
+        g.__dict__.update(n=n, adj_bits=tuple(adj_bits))
         return g
+
+    def __getattr__(self, name: str):
+        # reached only when ``name`` is not set: a derived graph's edge set,
+        # built on its first read from the ascending edge order of its rows
+        if name != "edges" or "adj_bits" not in self.__dict__:
+            raise AttributeError(name)
+        edges = self.__dict__["edges"] = frozenset(self._edge_order)
+        return edges
 
     @classmethod
     def _ascending(cls, n: int, order: tuple[Edge, ...]) -> "Graph":
@@ -137,7 +149,9 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        if "edges" in self.__dict__:
+            return len(self.edges)
+        return sum(map(int.bit_count, self.adj_bits)) // 2  # a derived graph
 
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
@@ -179,7 +193,14 @@ class Graph:
 
     @cached_property
     def _edge_order(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.edges))
+        if "edges" in self.__dict__:
+            return tuple(sorted(self.edges))
+        # a derived graph: each row's higher neighbours, rows in order
+        return tuple(
+            (u, v)
+            for u, row in enumerate(self.adj_bits)
+            for v in set_bits(row >> u + 1 << u + 1)
+        )
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:

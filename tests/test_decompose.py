@@ -1,6 +1,9 @@
+import dataclasses
 import hashlib
 import itertools
 import random
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from rainbowindex import (
     Graph,
     InvariantViolation,
+    color_pipeline,
     complete_graph,
     cycle_graph,
     gnp_connected_graph,
@@ -225,11 +229,86 @@ def test_derived_graphs_match_fresh_ones_random(case, k):
 
 
 def test_split_parts_build_no_sorted_rows():
-    # the split reads only bitmask rows, so a part's sorted adjacency stays
-    # unbuilt until a caller asks for it
+    # the split, its certificate and the pipeline read only bitmask rows, so
+    # a part's edge set, edge order and sorted adjacency stay unbuilt until
+    # a caller asks for them
     g = gnp_connected_graph(60, 0.5, seed=3)
-    cert = split_k(g, 4)
-    assert all("adj" not in part.__dict__ for part in cert.parts)
+    unbuilt = ("adj", "edges", "_edge_order")
+    for k in range(2, 6):
+        cert = split_k(g, k)
+        _, trace = color_pipeline(g, k)
+        for part in cert.parts + trace.split.parts:
+            assert not any(name in part.__dict__ for name in unbuilt)
+            m = part.m  # counted off the rows
+            assert "edges" not in part.__dict__ and m == len(part.edges)
+            assert part.sorted_edges() == tuple(sorted(part.edges))
+
+
+def _tampered(cert, shape):
+    """``cert`` with one claim broken: its parts or its thresholds edited."""
+    g = cert.parent
+    p0, p1, p2 = cert.parts
+    missing = next(e for e in itertools.combinations(range(g.n), 2) if e not in g.edges)
+    parts = {
+        "foreign edge": (Graph(g.n, p0.edges | {missing}), p1, p2),
+        "shared edge": (p0, Graph(g.n, p1.edges | {min(p0.edges)}), p2),
+        "uncovered edge": (p0, Graph(g.n, p1.edges - {min(p1.edges)}), p2),
+        "more vertices": (p0, p1, Graph(g.n + 1, p2.edges)),
+        "more vertices, foreign edge": (p0, p1, Graph(g.n + 1, p2.edges | {(0, g.n)})),
+        "fewer vertices": (
+            p0,
+            p1,
+            Graph(g.n - 1, frozenset(e for e in p2.edges if e[1] < g.n - 1)),
+        ),
+    }.get(shape)
+    if parts is not None:
+        return dataclasses.replace(cert, parts=parts)
+    need = Fraction(p0.min_degree + 1)  # "low degree": one above part 0's
+    return dataclasses.replace(cert, thresholds=(need, *cert.thresholds[1:]))
+
+
+@pytest.mark.parametrize(
+    "shape, problems",
+    [
+        ("foreign edge", ["part 0 has foreign edges", "parts do not cover the parent edge set"]),
+        ("shared edge", ["parts are not pairwise edge-disjoint"]),
+        ("uncovered edge", ["parts do not cover the parent edge set"]),
+        ("more vertices", ["part 2 is not spanning"]),
+        (
+            "more vertices, foreign edge",
+            [
+                "part 2 is not spanning",
+                "part 2 has foreign edges",
+                "parts do not cover the parent edge set",
+            ],
+        ),
+        ("fewer vertices", ["part 2 is not spanning", "parts do not cover the parent edge set"]),
+        ("low degree", ["part 0 min degree 3 < required 4"]),
+    ],
+)
+def test_split_certificate_names_each_violation(shape, problems):
+    # the row checks report what the edge-set checks reported, in that order
+    cert = split_k(gnp_connected_graph(20, 0.5, seed=3), 3)
+    assert not cert.check()
+    assert _tampered(cert, shape).check() == problems
+
+
+def test_split_two_peak_memory_stays_with_the_rows():
+    """K_{2,19998}: 20,000 vertices, every degree even (no auxiliary edges).
+    A table of every vertex's bit would hold about 25 MB; the rows and the
+    walk's circuit take a few MB."""
+    n = 20_000
+    g = Graph.build(n, [(h, v) for h in (0, 1) for v in range(2, n)])
+    rows = g.adj_bits
+    tracemalloc.start()
+    try:
+        first, second = split_two(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+    assert first.m + second.m == g.m and first.min_degree == second.min_degree == 1
+    assert [a | b for a, b in zip(first.adj_bits, second.adj_bits)] == list(rows)
 
 
 def test_split_two_min_degree_check_fires():

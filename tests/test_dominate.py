@@ -141,6 +141,19 @@ def test_connect_measures_domination_in_part():
         connect_two_step(c6, part, [0, 3])
 
 
+@pytest.mark.parametrize("shape", ["foreign edge", "other n"])
+def test_connect_rejects_a_part_that_is_no_spanning_subgraph(shape):
+    # C6 less the edge 0-5 is a path; the part gets 0-5 back, or a 7th vertex
+    host = path_graph(6)
+    if shape == "foreign edge":
+        part = cycle_graph(6)
+    else:
+        part = Graph(7, host.edges)
+    with pytest.raises(ValueError, match="part must be a spanning subgraph"):
+        connect_two_step(host, part, [1, 4])
+    connect_two_step(host, host, [1, 4])  # the same set on the host itself
+
+
 @settings(max_examples=40, deadline=None)
 @given(connected_graphs(max_n=10))
 def test_connect_bound_random(g):
