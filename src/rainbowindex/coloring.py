@@ -117,9 +117,9 @@ class _Claims:
         self.rule_of.update(dict.fromkeys(fresh, rule))
 
     def legs(self, g: Graph, v: int, inside, colors) -> tuple[tuple[Edge, int], ...]:
-        """Claim v's edges to its lowest-id feet in ``inside``, one per color
-        in order, and return them with their colors."""
-        feet = [w for w in g.adj[v] if w in inside]  # adj rows are sorted
+        """Claim v's edges to its lowest-id feet in the vertex mask ``inside``,
+        one per color in order, and return them with their colors."""
+        feet = set_bits(g.adj_bits[v] & inside)  # ascending
         legs = tuple((edge(v, foot), c) for foot, c in zip(feet, colors))
         for e, c in legs:
             self.claim(e, c, "leg")
@@ -288,11 +288,10 @@ def color_kdom(
     if not 2 <= k <= g.n:
         raise ValueError(f"k must satisfy 2 <= k <= n, got {k}")
     dom = _dominating_core(g, dominating, k, k, core_coloring)
-    inside = set(dom)
+    inside = sum(1 << v for v in dom)
     claims = _Claims()
-    for v in range(g.n):
-        if v not in inside:
-            claims.legs(g, v, inside, range(1, k + 1))
+    for v in set_bits(((1 << g.n) - 1) & ~inside):
+        claims.legs(g, v, inside, range(1, k + 1))
     base = k if len(dom) < g.n else 0
     return claims.finish(g, dom, base, core_coloring)[0]
 
@@ -332,8 +331,8 @@ def color_km1dom(
     if g.min_degree < k:
         raise ValueError(f"minimum degree {g.min_degree} < k={k}")
     dom = _dominating_core(g, dominating, k - 1, k, core_coloring)
-    inside = set(dom)
-    forest = bfs_forest(g, (v for v in range(g.n) if v not in inside))
+    inside = sum(1 << v for v in dom)
+    forest = bfs_forest(g, set_bits(((1 << g.n) - 1) & ~inside))
     parents = set(forest.values())
     isolated = frozenset(v for v, p in forest.items() if p is None and v not in parents)
     side_even: set[int] = set()

@@ -84,17 +84,19 @@ def is_k_step_dominating(g: Graph, dom: Iterable[int], j: int) -> bool:
 
 
 def is_k_dominating(g: Graph, dom: Iterable[int], j: int) -> bool:
-    """True iff every vertex outside the set has >= j neighbors inside."""
+    """True iff every vertex outside the set has >= j neighbors inside: one
+    popcount of its row within the set's mask per outside vertex. Raises
+    ValueError for an empty set or one naming a vertex outside 0..n-1."""
     dom = set(dom)
     if not dom:
         raise ValueError("dominating set must be nonempty")
-    for v in range(g.n):
-        if v in dom:
-            continue
-        inside = sum(1 for w in g.adj[v] if w in dom)
-        if inside < j:
-            return False
-    return True
+    bad = [v for v in dom if not 0 <= v < g.n]
+    if bad:
+        raise ValueError(f"vertex {min(bad)} out of range")
+    mask = sum(1 << v for v in dom)
+    rows = g.adj_bits
+    outside = ((1 << g.n) - 1) & ~mask
+    return all((rows[v] & mask).bit_count() >= j for v in set_bits(outside))
 
 
 def is_k_way_dominating(g: Graph, dom: Iterable[int], j: int) -> bool:
@@ -340,69 +342,78 @@ def greedy_connected_k_dominating(g: Graph, j: int) -> DominationCertificate:
     vertices (ties to the lowest id), until the predicate holds. No size
     optimality is claimed; the certificate is predicate-checked.
 
-    The bookkeeping is incremental. Per vertex it keeps the number of
-    neighbors inside the set and the gain (outside neighbors one short of
-    j), plus the count of unsatisfied outside vertices and a lazy heap of
-    (-gain, id) over the frontier. An outside vertex changes the gains of
-    its neighbors only when its count reaches j - 1 and j, so all gain
-    updates together cost O(m) heap pushes, instead of a predicate rescan
-    and a frontier rebuild per added vertex. One final predicate check
-    confirms the result.
+    The bookkeeping is incremental and on bitmask rows. ``at_least[c]``
+    holds the vertices with at least c neighbors inside, c = 0..j; adding x
+    raises each level by one AND and one OR with x's row. A vertex's gain
+    is its number of neighbors in the one-short set: the outside vertices
+    with exactly j - 1 neighbors inside, ``at_least[j-1] & ~at_least[j]``
+    less the set. The gains are bit-sliced: bit i of u's gain is bit u of
+    ``planes[i]``. A vertex that enters or leaves the one-short set adds or
+    subtracts one to all its neighbors' gains at once, by a ripple carry or
+    borrow of its row through the planes: one XOR and one AND per plane,
+    and there are about log2 of the largest degree of them. Counts only
+    rise and the set only grows, so each vertex enters and leaves at most
+    once: all gain updates together are at most 2n row additions, O(n) mask
+    operations, instead of a heap entry per changed gain. The pick starts
+    from the frontier outside the set and, from the top plane down, keeps
+    only the vertices with that plane's bit whenever any have it; what is
+    left holds the highest gain, and its lowest set bit breaks the tie. One
+    final predicate check confirms the result.
     """
     if not g.is_connected:
         raise ValueError("requires a connected graph")
     if j < 0:
         raise ValueError("j must be >= 0")
-    adj = g.adj
-    inside = [False] * g.n
-    frontier = [False] * g.n  # adjacent to the set (tested with ``inside``)
-    count = [0] * g.n  # neighbors inside the set
-    gain = [len(adj[v]) if j == 1 else 0 for v in range(g.n)]
-    unsatisfied = g.n if j > 0 else 0  # outside vertices with count < j
-    heap: list[tuple[int, int]] = []
+    rows = g.adj_bits
+    full = (1 << g.n) - 1
+    at_least = [full] + [0] * j
+    inside = frontier = short = 0  # short: outside, one neighbor short of j
+    planes: list[int] = []  # bit u of planes[i] is bit i of u's gain
+
+    def carry(row: int) -> None:
+        """Add one to the gain of every vertex in ``row``."""
+        for i, plane in enumerate(planes):
+            planes[i] = plane ^ row
+            row &= plane
+            if not row:
+                return
+        planes.append(row)
+
+    def borrow(row: int) -> None:
+        """Subtract one from the gain of every vertex in ``row``."""
+        for i, plane in enumerate(planes):
+            planes[i] = plane ^ row
+            row &= ~plane
+            if not row:
+                return
+        raise InvariantViolation("a gain fell below zero")
 
     def add(x: int) -> None:
-        nonlocal unsatisfied
-        touched = set()
-        inside[x] = True
-        if count[x] < j:
-            unsatisfied -= 1
-        if count[x] == j - 1:  # x no longer counts toward its neighbors' gain
-            for u in adj[x]:
-                gain[u] -= 1
-            touched.update(adj[x])
-        for v in adj[x]:
-            count[v] += 1
-            if inside[v]:
-                continue
-            if count[v] == j:
-                unsatisfied -= 1
-                for u in adj[v]:
-                    gain[u] -= 1
-                touched.update(adj[v])
-            elif count[v] == j - 1:
-                for u in adj[v]:
-                    gain[u] += 1
-                touched.update(adj[v])
-            if not frontier[v]:
-                frontier[v] = True
-                touched.add(v)
-        for u in touched:
-            if frontier[u] and not inside[u]:
-                heapq.heappush(heap, (-gain[u], u))
+        nonlocal inside, frontier, short
+        row = rows[x]
+        inside |= 1 << x
+        frontier |= row
+        for c in range(j, 0, -1):
+            at_least[c] |= at_least[c - 1] & row
+        now = at_least[j - 1] & ~at_least[j] & ~inside if j else 0
+        for v in set_bits(now & ~short):
+            carry(rows[v])
+        for v in set_bits(short & ~now):
+            borrow(rows[v])
+        short = now
 
     add(min(range(g.n), key=lambda v: (-g.degree(v), v)))
-    while unsatisfied:
-        while heap:
-            neg_gain, w = heapq.heappop(heap)
-            if not inside[w] and -neg_gain == gain[w]:
-                break
-        else:
+    while full & ~(at_least[j] | inside):
+        best = frontier & ~inside
+        if not best:
             raise InvariantViolation(
                 "connected graph exhausted without satisfying predicate"
             )
-        add(w)
-    dom = tuple(v for v in range(g.n) if inside[v])
+        for plane in reversed(planes):
+            if best & plane:
+                best &= plane
+        add((best & -best).bit_length() - 1)
+    dom = tuple(set_bits(inside))
     if not is_k_dominating(g, dom, j):
         raise InvariantViolation("incremental counts disagree with the predicate")
     return DominationCertificate(

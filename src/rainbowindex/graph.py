@@ -22,9 +22,9 @@ the one Dreyfus-Wagner engine, ``_steiner_rows``, which serves both
 ``steiner_diameter``.
 
 A ``Graph`` reads its bitmask rows off its edges in one OR pass, and its
-degrees, components and BFS off those rows; its sorted ``adj`` rows are
-built only when a caller reads them (the kdom constructions, the Steiner
-witness walk). Two private constructors skip the per-edge check for edges
+degrees, components and BFS off those rows; no library code reads its
+sorted ``adj`` rows, which are built only for a caller that asks for them.
+Two private constructors skip the per-edge check for edges
 already checked: a graph derived from a checked one (a ``split_two`` side)
 is its bitmask rows alone, its edge set and edge order built on first read
 straight off the rows, and a graph read in bulk from a canonical document,
@@ -575,7 +575,7 @@ def _steiner_dp(g: Graph, terminals: list[int]) -> tuple[int, SteinerWitness]:
                 stack += [(a, v), (mask ^ a, v)]
                 break
         else:
-            u = next((w for w in g.adj[v] if row[w] == d - 1), None)
+            u = next((w for w in set_bits(g.adj_bits[v]) if row[w] == d - 1), None)
             if u is None:
                 raise InvariantViolation("steiner row entry without a predecessor")
             edges_out.add(edge(u, v))

@@ -33,8 +33,9 @@ left, only children that add a missing terminal are grown.
   color, any other subset's tree that is still rainbow and spans the
   terminals takes its place (the tree pool); only if none does is the
   subset searched again. Only coloring an edge can break a tree, and every
-  held tree is rainbow before it, so only trees through the edge just
-  colored are rechecked (watch lists). Once every edge is colored the
+  held tree is rainbow before it, so after each placed color every subset
+  tests one bit, the placed edge, of its held tree's edge mask, and only
+  trees through that edge are rechecked. Once every edge is colored the
   check is exact, so complete colorings are not re-verified. Budget
   exhaustion yields an explicit unknown-with-bounds result, never a guess.
 * ``bounds_report``: assembles lower/upper bounds with provenance labels.

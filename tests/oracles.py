@@ -5,8 +5,9 @@ also with uncolored edges as wildcards and a cap on the edges, is decided by
 enumerating spanning trees of vertex supersets (via networkx), the first
 tree the search grows by a plain depth-first search with no prunes,
 k-rainbow connectivity by picking at most one edge per color class, the
-exact index by exhausting canonical colorings, and the Steiner k-diameter
-by connected vertex supersets of every k-set (via networkx).
+exact index by exhausting canonical colorings, the Steiner k-diameter by
+connected vertex supersets of every k-set (via networkx), and j-domination
+by counting each outside vertex's neighbours in plain sets.
 """
 
 from __future__ import annotations
@@ -40,6 +41,17 @@ def oracle_steiner_diameter(g: Graph, k: int) -> int:
         raise ValueError("terminals are not connected in the graph")
 
     return max(steiner_distance(S) for S in itertools.combinations(range(g.n), k))
+
+
+def oracle_is_k_dominating(g: Graph, dom, j: int) -> bool:
+    """Every vertex outside ``dom`` has at least j neighbours in it, counted
+    over the edge set."""
+    inside = set(dom)
+    count = dict.fromkeys(range(g.n), 0)
+    for u, v in g.edges:
+        count[u] += v in inside
+        count[v] += u in inside
+    return all(count[v] >= j for v in range(g.n) if v not in inside)
 
 
 def oracle_exists_rainbow_tree(g: Graph, coloring: EdgeColoring, terminals) -> bool:

@@ -25,6 +25,7 @@ from rainbowindex import (
     parse_edge_list,
     path_graph,
     petersen_graph,
+    steiner_distance,
 )
 from rainbowindex import coloring as coloring_module
 from rainbowindex.graph import ParseError
@@ -124,6 +125,18 @@ def test_pipeline_root_builds_no_sorted_rows():
         coloring, _ = color_pipeline(root, k)
         assert coloring.graph is root
         assert "adj" not in root.__dict__
+
+
+def test_kdom_path_builds_no_sorted_rows():
+    # the greedy k-dominating set, both leg colorings and the Steiner witness
+    # walk read only bitmask rows, so the graph never sorts adjacency rows
+    g = gnp_connected_graph(40, 0.3, seed=3)
+    for k in (2, 3):
+        color_kdom(g, greedy_connected_k_dominating(g, k), k)
+        color_km1dom(g, greedy_connected_k_dominating(g, k - 1), k)
+    value, witness = steiner_distance(g, [0, 17, 33])
+    assert value == len(witness.edges) > 0
+    assert "adj" not in g.__dict__
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from rainbowindex import (
     split_k,
     union_connect,
 )
+from tests.oracles import oracle_is_k_dominating
 from tests.test_graph import connected_graphs
 
 
@@ -46,6 +47,21 @@ def test_multi_predicate_examples():
     assert not is_k_dominating(cycle_graph(5), [0, 1], 2)
     g = cycle_graph(5)
     assert is_k_dominating(g, range(5), 7)  # vacuous: no outside vertices
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs(min_n=2, max_n=12), st.data(), st.integers(0, 5))
+def test_multi_predicate_matches_oracle(g, data, j):
+    dom = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+    assert is_k_dominating(g, dom, j) == oracle_is_k_dominating(g, dom, j)
+
+
+@pytest.mark.parametrize("pred", [is_k_step_dominating, is_k_dominating])
+@pytest.mark.parametrize("dom, bad", [([1, 2, -1], -1), ([1, 2, 4], 4), ([7, 1, -1], -1)])
+def test_predicates_name_the_lowest_vertex_out_of_range(pred, dom, bad):
+    # a vertex outside 0..n-1 is an error, never a vertex that is ignored
+    with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+        pred(path_graph(4), dom, 1)
 
 
 def test_way_predicate_examples():

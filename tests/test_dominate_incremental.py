@@ -309,8 +309,8 @@ def test_union_connect_matches_reference(g, k, rnd):
     assert union_connect(g, certs).vertices == ref_union_connect(g, sets)
 
 
-@settings(max_examples=80, deadline=None)
-@given(sparse_connected_graphs(), st.integers(0, 4))
+@settings(max_examples=120, deadline=None)
+@given(any_graphs, st.integers(0, 6))
 def test_greedy_connected_k_matches_reference(g, j):
     got = greedy_connected_k_dominating(g, j).vertices
     assert got == ref_greedy_connected_k(g, j)
