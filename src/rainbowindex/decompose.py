@@ -13,10 +13,10 @@ minimum degree.
 
 The walk runs over bitmask rows of unwalked neighbours, with the auxiliary
 vertex as bit n, so the lowest set bit is the tie-break and walking an edge
-clears it from both rows. The sides are bitmask rows alone: side 0's rows
-are OR-ed from the circuits' alternate steps (skipping the steps through
-the auxiliary vertex), side 1's are the parent's rows XOR side 0's. No side
-re-checks its edges, sorts adjacency rows or builds an edge set; a caller
+clears it from both rows. Each side is stored as its bitmask rows: side
+0's rows are OR-ed from the circuits' alternate steps (skipping the steps
+through the auxiliary vertex), side 1's are the parent's rows XOR side 0's.
+No side re-checks its edges or builds an edge order or edge set; a caller
 that reads a side's edges builds them then, off its rows. SpanningSplit's
 certificate checks the parts on rows too.
 
@@ -134,8 +134,8 @@ def split_two(g: Graph) -> tuple[Graph, Graph]:
         if abs(h.bit_count() - o.bit_count()) > 2:
             raise InvariantViolation(f"split_two degree gap above 2 at vertex {v}")
     # the sides' edges come from g, which was checked when it was built
-    first = Graph._derived(n, half)
-    second = Graph._derived(n, other)
+    first = Graph._unchecked(n, rows=tuple(half))
+    second = Graph._unchecked(n, rows=tuple(other))
     bound = (g.min_degree - 1) // 2
     if first.min_degree < bound or second.min_degree < bound:
         raise InvariantViolation(f"split_two side min degree below {bound}")

@@ -21,15 +21,14 @@ the one Dreyfus-Wagner engine, ``_steiner_rows``, which serves both
 ``steiner_distance`` (walking a witness back from the values) and
 ``steiner_diameter``.
 
-A ``Graph`` reads its bitmask rows off its edges in one OR pass, and its
-degrees, components and BFS off those rows; no library code reads its
-sorted ``adj`` rows, which are built only for a caller that asks for them.
-Two private constructors skip the per-edge check for edges
-already checked: a graph derived from a checked one (a ``split_two`` side)
-is its bitmask rows alone, its edge set and edge order built on first read
-straight off the rows, and a graph read in bulk from a canonical document,
-its records checked and sorted in C-level passes, starts from those records
-as its sorted edge order. ``parse_edge_list`` reads a
+A ``Graph`` stores one form of its edges, its ascending edge order or its
+bitmask rows, and derives the other (one OR pass, or one walk over the
+rows) and its edge set on first read; its degrees, components and BFS read
+the rows. The public constructor checks every edge. One private way in,
+``Graph._unchecked``, skips the check for edges already checked: a
+``split_two`` side, stored as rows taken from a checked graph, and a graph
+read in bulk from a canonical document, its records checked and sorted in
+C-level passes, stored as that edge order. ``parse_edge_list`` reads a
 document in the form ``format_edge_list`` writes (in any record order) in
 bulk, and hands anything else to the line reader ``parse_records``, the
 only place that raises ParseError or warns of a duplicate edge.
@@ -85,92 +84,77 @@ def edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
 class Graph:
     """Immutable simple undirected graph on vertex ids 0..n-1.
 
-    ``edges`` holds normalized pairs (u, v) with u < v; loops and duplicates
-    are rejected at construction time. ``adj_bits`` and ``sorted_edges()``
-    are built on first use, and the sorted ``adj`` rows only when a caller
-    reads them. A graph derived from a checked one (a split side, through
-    ``_derived``) holds only its bitmask rows: ``edges`` and
-    ``sorted_edges()`` are built on first read, off the rows in ascending
-    order, and ``m`` counts row bits until then. A graph read in bulk from
-    a document (through ``_ascending``) starts with its edge order. Equality
-    and hashing are on (n, edges) either way.
+    A graph stores ``n``, ``m`` and one form of its edges, the one it was
+    built from: the checked constructor and the bulk reader store the pairs
+    (u, v), u < v, in ascending order, and a ``split_two`` side stores its
+    bitmask rows. The other form, ``adj_bits`` or ``sorted_edges()``, is
+    derived from the stored one, and the ``edges`` frozenset from the edge
+    order, each on first read and at most once. Equality and hashing are on
+    (n, edges). Assigning an attribute raises AttributeError.
     """
 
-    n: int
-    edges: frozenset[Edge]
-
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, edges: Iterable[Edge]):
+        """The graph on the pairs ``edges``, each (u, v) with 0 <= u < v < n;
+        ValueError names the lowest pair out of range, reversed or repeated."""
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"invalid edge ({u}, {v}) for n={self.n}")
+        order = sorted((u, v) for u, v in edges)
+        for i, (u, v) in enumerate(order):
+            if not 0 <= u < v < n:
+                raise ValueError(f"invalid edge ({u}, {v}) for n={n}")
+            if i and order[i - 1] == (u, v):
+                raise ValueError(f"repeated edge ({u}, {v})")
+        self.__dict__.update(n=n, m=len(order), _edge_order=tuple(order))
 
     @classmethod
-    def _derived(cls, n: int, adj_bits: list[int]) -> "Graph":
-        """A graph on edges taken from an already checked graph on the same
-        n vertices, given as its bitmask rows: no per-edge range check, and
-        no ``edges``, edge order or ``adj`` until one is read. The caller
-        vouches that the rows are symmetric rows of a checked graph."""
+    def _unchecked(cls, n: int, *, order=(), rows=None) -> "Graph":
+        """A graph stored as given, with no per-edge check: as its ``rows``,
+        a tuple of symmetric bitmask rows taken from a checked graph on the
+        same n vertices, or else as its edge ``order``, a tuple of pairs
+        (u, v) with 0 <= u < v < n in strictly ascending order. The caller
+        vouches for the form."""
         g = object.__new__(cls)
-        g.__dict__.update(n=n, adj_bits=tuple(adj_bits))
+        if rows is None:
+            g.__dict__.update(n=n, m=len(order), _edge_order=order)
+        else:
+            g.__dict__.update(n=n, m=sum(map(int.bit_count, rows)) // 2, adj_bits=rows)
         return g
 
-    def __getattr__(self, name: str):
-        # reached only when ``name`` is not set: a derived graph's edge set,
-        # built on its first read from the ascending edge order of its rows
-        if name != "edges" or "adj_bits" not in self.__dict__:
-            raise AttributeError(name)
-        edges = self.__dict__["edges"] = frozenset(self._edge_order)
-        return edges
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a Graph is immutable")
 
-    @classmethod
-    def _ascending(cls, n: int, order: tuple[Edge, ...]) -> "Graph":
-        """A graph on edges given in strictly ascending order, each (u, v)
-        with 0 <= u < v < n: no per-edge check, and ``order`` is its
-        ``sorted_edges()``. The caller vouches for the order and the range."""
-        g = object.__new__(cls)
-        g.__dict__.update(n=n, edges=frozenset(order), _edge_order=order)
-        return g
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self is other or self.n == other.n and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"Graph({self.n}, {list(self.sorted_edges())})"
 
     @staticmethod
     def build(n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from arbitrary (u, v) pairs, normalizing order."""
-        normalized = set()
-        for u, v in pairs:
-            if u == v:
-                raise ValueError(f"loop edge ({u}, {v}) not allowed")
-            normalized.add(edge(u, v))
-        return Graph(n, frozenset(normalized))
-
-    @property
-    def m(self) -> int:
-        if "edges" in self.__dict__:
-            return len(self.edges)
-        return sum(map(int.bit_count, self.adj_bits)) // 2  # a derived graph
+        """Build a graph from arbitrary (u, v) pairs, normalizing order and
+        collapsing repeats; a loop (u, u) is an invalid edge."""
+        return Graph(n, {edge(u, v) for u, v in pairs})
 
     @cached_property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted adjacency lists."""
-        lists: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            lists[u].append(v)
-            lists[v].append(u)
-        return tuple(tuple(sorted(lst)) for lst in lists)
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(self._edge_order)
 
     @cached_property
     def adj_bits(self) -> tuple[int, ...]:
         """Adjacency as bitmasks, for the search-heavy callers: one OR pass
-        over the edges, with no sorted rows. The pass takes the edge order
-        if it is already built: about twice as fast as the set's hash order.
-        It shifts each bit as it goes; a table of all n bits would cost
-        O(n^2) bits however few the edges are (a star, an edgeless graph)."""
+        over the edge order. It shifts each bit as it goes; a table of all
+        n bits would cost O(n^2) bits however few the edges are (a star, an
+        edgeless graph)."""
         rows = [0] * self.n
-        for u, v in self.__dict__.get("_edge_order", self.edges):
+        for u, v in self._edge_order:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return tuple(rows)
@@ -182,20 +166,14 @@ class Graph:
     def min_degree(self) -> int:
         return min(map(int.bit_count, self.adj_bits), default=0)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge(u, v) in self.edges
-
     def sorted_edges(self) -> tuple[Edge, ...]:
-        """The edges in ascending order, as a tuple; built on the first call
-        and cached, so every caller shares one order (a graph read in bulk
-        from a document starts with it)."""
+        """The edges in ascending order, as a tuple; every caller shares one
+        order."""
         return self._edge_order
 
     @cached_property
     def _edge_order(self) -> tuple[Edge, ...]:
-        if "edges" in self.__dict__:
-            return tuple(sorted(self.edges))
-        # a derived graph: each row's higher neighbours, rows in order
+        # each row's higher neighbours, rows in order
         return tuple(
             (u, v)
             for u, row in enumerate(self.adj_bits)
@@ -221,13 +199,6 @@ class Graph:
     @cached_property
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components) == 1
-
-    def spanning_subgraph(self, edge_subset: Iterable[Edge]) -> "Graph":
-        """Subgraph on the full vertex set keeping only the given edges."""
-        subset = frozenset(edge_subset)
-        if not subset <= self.edges:
-            raise ValueError("edge subset contains edges not in the graph")
-        return Graph(self.n, subset)
 
 
 # ---------------------------------------------------------------------------
@@ -869,7 +840,7 @@ def parse_edge_list(text: str) -> Graph:
         ):
             pairs = sorted(zip(us, vs) if all(map(lt, us, vs)) else map(edge, us, vs))
             if all(map(lt, pairs, pairs[1:])):
-                return Graph._ascending(n, tuple(pairs))
+                return Graph._unchecked(n, order=tuple(pairs))
     records = parse_records(
         text, "n m", "edge line 'u v'", "edge endpoints must be integers"
     )
@@ -880,7 +851,7 @@ def parse_edge_list(text: str) -> Graph:
         if e in edges:
             warnings.warn(f"duplicate edge {e} on line {line_no} collapsed")
         edges.add(e)
-    return Graph(n, frozenset(edges))
+    return Graph(n, edges)
 
 
 def format_edge_list(g: Graph) -> str:

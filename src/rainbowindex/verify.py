@@ -521,12 +521,6 @@ class BoundsReport:
     verified: bool | None
     runtime_ms: float
 
-    def best_lower(self) -> Fraction | int:
-        return max(e.value for e in self.lower if e.value is not None)
-
-    def best_upper(self) -> Fraction | int:
-        return min(e.value for e in self.upper if e.value is not None)
-
     def to_json_dict(self) -> dict:
         return {
             "graph": {"n": self.graph.n, "m": self.graph.m, "delta": self.graph.min_degree},

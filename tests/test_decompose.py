@@ -204,7 +204,6 @@ def assert_same_as_fresh(part):
     assert part.adj_bits == fresh.adj_bits
     assert part.min_degree == fresh.min_degree
     assert part.components == fresh.components
-    assert part.adj == fresh.adj
     assert part.sorted_edges() == fresh.sorted_edges()
     assert part == fresh and hash(part) == hash(fresh)
 
@@ -230,10 +229,10 @@ def test_derived_graphs_match_fresh_ones_random(case, k):
 
 def test_split_parts_build_no_sorted_rows():
     # the split, its certificate and the pipeline read only bitmask rows, so
-    # a part's edge set, edge order and sorted adjacency stay unbuilt until
-    # a caller asks for them
+    # a part's edge set and edge order stay unbuilt until a caller asks for
+    # them
     g = gnp_connected_graph(60, 0.5, seed=3)
-    unbuilt = ("adj", "edges", "_edge_order")
+    unbuilt = ("edges", "_edge_order")
     for k in range(2, 6):
         cert = split_k(g, k)
         _, trace = color_pipeline(g, k)

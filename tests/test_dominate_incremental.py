@@ -38,12 +38,14 @@ from rainbowindex import (
     split_k,
     union_connect,
 )
+from tests.oracles import sorted_rows
 
 # ---------------------------------------------------------------------------
 # From-scratch references
 
 
 def ref_bfs(g: Graph, sources) -> list[int | None]:
+    adj = sorted_rows(g)
     dist: list[int | None] = [None] * g.n
     queue = deque()
     for s in sorted(set(sources)):
@@ -51,7 +53,7 @@ def ref_bfs(g: Graph, sources) -> list[int | None]:
         queue.append(s)
     while queue:
         v = queue.popleft()
-        for w in g.adj[v]:
+        for w in adj[v]:
             if dist[w] is None:
                 dist[w] = dist[v] + 1
                 queue.append(w)
@@ -59,6 +61,7 @@ def ref_bfs(g: Graph, sources) -> list[int | None]:
 
 
 def ref_components_within(g: Graph, dom) -> list[tuple[int, ...]]:
+    adj = sorted_rows(g)
     remaining = set(dom)
     comps = []
     for start in sorted(remaining):
@@ -68,7 +71,7 @@ def ref_components_within(g: Graph, dom) -> list[tuple[int, ...]]:
         stack = [start]
         while stack:
             v = stack.pop()
-            for w in g.adj[v]:
+            for w in adj[v]:
                 if w in remaining and w not in comp:
                     comp.add(w)
                     stack.append(w)
@@ -79,6 +82,7 @@ def ref_components_within(g: Graph, dom) -> list[tuple[int, ...]]:
 
 def ref_shortest_path(g: Graph, a, b) -> list[int]:
     """First-arrival BFS path from sorted sources in A to the first vertex of B."""
+    adj = sorted_rows(g)
     sb = set(b)
     parent: dict[int, int | None] = {}
     queue = deque()
@@ -88,7 +92,7 @@ def ref_shortest_path(g: Graph, a, b) -> list[int]:
     hit = next((s for s in sorted(set(a)) if s in sb), None)
     while hit is None:
         v = queue.popleft()
-        for w in g.adj[v]:
+        for w in adj[v]:
             if w not in parent:
                 parent[w] = v
                 if w in sb:
@@ -141,6 +145,7 @@ def ref_connect_two_step(g: Graph, dominating, merged_at=None) -> tuple[int, ...
 def ref_union_connect(g: Graph, sets) -> tuple[int, ...]:
     """Add the lowest-id midpoint outside D between the component holding
     the first set's lowest vertex and the lowest-id other component."""
+    adj = sorted_rows(g)
     dom = set().union(*sets)
     while True:
         comps = ref_components_within(g, dom)
@@ -148,27 +153,29 @@ def ref_union_connect(g: Graph, sets) -> tuple[int, ...]:
             return tuple(sorted(dom))
         anchor = next(c for c in comps if sets[0][0] in c)
         target = next(c for c in comps if c != anchor)
-        closed = [set(c).union(*(g.adj[v] for v in c)) for c in (anchor, target)]
+        closed = [set(c).union(*(adj[v] for v in c)) for c in (anchor, target)]
         dom.add(min((closed[0] & closed[1]) - dom))
 
 
 def ref_greedy_connected_k(g: Graph, j: int) -> tuple[int, ...]:
+    adj = sorted_rows(g)
+
     def satisfied(dom):
         return all(
-            sum(1 for w in g.adj[v] if w in dom) >= j
+            sum(1 for w in adj[v] if w in dom) >= j
             for v in range(g.n)
             if v not in dom
         )
 
     dom = {min(range(g.n), key=lambda v: (-g.degree(v), v))}
     while not satisfied(dom):
-        frontier = sorted({w for v in dom for w in g.adj[v] if w not in dom})
+        frontier = sorted({w for v in dom for w in adj[v] if w not in dom})
 
         def gain(w):
             return sum(
                 1
-                for v in g.adj[w]
-                if v not in dom and sum(1 for x in g.adj[v] if x in dom) == j - 1
+                for v in adj[w]
+                if v not in dom and sum(1 for x in adj[v] if x in dom) == j - 1
             )
 
         dom.add(min(frontier, key=lambda x: (-gain(x), x)))
@@ -286,9 +293,10 @@ def test_far_pair_raises_with_its_true_distance(monkeypatch):
 def grown_set(g: Graph, rnd) -> tuple[int, ...]:
     """A connected 2-step dominating set grown from a random vertex by
     random neighbours."""
+    adj = sorted_rows(g)
     grown = {rnd.randrange(g.n)}
     while any(d is None or d > 2 for d in ref_bfs(g, grown)):
-        grown.add(rnd.choice(sorted({w for v in grown for w in g.adj[v]} - grown)))
+        grown.add(rnd.choice(sorted({w for v in grown for w in adj[v]} - grown)))
     return tuple(sorted(grown))
 
 

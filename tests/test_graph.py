@@ -21,6 +21,7 @@ from rainbowindex import (
     cycle_graph,
     diameter,
     distance,
+    edge,
     format_edge_list,
     generate,
     gnp_connected_graph,
@@ -31,6 +32,7 @@ from rainbowindex import (
     petersen_graph,
     set_distance,
     shortest_path_between_sets,
+    split_two,
     steiner_distance,
     steiner_diameter,
 )
@@ -43,7 +45,7 @@ from rainbowindex.graph import (
     induced_components,
     shortest_path_between_masks,
 )
-from tests.oracles import oracle_steiner_diameter
+from tests.oracles import oracle_steiner_diameter, sorted_rows
 from tests.test_dominate_incremental import (
     ref_bfs,
     ref_components_within,
@@ -63,6 +65,76 @@ def connected_graphs(draw, min_n=2, max_n=9):
     all_pairs = list(itertools.combinations(range(n), 2))
     extra = draw(st.sets(st.sampled_from(all_pairs), max_size=len(all_pairs)))
     return Graph.build(n, set(tree) | extra)
+
+
+# ---------------------------------------------------------------------------
+# Construction, equality and immutability
+
+
+def test_checked_constructor_takes_any_iterable_of_pairs():
+    pairs = [(1, 2), (0, 1)]
+    graphs = [Graph(3, pairs), Graph(3, iter(pairs)), Graph(3, frozenset(pairs))]
+    for g in graphs:
+        assert g.m == 2 and g.sorted_edges() == ((0, 1), (1, 2))
+        assert g == graphs[0] and hash(g) == hash(graphs[0])
+    assert Graph(3, [(0, 1), (1, 2)]) == Graph(3, [(1, 2), (0, 1)])
+    assert hash(Graph(3, [(0, 1)])) == hash(Graph(3, {(0, 1)}))
+    assert Graph(3, pairs) != Graph(4, pairs) and Graph(3, pairs) != Graph(3, pairs[:1])
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([(0, 1), (0, 1)], r"repeated edge \(0, 1\)"),
+        ([(1, 2), (0, 2), (1, 2), (0, 2)], r"repeated edge \(0, 2\)"),
+        ([(1, 3), (0, 1), (0, 1)], r"repeated edge \(0, 1\)"),
+        ([(1, 0)], r"invalid edge \(1, 0\) for n=3"),
+        ([(2, 2)], r"invalid edge \(2, 2\) for n=3"),
+        ([(1, 3), (0, 5), (-1, 2)], r"invalid edge \(-1, 2\) for n=3"),
+    ],
+)
+def test_checked_constructor_names_the_lowest_invalid_edge(pairs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Graph(3, pairs)
+
+
+def _one_graph_per_source(seed: int) -> dict[str, Graph]:
+    """Three graphs on one edge set, one from each way in: a split side,
+    stored as its rows; the checked constructor; and the bulk reader."""
+    parent = gnp_connected_graph(30, 0.4, seed=seed)
+    # the order comes from a side of its own: the side returned holds rows only
+    order = split_two(parent)[0].sorted_edges()
+    checked = Graph(parent.n, frozenset(order))
+    return {
+        "split side": split_two(parent)[0],
+        "checked": checked,
+        "bulk reader": parse_edge_list(format_edge_list(checked)),
+    }
+
+
+SOURCES = ("split side", "checked", "bulk reader")
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("name", ["n", "edges"])
+def test_graph_attributes_cannot_be_assigned(source, name):
+    g = _one_graph_per_source(1)[source]
+    before = getattr(g, name)
+    with pytest.raises(AttributeError):
+        setattr(g, name, before)
+    with pytest.raises(AttributeError):
+        setattr(g, name, None)
+    assert getattr(g, name) == before
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_graphs_on_the_same_edges_are_equal_whatever_their_source(seed):
+    # fresh graphs for each pair, so no form is built before the comparison
+    for a, b in itertools.product(SOURCES, repeat=2):
+        x, y = _one_graph_per_source(seed)[a], _one_graph_per_source(seed)[b]
+        assert hash(x) == hash(y) and x == y and not x != y
+    g = _one_graph_per_source(seed)["split side"]
+    assert g != Graph(g.n + 1, g.sorted_edges()) and g != g.sorted_edges()
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +511,7 @@ def test_induced_forest_matches_references(case):
     assert roots == [comp[0] for comp in comps]
     for v, p in forest.items():
         if p is not None:
-            assert g.has_edge(p, v) and order[p] < order[v]
+            assert edge(p, v) in g.edges and order[p] < order[v]
     if len(comps) == 1:
         tree = bfs_tree_edges(g, subset)
         assert len(tree) == len(subset) - 1
@@ -464,7 +536,7 @@ def test_components_and_min_degree_on_bitmask_edge_cases():
     ]
     for g in cases:
         assert list(g.components) == ref_components_within(g, range(g.n))
-        assert g.min_degree == min((len(row) for row in g.adj), default=0)
+        assert g.min_degree == min(map(len, sorted_rows(g)), default=0)
     assert Graph(0, frozenset()).components == ()
     assert Graph(1, frozenset()).components == ((0,),)
     assert Graph.build(5, [(0, 1), (1, 2), (2, 3)]).components[-1] == (4,)
@@ -571,16 +643,17 @@ def _records(g, layout, rng):
 
 
 def spy_on_ascending_reads(mp) -> list:
-    """Patch ``Graph._ascending`` through the MonkeyPatch ``mp`` to record
-    the edge order of each call; returns the list it records into."""
+    """Patch ``Graph._unchecked`` through the MonkeyPatch ``mp`` to record
+    the edge order of each call given one; returns the list it records into."""
     reads = []
-    ascending = Graph._ascending
+    unchecked = Graph._unchecked
 
-    def spy(n, order):
-        reads.append(order)
-        return ascending(n, order)
+    def spy(n, **form):
+        if "order" in form:
+            reads.append(form["order"])
+        return unchecked(n, **form)
 
-    mp.setattr(Graph, "_ascending", spy)
+    mp.setattr(Graph, "_unchecked", spy)
     return reads
 
 
@@ -640,7 +713,6 @@ def test_bulk_reader_agrees_with_the_line_reader(case, mutation, layout, rng):
 
 
 def _assert_same_graph(read, fresh):
-    assert read.adj == fresh.adj
     assert read.adj_bits == fresh.adj_bits
     assert read.sorted_edges() == fresh.sorted_edges() == tuple(sorted(fresh.edges))
     assert read.components == fresh.components
@@ -695,8 +767,9 @@ def test_bitmask_rows_cost_what_the_edges_hold(records):
 
 
 def ref_bfs_forest(g: Graph, vertices) -> dict:
-    """``bfs_forest`` by a plain queue over the sorted rows ``g.adj``: each
-    root the lowest vertex not yet reached, first arrival wins."""
+    """``bfs_forest`` by a plain queue over the sorted rows of g: each root
+    the lowest vertex not yet reached, first arrival wins."""
+    adj = sorted_rows(g)
     inside = set(vertices)
     parent = {}
     for root in sorted(inside):
@@ -705,7 +778,7 @@ def ref_bfs_forest(g: Graph, vertices) -> dict:
         parent[root] = None
         queue = [root]
         for v in queue:
-            for w in g.adj[v]:
+            for w in adj[v]:
                 if w in inside and w not in parent:
                     parent[w] = v
                     queue.append(w)
