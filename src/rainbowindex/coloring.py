@@ -116,13 +116,28 @@ class _Claims:
         self.colors.update(fresh)
         self.rule_of.update(dict.fromkeys(fresh, rule))
 
-    def legs(self, g: Graph, v: int, inside, colors) -> tuple[tuple[Edge, int], ...]:
-        """Claim v's edges to its lowest-id feet in the vertex mask ``inside``,
-        one per color in order, and return them with their colors."""
-        feet = set_bits(g.adj_bits[v] & inside)  # ascending
-        legs = tuple((edge(v, foot), c) for foot, c in zip(feet, colors))
-        for e, c in legs:
-            self.claim(e, c, "leg")
+    def legs(self, g: Graph, inside: int, groups) -> dict[int, tuple[tuple[Edge, int], ...]]:
+        """For each ``(vertices, colors)`` in ``groups``, claim every vertex's
+        edges to its lowest-id feet in the vertex mask ``inside``, one per
+        color in order; return vertex -> its legs with their colors.
+
+        Legs of different vertices are different edges, so each color's legs
+        are claimed together by one ``claim_all``."""
+        legs: dict[int, tuple[tuple[Edge, int], ...]] = {}
+        by_color: dict[int, list[Edge]] = {}
+        for vertices, colors in groups:
+            for v in vertices:
+                feet = g.adj_bits[v] & inside
+                mine = []
+                for c in colors:
+                    low = feet & -feet
+                    feet ^= low
+                    e = edge(v, low.bit_length() - 1)
+                    mine.append((e, c))
+                    by_color.setdefault(c, []).append(e)
+                legs[v] = tuple(mine)
+        for c, same_color in by_color.items():
+            self.claim_all(same_color, c, "leg")
         return legs
 
     def finish(
@@ -289,9 +304,9 @@ def color_kdom(
         raise ValueError(f"k must satisfy 2 <= k <= n, got {k}")
     dom = _dominating_core(g, dominating, k, k, core_coloring)
     inside = sum(1 << v for v in dom)
+    outside = set_bits(((1 << g.n) - 1) & ~inside)
     claims = _Claims()
-    for v in set_bits(((1 << g.n) - 1) & ~inside):
-        claims.legs(g, v, inside, range(1, k + 1))
+    claims.legs(g, inside, [(outside, range(1, k + 1))])  # k feet each
     base = k if len(dom) < g.n else 0
     return claims.finish(g, dom, base, core_coloring)[0]
 
@@ -343,14 +358,15 @@ def color_km1dom(
     forest_edges = [edge(p, v) for v, p in forest.items() if p is not None]
 
     claims = _Claims()
-    legs: dict[int, tuple[tuple[Edge, int], ...]] = {}
-    for side, colors in (
-        (isolated, range(1, k + 1)),
-        (side_even, range(1, k)),
-        (side_odd, range(2, k + 1)),
-    ):
-        for v in sorted(side):
-            legs[v] = claims.legs(g, v, inside, colors)
+    legs = claims.legs(
+        g,
+        inside,
+        [
+            (sorted(isolated), range(1, k + 1)),
+            (sorted(side_even), range(1, k)),
+            (sorted(side_odd), range(2, k + 1)),
+        ],
+    )
     cross_edges = [
         (u, v)
         for u, v in g.sorted_edges()

@@ -1,13 +1,15 @@
 """Ground truth for rainbow connectivity.
 
 One search, ``_rainbow_tree``, asks for every caller whether a rainbow tree
-contains a terminal set S. It grows a tree from the lowest terminal, treats
-uncolored edges as wildcards and memoizes failed (vertex set, color set)
-states. Each edge adds one vertex, so a state may still add as many other
-vertices as its edges left exceed its missing terminals (its slack). It is
-refuted unless every missing terminal can be reached from the tree, through
-edges of unused colors, past at most that many non-terminals; with no slack
-left, only children that add a missing terminal are grown.
+contains a terminal set S. It grows a tree from the first terminal it is
+given (the lowest for the verifier and the witness search, the one of
+lowest degree for the exact solver), treats uncolored edges as wildcards
+and memoizes failed (vertex set, color set) states. Each edge adds one
+vertex, so a state may still add as many other vertices as its edges left
+exceed its missing terminals (its slack). It is refuted unless every
+missing terminal can be reached from the tree, through edges of unused
+colors, past at most that many non-terminals; with no slack left, only
+children that add a missing terminal are grown.
 
 * ``exists_rainbow_stree``: the search, allowing one edge per color in use,
   with the found tree pruned to a witness.
@@ -28,16 +30,17 @@ left, only children that add a missing terminal are grown.
   budget. Only the verdict is needed, so no witnesses are built.
 * ``exact_rx_k``: smallest c admitting a k-rainbow coloring, by canonical
   backtracking over edge colors (color j+1 may first appear only after j),
-  pruned by the search, allowing c edges, for every subset. Each subset
-  keeps a tree with its vertex and edge masks. When that tree repeats a
-  color, any other subset's tree that is still rainbow and spans the
-  terminals takes its place (the tree pool); only if none does is the
-  subset searched again. Only coloring an edge can break a tree, and every
-  held tree is rainbow before it, so after each placed color every subset
-  tests one bit, the placed edge, of its held tree's edge mask, and only
-  trees through that edge are rechecked. Once every edge is colored the
-  check is exact, so complete colorings are not re-verified. Budget
-  exhaustion yields an explicit unknown-with-bounds result, never a guess.
+  pruned by the search, allowing c edges, for every subset, grown from
+  the subset's terminal of lowest degree. Each subset keeps a tree with
+  its vertex and edge masks. When that tree repeats a color, any other
+  subset's tree that is still rainbow and spans the terminals takes its
+  place (the tree pool); only if none does is the subset searched again.
+  Only coloring an edge can break a tree, and every held tree is rainbow
+  before it, so after each placed color every subset tests one bit, the
+  placed edge, of its held tree's edge mask, and only trees through that
+  edge are rechecked. Once every edge is colored the check is exact, so
+  complete colorings are not re-verified. Budget exhaustion yields an
+  explicit unknown-with-bounds result, never a guess.
 * ``bounds_report``: assembles lower/upper bounds with provenance labels.
   Which parts run follows from the instance size: the Steiner diameter up to
   20,000 k-subsets, the exact solver (2M-node budget) at desk scale, and
@@ -131,13 +134,13 @@ class RainbowVerdict:
         return self.ok
 
 
-def _incidence(n: int, ends) -> list[list[tuple[int, int]]]:
-    """Per vertex its (neighbor, edge index) pairs, in edge order; for
-    sorted edges that is sorted adjacency order."""
-    inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+def _incidence(n: int, ends) -> list[list[tuple[int, int, int]]]:
+    """Per vertex its (neighbor, edge index, neighbor bit) triples, in edge
+    order; for sorted edges that is sorted adjacency order."""
+    inc: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for i, (x, y) in enumerate(ends):
-        inc[x].append((y, i))
-        inc[y].append((x, i))
+        inc[x].append((y, i, 1 << y))
+        inc[y].append((x, i, 1 << x))
     return inc
 
 
@@ -177,11 +180,11 @@ def _rainbow_tree(inc, bits, terms, max_edges, budget=None) -> list[int] | None:
         for _ in range(slack + 1):
             nxt = []
             for v in level:
-                for w, i in inc[v]:
-                    if not (reach >> w) & 1 and not bits[i] & used:
-                        reach |= 1 << w
-                        if (todo >> w) & 1:
-                            todo ^= 1 << w
+                for w, i, bit in inc[v]:
+                    if not reach & bit and not bits[i] & used:
+                        reach |= bit
+                        if todo & bit:
+                            todo ^= bit
                             if not todo:
                                 return True
                             level.append(w)
@@ -202,8 +205,7 @@ def _rainbow_tree(inc, bits, terms, max_edges, budget=None) -> list[int] | None:
         # with no slack, a child that adds another vertex fails its count
         allowed = missing if slack == 0 else -1
         for v in verts:
-            for w, i in inc[v]:
-                bit = 1 << w
+            for w, i, bit in inc[v]:
                 if tree & bit or bits[i] & used or not allowed & bit:
                     continue
                 chosen.append(i)
@@ -415,14 +417,29 @@ def exact_rx_k(
 def _search_k_rainbow_coloring(
     g: Graph, k: int, c: int, budget: _Budget
 ) -> EdgeColoring | None:
-    """Backtracking over edge colors in canonical first-use order."""
+    """Backtracking over edge colors in canonical first-use order.
+
+    Each subset keeps its terminals lowest degree first, ties to the lowest
+    id, so its searches grow from the terminal with the fewest incident
+    edges, where a tree has the fewest first choices (fail first). Which
+    tree a subset holds cannot change the nodes: ``prune_ok`` is True iff
+    every subset has a rainbow tree of at most c edges under the partial
+    coloring, since a held or pooled tree is one and an exhaustive search
+    finds one if any exists, and ``place`` reads only that answer. So the
+    root moves only the trees held, never the nodes, the colorings or an
+    unknown result's bounds.
+    """
     edges = g.sorted_edges()
     inc = _incidence(g.n, edges)
     m = len(edges)
     bits = [0] * m  # color bit per edge, 0 = uncolored
-    # each subset with its terminal mask and a (tree, vertex mask, edge
-    # mask) triple; a tree stays valid while rainbow
-    subsets = [[s, _mask(s), None] for s in itertools.combinations(range(g.n), k)]
+    # each subset with its terminals (the search's root first), terminal
+    # mask and a (tree, vertex mask, edge mask) triple; a tree stays valid
+    # while rainbow
+    subsets = [
+        [sorted(s, key=lambda v: (g.degree(v), v)), _mask(s), None]
+        for s in itertools.combinations(range(g.n), k)
+    ]
 
     def rainbow(tree: list[int]) -> bool:
         used = 0

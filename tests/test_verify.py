@@ -108,7 +108,16 @@ def test_rainbow_tree_with_wildcards_matches_oracle(g, data):
     palette = data.draw(st.integers(1, 4), label="palette")
     colors = {e: data.draw(st.integers(0, palette), label=f"color{e}") for e in edges}
     bits = [1 << colors[e] if colors[e] else 0 for e in edges]
-    terms = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=1), label="S"))
+    # the answer must not depend on the root, terms[0]: draw any order, or
+    # the exact solver's lowest degree first
+    S = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=1), label="S"))
+    terms = data.draw(
+        st.one_of(
+            st.permutations(S),
+            st.just(sorted(S, key=lambda v: (g.degree(v), v))),
+        ),
+        label="terminal order",
+    )
     c = data.draw(st.integers(len(terms) - 1, g.m), label="c")
     inc = verify_module._incidence(g.n, edges)
     tree = verify_module._rainbow_tree(inc, bits, terms, c)
@@ -159,6 +168,22 @@ def test_rainbow_tree_expands_pinned_states(
     budget = _CountingBudget()
     assert verify_module._rainbow_tree(inc, bits, terms, max_edges, budget) == found
     assert budget.nodes == states
+
+
+def test_exact_solver_expands_pinned_search_states(monkeypatch):
+    # pinned so that a weaker root rule shows up as a larger count, not only
+    # as wall time. With every search grown from the lowest terminal, the
+    # nodes were the same and the states 124,604
+    budget = _CountingBudget()
+    search = verify_module._rainbow_tree
+
+    def counted(inc, bits, terms, max_edges):
+        return search(inc, bits, terms, max_edges, budget)
+
+    monkeypatch.setattr(verify_module, "_rainbow_tree", counted)
+    result = exact_rx_k(gnp_connected_graph(9, 0.4, seed=5), 3)
+    assert result.value == 5 and result.nodes == 8352
+    assert budget.nodes == 63172
 
 
 def test_slack_walk_refutes_a_far_terminal_at_the_root():
