@@ -135,6 +135,8 @@ def cmd_dominate(args) -> int:
 
 
 def cmd_color(args) -> int:
+    if args.method == "pipeline" and args.domset is not None:
+        raise ValueError("--domset applies to --method kdom and km1dom only")
     g = read_edge_list(args.input)
     trace_payload = None
     if args.method == "pipeline":

@@ -14,6 +14,7 @@ re-runs the predicate from scratch.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -22,6 +23,7 @@ from .graph import (
     Graph,
     InvariantViolation,
     balls,
+    component_masks,
     induced_components,
     set_bits,
     shortest_path_between_masks,
@@ -44,9 +46,6 @@ class DominationCertificate:
     connected: bool
     size_bound: Fraction | None = None
     bound_label: str | None = None
-
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
 
     def holds(self) -> bool:
         g = self.graph
@@ -176,20 +175,21 @@ def connect_two_step(
     dominates g, the closest pair is always at distance <= 5, so the result
     has size <= 5|D| - 4. Ties go to the pair with the lowest minimum ids.
 
-    Components are vertex bitmasks (the minimum id is the lowest set bit),
-    and the bookkeeping is incremental. Each live component keeps its
-    cumulative distance balls from radius 1 up, grown one ``spread`` step
-    at a time only on demand. Pair distances wait in a lazy min-heap keyed
-    by (distance, lower minimum id, higher minimum id): exact, min(i + j)
-    over the balls that meet, when the balls reached so far meet, else the
-    lower bound ra + rb + 1. A bound that reaches the top grows the smaller
-    ball (both on a tie) and goes back refined, so the first exact pair
-    popped is the closest pair; pairs with a merged-away member are
-    skipped. A merge absorbs every component meeting the path's interior
-    or its ``spread``, and their radius-1 balls with them, so no ball grows
-    past the few steps that merges need.
+    Components are vertex bitmasks (the minimum id is the lowest set bit).
+    Every live component keeps its cumulative distance balls up to one
+    common radius r, starting at 1. Balls are exact, so radius-i and
+    radius-j balls of A and B meet iff d(A, B) <= i + j. A pair enters a
+    lazy min-heap, keyed by (distance, lower minimum id, higher minimum
+    id), once its radius-r balls meet: each new component is grown to r
+    and checked against every live one, so every live pair within 2r is
+    queued and any pair left out is farther away, and the top live entry
+    is the closest pair. Pairs with a merged-away member are skipped. When
+    the heap runs dry, r rises by one and every live component grows one
+    ``spread`` step; the heap is empty then, so no pair is queued twice. A
+    merge absorbs every component meeting the path's interior or its
+    ``spread``, and their radius-1 balls with them.
     """
-    dom0 = sorted(set(dominating))
+    dom0 = set(dominating)
     if not g.is_connected:
         raise ValueError("connect_two_step requires a connected host graph")
     if part.n != g.n or any(p & ~r for p, r in zip(part.adj_bits, g.adj_bits)):
@@ -197,49 +197,40 @@ def connect_two_step(
     if not is_k_step_dominating(part, dom0, 2):
         raise ValueError("input is not a 2-step dominating set of the part")
     adj_bits = g.adj_bits
-    comps: dict[int, list[int]] = {}  # id -> cumulative balls, [mask, ...]
-    lows: list[int] = []  # id -> minimum vertex; ids count up from 0
-    pairs: list[tuple[int, int, int, int, int, bool]] = []
-
-    def push(a: int, b: int) -> None:
-        """Queue (key, lower min, higher min, id, id, exact) for the pair."""
-        la, lb = comps[a], comps[b]
-        exact = bool(la[-1] & lb[-1])
-        if exact:
-            key = min(
-                i + j for i, x in enumerate(la) for j, y in enumerate(lb) if x & y
-            )
-        else:
-            key = len(la) + len(lb) - 1
-        (lo, lo_id), (hi, hi_id) = sorted([(lows[a], a), (lows[b], b)])
-        heapq.heappush(pairs, (key, lo, hi, lo_id, hi_id, exact))
-
-    def grow(layers: list[int]) -> None:
-        """Add the next ball: the last one and the spread of its rim."""
-        layers.append(layers[-1] | spread(layers[-1] & ~layers[-2], adj_bits))
+    # (minimum id, serial) -> cumulative balls of radius 0..r; the serial
+    # tells a merged component from an absorbed one with the same minimum
+    comps: dict[tuple[int, int], list[int]] = {}
+    serials = itertools.count()
+    pairs: list[tuple[int, int, int, tuple[int, int], tuple[int, int]]] = []
+    r = 1
 
     def add_component(layers: list[int]) -> None:
-        cid = len(lows)
-        lows.append((layers[0] & -layers[0]).bit_length() - 1)
-        others = list(comps)
+        """Grow the balls to radius r and queue every live component whose
+        radius-r ball meets this one's."""
+        while len(layers) <= r:
+            layers.append(layers[-1] | spread(layers[-1] & ~layers[-2], adj_bits))
+        cid = ((layers[0] & -layers[0]).bit_length() - 1, next(serials))
+        for oid, other in comps.items():
+            if layers[r] & other[r]:
+                d = next(
+                    t for t in range(2 * r + 1) if layers[(t + 1) // 2] & other[t // 2]
+                )
+                lo, hi = sorted((cid, oid))
+                heapq.heappush(pairs, (d, lo[0], hi[0], lo, hi))
         comps[cid] = layers
-        for oid in others:
-            push(cid, oid)
 
-    for comp in induced_components(g, dom0):
-        mask = sum(1 << v for v in comp)
+    for mask in component_masks(g, sum(1 << v for v in dom0)):
         add_component([mask, mask | spread(mask, adj_bits)])
     while len(comps) > 1:
-        d, _, _, a, b, exact = heapq.heappop(pairs)
-        if a not in comps or b not in comps:
+        if not pairs:
+            r += 1
+            live = list(comps.values())
+            comps.clear()
+            for layers in live:
+                add_component(layers)
             continue
-        if not exact:
-            ra, rb = len(comps[a]), len(comps[b])
-            if ra <= rb:
-                grow(comps[a])
-            if rb <= ra:
-                grow(comps[b])
-            push(a, b)
+        d, _, _, a, b = heapq.heappop(pairs)
+        if a not in comps or b not in comps:
             continue
         if d > 5:
             raise InvariantViolation(f"closest component pair at distance {d} > 5")
@@ -285,36 +276,28 @@ def union_connect(
     """
     if not certificates:
         raise ValueError("need at least one certificate")
+    dom = 0
     for cert in certificates:
-        vs = cert.vertex_set()
-        if not vs:
+        if not cert.vertices:
             raise ValueError("certificate with empty vertex set")
-        if not is_k_step_dominating(g, vs, 2) or len(induced_components(g, vs)) != 1:
-            raise ValueError(
-                "input is not a connected 2-step dominating set of the graph"
-            )
-    dom: set[int] = set()
-    for cert in certificates:
-        dom |= cert.vertex_set()
-    anchor_root = certificates[0].vertices[0]
+        if is_k_step_dominating(g, cert.vertices, 2):
+            mask = sum(1 << v for v in set(cert.vertices))
+            if len(component_masks(g, mask)) == 1:
+                dom |= mask
+                continue
+        raise ValueError("input is not a connected 2-step dominating set of the graph")
+    anchor_bit = 1 << certificates[0].vertices[0]
     adj_bits = g.adj_bits
-
-    def reach(vertices: Iterable[int]) -> int:
-        return spread(sum(1 << v for v in vertices), adj_bits)
-
     connectors: list[int] = []
-    while True:
-        comps = induced_components(g, dom)
-        if len(comps) <= 1:
-            break
-        anchor = next(c for c in comps if anchor_root in c)
-        target = next(c for c in comps if c is not anchor)
+    while len(comps := component_masks(g, dom)) > 1:
+        anchor = next(c for c in comps if c & anchor_bit)
+        target = next(c for c in comps if c != anchor)
         # outside D, a vertex in both closed neighborhoods is adjacent to both
-        candidates = reach(anchor) & reach(target) & ~sum(1 << v for v in dom)
+        candidates = spread(anchor, adj_bits) & spread(target, adj_bits) & ~dom
         if not candidates:
             raise InvariantViolation("no length-2 connection found; inputs invalid")
         w = (candidates & -candidates).bit_length() - 1
-        dom.add(w)
+        dom |= 1 << w
         connectors.append(w)
     if len(connectors) > len(certificates) - 1:
         raise InvariantViolation(
@@ -325,7 +308,7 @@ def union_connect(
     )
     return DominationCertificate(
         graph=g,
-        vertices=tuple(sorted(dom)),
+        vertices=tuple(set_bits(dom)),
         kind=STEP,
         j=2,
         connected=True,

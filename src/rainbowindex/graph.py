@@ -2,18 +2,17 @@
 and metric computations (shortest paths, step neighborhoods, Steiner
 distances and diameters).
 
-Two BFS primitives answer every distance, layer, component, tree and path
-question: ``balls`` gives the cumulative distance layers of a source set
-as bitmasks, and ``_first_arrivals`` gives the first-arrival parents of one
-BFS from all roots at once, for ``bfs_forest`` and
-``shortest_path_between_sets``; it walks the bitmask rows with a mask of
-the vertices not yet reached, taking each row's new vertices in ascending
-order, as a walk over sorted adjacency would. ``spread`` is the one bitmask
-BFS step: ``balls`` grows its layers with it, and so do
-``Graph.components``, the dominate constructions and
-``shortest_path_between_sets``, which grows balls from both sets until
-they meet and then runs its first-arrival BFS only on the vertices of
-shortest paths between them.
+``spread`` is the one bitmask BFS step. ``balls`` grows with it the
+cumulative distance layers of a source set, and ``component_masks`` the
+components of a vertex mask, each from its lowest vertex; the latter
+serves ``Graph.components``, ``induced_components`` and the dominate
+constructions. The first-arrival BFS, ``_first_arrivals``, serves only
+forests (``bfs_forest``) and paths (``shortest_path_between_sets``): it
+gives the first-arrival parents of one BFS from all roots at once, taking
+each row's new vertices in ascending order, as a walk over sorted
+adjacency would. The path search grows balls from both sets until they
+meet and runs that BFS only on the vertices of shortest paths between
+them.
 Only ``_relax`` walks its own layers, because its sources join the BFS at
 different times and it writes each vertex's row value while it walks a
 layer; a ``spread`` step would walk each layer twice. It lowers the rows of
@@ -182,19 +181,10 @@ class Graph:
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
-        """Connected components as sorted vertex tuples, ordered by minimum id:
-        each grown by ``spread`` from the lowest vertex not yet reached."""
-        adj_bits = self.adj_bits
-        comps = []
-        unseen = (1 << self.n) - 1
-        while unseen:
-            comp = frontier = unseen & -unseen
-            while frontier:
-                frontier = spread(frontier, adj_bits) & ~comp
-                comp |= frontier
-            unseen ^= comp
-            comps.append(tuple(set_bits(comp)))
-        return tuple(comps)
+        """Connected components as sorted vertex tuples, ordered by minimum
+        id (``component_masks`` of all vertices)."""
+        full = (1 << self.n) - 1
+        return tuple(tuple(set_bits(c)) for c in component_masks(self, full))
 
     @cached_property
     def is_connected(self) -> bool:
@@ -391,6 +381,26 @@ def shortest_path_between_masks(g: Graph, amask: int, bmask: int) -> list[int] |
     return path[::-1]
 
 
+def component_masks(g: Graph, mask: int) -> list[int]:
+    """Components of the subgraph induced on the vertex bitmask ``mask``, as
+    bitmasks ordered by minimum id: each grown by ``spread`` steps inside
+    the mask from its lowest vertex not yet reached. Raises ValueError for
+    a bit outside 0..n-1."""
+    if mask < 0 or mask >> g.n:
+        raise ValueError("vertex mask holds a bit outside 0..n-1")
+    adj_bits = g.adj_bits
+    comps = []
+    while mask:
+        comp = frontier = mask & -mask
+        mask ^= comp
+        while frontier:
+            frontier = spread(frontier, adj_bits) & mask
+            mask ^= frontier
+            comp |= frontier
+        comps.append(comp)
+    return comps
+
+
 def bfs_forest(g: Graph, vertices: Iterable[int]) -> dict[int, int | None]:
     """BFS forest of the subgraph induced on ``vertices``.
 
@@ -409,13 +419,9 @@ def bfs_forest(g: Graph, vertices: Iterable[int]) -> dict[int, int | None]:
 
 def induced_components(g: Graph, vertices: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     """Components of the subgraph induced on ``vertices`` as sorted vertex
-    tuples, ordered by minimum id (``Graph.components`` for all of g)."""
-    comps: list[list[int]] = []
-    for v, p in bfs_forest(g, vertices).items():
-        if p is None:
-            comps.append([])
-        comps[-1].append(v)
-    return tuple(tuple(sorted(comp)) for comp in comps)
+    tuples, ordered by minimum id (``component_masks`` of their mask).
+    Raises ValueError for a vertex outside 0..n-1."""
+    return tuple(tuple(set_bits(c)) for c in component_masks(g, _mask(g, vertices)))
 
 
 def bfs_tree_edges(g: Graph, vertices: Iterable[int]) -> list[Edge]:

@@ -202,6 +202,18 @@ def test_color_domset_errors_name_the_line(tmp_path, capsys, content, message):
     assert code == 2 and message in err
 
 
+def test_color_pipeline_rejects_domset(tmp_path, capsys):
+    graph_file = tmp_path / "k5.edgelist"
+    run(capsys, "gen", "--family", "complete", "--n", "5", "--out", str(graph_file))
+    for domset in (str(tmp_path / "missing.txt"), "all-vertices"):
+        code, out, err = run(
+            capsys,
+            "color", "--input", str(graph_file), "--method", "pipeline", "--k", "2",
+            "--domset", domset,
+        )
+        assert code == 2 and "--domset" in err and out == ""
+
+
 def test_color_km1dom_low_degree_diagnostic(tmp_path, capsys):
     graph_file = tmp_path / "c6.edgelist"
     run(capsys, "gen", "--family", "cycle", "--n", "6", "--out", str(graph_file))

@@ -246,8 +246,8 @@ def test_greedy_k_dominating_c5():
     assert cert.holds()
     adj = sorted_rows(cycle_graph(5))
     for v in range(5):
-        if v not in cert.vertex_set():
-            inside = sum(1 for w in adj[v] if w in cert.vertex_set())
+        if v not in cert.vertices:
+            inside = sum(1 for w in adj[v] if w in cert.vertices)
             assert inside >= 2
 
 

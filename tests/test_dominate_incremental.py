@@ -10,6 +10,7 @@ versions cannot hide behind a shared helper.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import os
 import random
 import subprocess
@@ -273,8 +274,8 @@ def test_connect_two_step_matches_reference_on_thinned_sets(g, rnd, drops):
 )
 def test_connect_two_step_merges_far_components(g, dom, merged_at):
     """Spaced sets on paths and cycles: every pair starts 3 or more apart,
-    beyond its radius-1 balls, so the merge order rests on lower bounds
-    refined as the balls grow."""
+    beyond its radius-1 balls, so no pair is queued until the common ball
+    radius rises."""
     got: list[int] = []
     expected = ref_connect_two_step(g, dom, got)
     assert got == merged_at
@@ -288,6 +289,35 @@ def test_far_pair_raises_with_its_true_distance(monkeypatch):
     p20 = path_graph(20)
     with pytest.raises(InvariantViolation, match="at distance 10 > 5"):
         connect_two_step(p20, p20, [0, 10])
+
+
+class _CountingHeap:
+    """``heapq`` for ``dominate``, counting the pushes."""
+
+    def __init__(self):
+        self.pushes = 0
+
+    def heappush(self, heap, item):
+        self.pushes += 1
+        heapq.heappush(heap, item)
+
+    heappop = staticmethod(heapq.heappop)
+
+
+def test_merge_heap_pushes_pinned_counts(monkeypatch):
+    # pinned so that queueing a pair before its balls meet shows up as a
+    # larger count, not only as wall time. With lower-bound entries for the
+    # pairs whose balls had not met, the pushes were 15 and 2,270
+    heap = _CountingHeap()
+    monkeypatch.setattr(dominate, "heapq", heap)
+    p14 = path_graph(14)  # merges at distances 3, 5 and 5
+    connect_two_step(p14, p14, [0, 3, 8, 13])
+    assert heap.pushes == 4
+    heap.pushes = 0
+    g = gnp_connected_graph(600, 16 / 599, seed=1)
+    for part in split_k(g, 3).parts:
+        connect_two_step(g, part, greedy_two_step_dominating(part).vertices)
+    assert heap.pushes == 1411
 
 
 def grown_set(g: Graph, rnd) -> tuple[int, ...]:

@@ -42,6 +42,7 @@ from rainbowindex.graph import (
     _steiner_dp,
     _steiner_enumerate,
     bfs_forest,
+    component_masks,
     induced_components,
     shortest_path_between_masks,
 )
@@ -546,6 +547,17 @@ def test_bfs_forest_rejects_out_of_range_vertices():
     for bad in ([-1, 0], [0, 3]):
         with pytest.raises(ValueError, match="out of range"):
             bfs_forest(path_graph(3), bad)
+        with pytest.raises(ValueError, match="out of range"):
+            induced_components(path_graph(3), bad)
+
+
+def test_component_masks_rejects_bits_out_of_range():
+    p3 = path_graph(3)
+    for mask in (1 << 3, 0b1011, -1):
+        with pytest.raises(ValueError, match="outside 0..n-1"):
+            component_masks(p3, mask)
+    assert component_masks(p3, 0b101) == [0b001, 0b100]
+    assert component_masks(p3, 0) == []
 
 
 # ---------------------------------------------------------------------------
