@@ -36,7 +36,7 @@ from .graph import (
     steiner_distance,
     steiner_diameter,
 )
-from .decompose import SpanningSplit, split_k, split_pow2, split_two
+from .decompose import SpanningSplit, split_k, split_two
 from .dominate import (
     DominationCertificate,
     connect_two_step,

@@ -45,11 +45,12 @@ from .graph import (
     balls,
     bfs_forest,
     bfs_tree_edges,
+    component_masks,
     edge,
-    induced_components,
     induced_subgraph,
     parse_records,
     set_bits,
+    vertex_mask,
 )
 
 
@@ -88,7 +89,7 @@ class EdgeColoring:
 def all_distinct_coloring(g: Graph) -> EdgeColoring:
     """Every edge its own color; trivially k-rainbow for every k."""
     colors = {e: i + 1 for i, e in enumerate(g.sorted_edges())}
-    return EdgeColoring(g, colors, max(g.m, 1) if g.m else 0)
+    return EdgeColoring(g, colors, g.m)
 
 
 class _Claims:
@@ -276,7 +277,7 @@ def _dominating_core(g: Graph, dominating, j: int, k: int, core_coloring) -> tup
     dom = tuple(sorted(set(dominating)))
     if not is_k_dominating(g, dom, j):
         raise ValueError(f"set is not {'k' if j == k else '(k-1)'}-dominating")
-    if len(induced_components(g, dom)) != 1:
+    if len(component_masks(g, vertex_mask(g, dom))) != 1:
         raise ValueError("set does not induce a connected subgraph")
     if core_coloring is not None and len(dom) < k:
         raise ValueError("core coloring requires |D| >= k")

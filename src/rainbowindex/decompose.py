@@ -191,10 +191,3 @@ def split_k(g: Graph, k: int) -> SpanningSplit:
             "split_k produced an invalid certificate: " + "; ".join(problems)
         )
     return cert
-
-
-def split_pow2(g: Graph, ell: int) -> SpanningSplit:
-    """2^ell edge-disjoint spanning parts, threshold (delta - 2^(ell+1) + 2) / 2^ell."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    return split_k(g, 1 << ell)

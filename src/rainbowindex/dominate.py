@@ -24,10 +24,10 @@ from .graph import (
     InvariantViolation,
     balls,
     component_masks,
-    induced_components,
     set_bits,
     shortest_path_between_masks,
     spread,
+    vertex_mask,
 )
 
 STEP = "step"
@@ -62,7 +62,7 @@ class DominationCertificate:
             return False
         if not ok:
             return False
-        if self.connected and len(induced_components(g, dom)) != 1:
+        if self.connected and len(component_masks(g, vertex_mask(g, dom))) != 1:
             return False
         if self.size_bound is not None and len(dom) > self.size_bound:
             return False
@@ -89,10 +89,7 @@ def is_k_dominating(g: Graph, dom: Iterable[int], j: int) -> bool:
     dom = set(dom)
     if not dom:
         raise ValueError("dominating set must be nonempty")
-    bad = [v for v in dom if not 0 <= v < g.n]
-    if bad:
-        raise ValueError(f"vertex {min(bad)} out of range")
-    mask = sum(1 << v for v in dom)
+    mask = vertex_mask(g, dom)
     rows = g.adj_bits
     outside = ((1 << g.n) - 1) & ~mask
     return all((rows[v] & mask).bit_count() >= j for v in set_bits(outside))
@@ -131,7 +128,8 @@ def greedy_two_step_dominating(part: Graph) -> DominationCertificate:
         raise ValueError("empty graph")
     delta = part.min_degree
     adj_bits = part.adj_bits
-    dom = [comp[0] for comp in part.components]
+    full = (1 << part.n) - 1
+    dom = [(c & -c).bit_length() - 1 for c in component_masks(part, full)]
     layers = balls(part, dom)
     within = [layers[min(r, len(layers) - 1)] for r in range(4)]
     if within[1].bit_count() < len(dom) * (delta + 1):

@@ -4,9 +4,10 @@ distances and diameters).
 
 ``spread`` is the one bitmask BFS step. ``balls`` grows with it the
 cumulative distance layers of a source set, and ``component_masks`` the
-components of a vertex mask, each from its lowest vertex; the latter
-serves ``Graph.components``, ``induced_components`` and the dominate
-constructions. The first-arrival BFS, ``_first_arrivals``, serves only
+components of a vertex mask (``vertex_mask`` of a vertex list), each from
+its lowest vertex; the latter is the one connectivity test, serving
+``Graph.is_connected``, the tree, certificate and core checks and the
+dominate constructions. The first-arrival BFS, ``_first_arrivals``, serves only
 forests (``bfs_forest``) and paths (``shortest_path_between_sets``): it
 gives the first-arrival parents of one BFS from all roots at once, taking
 each row's new vertices in ascending order, as a walk over sorted
@@ -180,15 +181,8 @@ class Graph:
         )
 
     @cached_property
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        """Connected components as sorted vertex tuples, ordered by minimum
-        id (``component_masks`` of all vertices)."""
-        full = (1 << self.n) - 1
-        return tuple(tuple(set_bits(c)) for c in component_masks(self, full))
-
-    @cached_property
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components) == 1
+        return len(component_masks(self, (1 << self.n) - 1)) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +193,7 @@ def balls(g: Graph, sources: Iterable[int]) -> list[int]:
     """BFS by bitmasks: entry r holds every vertex within distance r of the
     sources; the list ends once the reachable part is covered. Raises
     ValueError for a source outside 0..n-1 or an empty source set."""
-    mask = _mask(g, sources)
+    mask = vertex_mask(g, sources)
     if not mask:
         raise ValueError("source set must be nonempty")
     adj_bits = g.adj_bits
@@ -213,7 +207,7 @@ def balls(g: Graph, sources: Iterable[int]) -> list[int]:
         layers.append(seen)
 
 
-def _mask(g: Graph, vertices: Iterable[int]) -> int:
+def vertex_mask(g: Graph, vertices: Iterable[int]) -> int:
     """The bitmask of ``vertices``; ValueError names the lowest vertex
     outside 0..n-1."""
     mask = 0
@@ -342,7 +336,7 @@ def shortest_path_between_sets(
     corridor and keeps its queue rank, so the path is the one a BFS of the
     whole graph finds, and the search visits only what lies between A and B.
     """
-    return shortest_path_between_masks(g, _mask(g, a), _mask(g, b))
+    return shortest_path_between_masks(g, vertex_mask(g, a), vertex_mask(g, b))
 
 
 def shortest_path_between_masks(g: Graph, amask: int, bmask: int) -> list[int] | None:
@@ -409,19 +403,12 @@ def bfs_forest(g: Graph, vertices: Iterable[int]) -> dict[int, int | None]:
     vertex's parent (None for a root) in discovery order. Raises ValueError
     for a vertex outside 0..n-1.
     """
-    unseen = _mask(g, vertices)
+    unseen = vertex_mask(g, vertices)
     parent: dict[int, int | None] = {}
     while unseen:
         tree, unseen = _first_arrivals(g, unseen & -unseen, unseen)
         parent.update(tree)
     return parent
-
-
-def induced_components(g: Graph, vertices: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    """Components of the subgraph induced on ``vertices`` as sorted vertex
-    tuples, ordered by minimum id (``component_masks`` of their mask).
-    Raises ValueError for a vertex outside 0..n-1."""
-    return tuple(tuple(set_bits(c)) for c in component_masks(g, _mask(g, vertices)))
 
 
 def bfs_tree_edges(g: Graph, vertices: Iterable[int]) -> list[Edge]:
@@ -479,7 +466,7 @@ def is_tree_witness(g: Graph, edges: frozenset[Edge], terminals: Iterable[int]) 
         vs.add(v)
     if len(edges) != len(vs) - 1 or not all(0 <= v < g.n for v in vs):
         return False
-    return len(induced_components(Graph(g.n, edges), vs)) == 1
+    return len(component_masks(Graph(g.n, edges), vertex_mask(g, vs))) == 1
 
 
 def _splits(mask: int) -> Iterator[int]:

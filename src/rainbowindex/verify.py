@@ -68,7 +68,9 @@ from .graph import (
     Edge,
     Graph,
     InvariantViolation,
+    component_masks,
     is_tree_witness,
+    set_bits,
     steiner_diameter,
 )
 
@@ -254,10 +256,10 @@ def _contracted_search_input(g: Graph, coloring: EdgeColoring):
     colors = [coloring.colors[e] for e in edges]
     uses = Counter(colors)
     unique = frozenset(e for e, c in zip(edges, colors) if uses[c] == 1)
-    groups = Graph(g.n, unique).components
+    groups = component_masks(Graph(g.n, unique), (1 << g.n) - 1)
     image = [0] * g.n
-    for x, members in enumerate(groups):
-        for v in members:
+    for x, group in enumerate(groups):
+        for v in set_bits(group):
             image[v] = x
     ends: list[tuple[int, int]] = []
     bits = []

@@ -151,6 +151,8 @@ def test_kdom_refuses_invalid_set():
     c6 = cycle_graph(6)
     with pytest.raises(ValueError):
         color_kdom(c6, [0, 1, 2, 3], 2)  # vertex 5 has one inside neighbor
+    with pytest.raises(ValueError, match="does not induce a connected subgraph"):
+        color_kdom(c6, [0, 2, 4], 2)  # 2-dominating, no two members adjacent
 
 
 def test_kdom_legs_get_position_colors():
@@ -299,6 +301,8 @@ def test_km1dom_rejects_non_dominating():
     g = complete_graph(5)
     with pytest.raises(ValueError):
         color_km1dom(g, [0], 4)  # {0} is not 3-dominating
+    with pytest.raises(ValueError, match="does not induce a connected subgraph"):
+        color_km1dom(cycle_graph(6), [0, 3], 2)  # dominating, but not connected
 
 
 @settings(max_examples=30, deadline=None)

@@ -17,9 +17,9 @@ from rainbowindex import (
     cycle_graph,
     gnp_connected_graph,
     split_k,
-    split_pow2,
     split_two,
 )
+from rainbowindex.graph import component_masks
 from tests.test_graph import connected_graphs, graphs_with_subsets
 
 
@@ -37,6 +37,11 @@ def check_split_two(g, first, second):
 def test_split_two_c4_vacuous_bound():
     g = cycle_graph(4)
     check_split_two(g, *split_two(g))
+    cert = split_k(cycle_graph(8), 4)  # delta = 2 <= 2^(2+1) - 2
+    assert len(cert.parts) == 4
+    assert all(t <= 0 for t in cert.thresholds)
+    assert cert.required_min_degrees() == (None, None, None, None)
+    assert not cert.check()
 
 
 def test_split_two_k4_matches_exhaustive_feasibility():
@@ -74,34 +79,6 @@ def test_split_two_contract_random(g):
     check_split_two(g, *split_two(g))
 
 
-def test_split_pow2_k9_level_one():
-    cert = split_pow2(complete_graph(9), 1)
-    assert len(cert.parts) == 2
-    assert cert.required_min_degrees() == (3, 3)
-    assert all(p.min_degree >= 3 for p in cert.parts)
-
-
-def test_split_pow2_k9_level_two():
-    cert = split_pow2(complete_graph(9), 2)
-    assert len(cert.parts) == 4
-    assert cert.required_min_degrees() == (1, 1, 1, 1)
-    assert all(p.min_degree >= 1 for p in cert.parts)
-
-
-def test_split_pow2_vacuous_threshold_reported():
-    g = cycle_graph(8)  # delta = 2 <= 2^(l+1) - 2
-    cert = split_pow2(g, 2)
-    assert len(cert.parts) == 4
-    assert all(t <= 0 for t in cert.thresholds)
-    assert cert.required_min_degrees() == (None, None, None, None)
-    assert not cert.check()
-
-
-def test_split_pow2_rejects_level_zero():
-    with pytest.raises(ValueError):
-        split_pow2(complete_graph(4), 0)
-
-
 def test_split_k_identity():
     g = complete_graph(5)
     cert = split_k(g, 1)
@@ -111,10 +88,11 @@ def test_split_k_identity():
 
 
 def test_split_k_two_on_k5():
-    cert = split_k(complete_graph(5), 2)
-    assert cert.pow2_level == 1 and cert.extra_splits == 0
-    assert cert.required_min_degrees() == (1, 1)
-    assert all(p.min_degree >= 1 for p in cert.parts)
+    for n, need in ((5, 1), (9, 3)):  # threshold (delta - 2) / 2
+        cert = split_k(complete_graph(n), 2)
+        assert cert.pow2_level == 1 and cert.extra_splits == 0
+        assert cert.required_min_degrees() == (need, need)
+        assert all(p.min_degree >= need for p in cert.parts)
 
 
 def test_split_k_three_on_k9():
@@ -124,6 +102,10 @@ def test_split_k_three_on_k9():
     assert cert.thresholds.count(cert.split_threshold) == 2
     assert cert.required_min_degrees() == (3, 1, 1)
     assert not cert.check()
+    cert = split_k(complete_graph(9), 4)  # threshold (8 - 6) / 4
+    assert cert.pow2_level == 2 and cert.extra_splits == 0
+    assert cert.required_min_degrees() == (1, 1, 1, 1)
+    assert all(p.min_degree >= 1 for p in cert.parts)
 
 
 @settings(max_examples=30, deadline=None)
@@ -203,7 +185,9 @@ def assert_same_as_fresh(part):
     fresh = Graph(part.n, part.edges)
     assert part.adj_bits == fresh.adj_bits
     assert part.min_degree == fresh.min_degree
-    assert part.components == fresh.components
+    full = (1 << part.n) - 1
+    assert component_masks(part, full) == component_masks(fresh, full)
+    assert part.is_connected == fresh.is_connected
     assert part.sorted_edges() == fresh.sorted_edges()
     assert part == fresh and hash(part) == hash(fresh)
 

@@ -210,6 +210,12 @@ def test_union_rejects_invalid_inputs():
     c8 = cycle_graph(8)
     with pytest.raises(ValueError):
         union_connect(c8, [_step2_cert(c8, [0])])  # not 2-step dominating
+    # 0 and 4 are 2-step dominating, but four steps apart
+    assert DominationCertificate(c8, (0, 4), "step", 2, False).holds()
+    cert = _step2_cert(c8, [0, 4])
+    assert not cert.holds()
+    with pytest.raises(ValueError, match="not a connected 2-step dominating set"):
+        union_connect(c8, [cert])
 
 
 def test_union_connector_budget_on_split_parts(corpus):

@@ -43,8 +43,9 @@ from rainbowindex.graph import (
     _steiner_enumerate,
     bfs_forest,
     component_masks,
-    induced_components,
+    set_bits,
     shortest_path_between_masks,
+    vertex_mask,
 )
 from tests.oracles import oracle_steiner_diameter, sorted_rows
 from tests.test_dominate_incremental import (
@@ -494,15 +495,20 @@ def nx_graph(g: Graph, vertices) -> nx.Graph:
     return h
 
 
+def components_of(g: Graph, vertices) -> list[tuple[int, ...]]:
+    """``component_masks`` of the vertices' mask, as sorted vertex tuples."""
+    return [tuple(set_bits(c)) for c in component_masks(g, vertex_mask(g, vertices))]
+
+
 @settings(max_examples=300, deadline=None)
 @given(graphs_with_subsets())
 def test_induced_forest_matches_references(case):
     g, subset = case
-    comps = induced_components(g, subset)
-    assert list(comps) == ref_components_within(g, subset)
+    comps = components_of(g, subset)
+    assert comps == ref_components_within(g, subset)
     h = nx_graph(g, subset)
     assert sorted(comps) == sorted(tuple(sorted(c)) for c in nx.connected_components(h))
-    assert list(g.components) == ref_components_within(g, range(g.n))
+    assert components_of(g, range(g.n)) == ref_components_within(g, range(g.n))
     assert g.is_connected == (g.n <= 1 or nx.is_connected(nx_graph(g, range(g.n))))
 
     forest = bfs_forest(g, subset)
@@ -536,19 +542,22 @@ def test_components_and_min_degree_on_bitmask_edge_cases():
         Graph.build(70, [(v, v + 1) for v in range(68)]),  # 69 isolated
     ]
     for g in cases:
-        assert list(g.components) == ref_components_within(g, range(g.n))
+        ref = ref_components_within(g, range(g.n))
+        assert components_of(g, range(g.n)) == ref
+        assert g.is_connected == (len(ref) <= 1)
         assert g.min_degree == min(map(len, sorted_rows(g)), default=0)
-    assert Graph(0, frozenset()).components == ()
-    assert Graph(1, frozenset()).components == ((0,),)
-    assert Graph.build(5, [(0, 1), (1, 2), (2, 3)]).components[-1] == (4,)
+    assert component_masks(Graph(0, frozenset()), 0) == []
+    assert component_masks(Graph(1, frozenset()), 1) == [1]
+    assert component_masks(Graph.build(5, [(0, 1), (1, 2), (2, 3)]), 31)[-1] == 1 << 4
 
 
 def test_bfs_forest_rejects_out_of_range_vertices():
-    for bad in ([-1, 0], [0, 3]):
+    for bad, low in (([-1, 0], -1), ([0, 3], 3)):
         with pytest.raises(ValueError, match="out of range"):
             bfs_forest(path_graph(3), bad)
-        with pytest.raises(ValueError, match="out of range"):
-            induced_components(path_graph(3), bad)
+        # a vertex list reaches component_masks only through vertex_mask
+        with pytest.raises(ValueError, match=f"vertex {low} out of range"):
+            vertex_mask(path_graph(3), bad)
 
 
 def test_component_masks_rejects_bits_out_of_range():
@@ -727,7 +736,9 @@ def test_bulk_reader_agrees_with_the_line_reader(case, mutation, layout, rng):
 def _assert_same_graph(read, fresh):
     assert read.adj_bits == fresh.adj_bits
     assert read.sorted_edges() == fresh.sorted_edges() == tuple(sorted(fresh.edges))
-    assert read.components == fresh.components
+    full = (1 << fresh.n) - 1
+    assert component_masks(read, full) == component_masks(fresh, full)
+    assert read.is_connected == fresh.is_connected
     assert read.min_degree == fresh.min_degree
     assert read == fresh and hash(read) == hash(fresh)
 
