@@ -37,11 +37,6 @@ def check_split_two(g, first, second):
 def test_split_two_c4_vacuous_bound():
     g = cycle_graph(4)
     check_split_two(g, *split_two(g))
-    cert = split_k(cycle_graph(8), 4)  # delta = 2 <= 2^(2+1) - 2
-    assert len(cert.parts) == 4
-    assert all(t <= 0 for t in cert.thresholds)
-    assert cert.required_min_degrees() == (None, None, None, None)
-    assert not cert.check()
 
 
 def test_split_two_k4_matches_exhaustive_feasibility():
@@ -79,6 +74,29 @@ def test_split_two_contract_random(g):
     check_split_two(g, *split_two(g))
 
 
+def test_split_pow2_k9_level_one():
+    cert = split_k(complete_graph(9), 2)  # threshold (delta - 2) / 2
+    assert cert.pow2_level == 1 and cert.extra_splits == 0
+    assert cert.required_min_degrees() == (3, 3)
+    assert all(p.min_degree >= 3 for p in cert.parts)
+
+
+def test_split_pow2_k9_level_two():
+    cert = split_k(complete_graph(9), 4)  # threshold (delta - 6) / 4
+    assert cert.pow2_level == 2 and cert.extra_splits == 0
+    assert cert.required_min_degrees() == (1, 1, 1, 1)
+    assert all(p.min_degree >= 1 for p in cert.parts)
+
+
+def test_split_pow2_vacuous_threshold_reported():
+    g = cycle_graph(8)  # delta = 2 <= 2^(l+1) - 2
+    cert = split_k(g, 4)
+    assert len(cert.parts) == 4
+    assert all(t <= 0 for t in cert.thresholds)
+    assert cert.required_min_degrees() == (None, None, None, None)
+    assert not cert.check()
+
+
 def test_split_k_identity():
     g = complete_graph(5)
     cert = split_k(g, 1)
@@ -88,11 +106,10 @@ def test_split_k_identity():
 
 
 def test_split_k_two_on_k5():
-    for n, need in ((5, 1), (9, 3)):  # threshold (delta - 2) / 2
-        cert = split_k(complete_graph(n), 2)
-        assert cert.pow2_level == 1 and cert.extra_splits == 0
-        assert cert.required_min_degrees() == (need, need)
-        assert all(p.min_degree >= need for p in cert.parts)
+    cert = split_k(complete_graph(5), 2)
+    assert cert.pow2_level == 1 and cert.extra_splits == 0
+    assert cert.required_min_degrees() == (1, 1)
+    assert all(p.min_degree >= 1 for p in cert.parts)
 
 
 def test_split_k_three_on_k9():
@@ -102,10 +119,6 @@ def test_split_k_three_on_k9():
     assert cert.thresholds.count(cert.split_threshold) == 2
     assert cert.required_min_degrees() == (3, 1, 1)
     assert not cert.check()
-    cert = split_k(complete_graph(9), 4)  # threshold (8 - 6) / 4
-    assert cert.pow2_level == 2 and cert.extra_splits == 0
-    assert cert.required_min_degrees() == (1, 1, 1, 1)
-    assert all(p.min_degree >= 1 for p in cert.parts)
 
 
 @settings(max_examples=30, deadline=None)
