@@ -14,7 +14,6 @@ from .graph import (
     InvariantViolation,
     ParseError,
     SteinerWitness,
-    bfs_distances,
     bfs_tree_edges,
     complete_bipartite_graph,
     complete_graph,
@@ -31,8 +30,6 @@ from .graph import (
     path_graph,
     petersen_graph,
     read_edge_list,
-    set_distance,
-    shortest_path_between_sets,
     steiner_distance,
     steiner_diameter,
 )
@@ -44,7 +41,6 @@ from .dominate import (
     greedy_two_step_dominating,
     is_k_dominating,
     is_k_step_dominating,
-    is_k_way_dominating,
     union_connect,
 )
 from .coloring import (

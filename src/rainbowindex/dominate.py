@@ -1,11 +1,10 @@
 """Dominating-set variants: predicates, greedy constructions, and the
 merge/union steps that turn per-part dominating sets into one connected set.
 
-Three variants appear throughout, all certified by re-checkable predicates:
+Two variants appear throughout, both certified by re-checkable predicates:
 
 * step(j): every vertex lies within distance j of the set;
-* multi(j): every outside vertex has at least j neighbors inside the set;
-* way(j): a dominating set whose outside vertices all have degree >= j.
+* multi(j): every outside vertex has at least j neighbors inside the set.
 
 Certificates never trust the construction that produced them: ``holds()``
 re-runs the predicate from scratch.
@@ -32,7 +31,6 @@ from .graph import (
 
 STEP = "step"
 MULTI = "multi"
-WAY = "way"
 
 
 @dataclass(frozen=True)
@@ -41,7 +39,7 @@ class DominationCertificate:
 
     graph: Graph
     vertices: tuple[int, ...]  # sorted
-    kind: str  # "step" | "multi" | "way"
+    kind: str  # "step" | "multi"
     j: int
     connected: bool
     size_bound: Fraction | None = None
@@ -56,8 +54,6 @@ class DominationCertificate:
             ok = is_k_step_dominating(g, dom, self.j)
         elif self.kind == MULTI:
             ok = is_k_dominating(g, dom, self.j)
-        elif self.kind == WAY:
-            ok = is_k_way_dominating(g, dom, self.j)
         else:
             return False
         if not ok:
@@ -93,16 +89,6 @@ def is_k_dominating(g: Graph, dom: Iterable[int], j: int) -> bool:
     rows = g.adj_bits
     outside = ((1 << g.n) - 1) & ~mask
     return all((rows[v] & mask).bit_count() >= j for v in set_bits(outside))
-
-
-def is_k_way_dominating(g: Graph, dom: Iterable[int], j: int) -> bool:
-    """True iff dom is a dominating set and outside degrees are all >= j."""
-    dom = set(dom)
-    if not dom:
-        raise ValueError("dominating set must be nonempty")
-    if not is_k_step_dominating(g, dom, 1):
-        return False
-    return all(g.degree(v) >= j for v in range(g.n) if v not in dom)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ components of a vertex mask (``vertex_mask`` of a vertex list), each from
 its lowest vertex; the latter is the one connectivity test, serving
 ``Graph.is_connected``, the tree, certificate and core checks and the
 dominate constructions. The first-arrival BFS, ``_first_arrivals``, serves only
-forests (``bfs_forest``) and paths (``shortest_path_between_sets``): it
+forests (``bfs_forest``) and paths (``shortest_path_between_masks``): it
 gives the first-arrival parents of one BFS from all roots at once, taking
 each row's new vertices in ascending order, as a walk over sorted
 adjacency would. The path search grows balls from both sets until they
@@ -242,35 +242,11 @@ def set_bits(mask: int) -> Iterator[int]:
         i = bits.find("1", i + 1)
 
 
-def bfs_distances(g: Graph, sources: Iterable[int]) -> list[int | None]:
-    """Distance from the source set to every vertex; None when unreachable."""
-    dist: list[int | None] = [None] * g.n
-    inner = 0
-    for r, ball in enumerate(balls(g, sources)):
-        for v in set_bits(ball & ~inner):
-            dist[v] = r
-        inner = ball
-    return dist
-
-
 def distance(g: Graph, u: int, v: int) -> int | None:
-    """Shortest-path edge count between u and v; None when disconnected."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError("vertex out of range")
+    """Shortest-path edge count between u and v; None when disconnected.
+    ValueError names the lower vertex outside 0..n-1."""
+    vertex_mask(g, (u, v))
     return next((r for r, ball in enumerate(balls(g, [u])) if ball >> v & 1), None)
-
-
-def set_distance(g: Graph, a: Iterable[int], b: Iterable[int]) -> int | None:
-    """min d(x, y) over x in A, y in B; 0 iff the sets intersect."""
-    sa, sb = set(a), set(b)
-    if not sa or not sb:
-        raise ValueError("set_distance requires nonempty sets")
-    if not all(0 <= v < g.n for v in sb):
-        raise ValueError("vertex out of range")
-    if sa & sb:
-        return 0
-    target = sum(1 << v for v in sb)
-    return next((r for r, ball in enumerate(balls(g, sa)) if ball & target), None)
 
 
 def k_step_neighborhood(g: Graph, dom: Iterable[int], j: int) -> tuple[int, ...]:
@@ -319,13 +295,11 @@ def _first_arrivals(
     return parent, unseen
 
 
-def shortest_path_between_sets(
-    g: Graph, a: Iterable[int], b: Iterable[int]
-) -> list[int] | None:
-    """One shortest path from set A to set B (vertex list), or None.
+def shortest_path_between_masks(g: Graph, amask: int, bmask: int) -> list[int] | None:
+    """One shortest path (vertex list) from vertex-mask set A to set B, or None.
 
     Deterministic: the path of a multi-source BFS with sorted sources and
-    sorted adjacency, first arrival wins. Raises ValueError for a vertex
+    sorted adjacency, first arrival wins. Raises ValueError for a bit
     outside 0..n-1.
 
     That BFS runs only inside the corridor: the vertices v with
@@ -336,13 +310,6 @@ def shortest_path_between_sets(
     corridor and keeps its queue rank, so the path is the one a BFS of the
     whole graph finds, and the search visits only what lies between A and B.
     """
-    return shortest_path_between_masks(g, vertex_mask(g, a), vertex_mask(g, b))
-
-
-def shortest_path_between_masks(g: Graph, amask: int, bmask: int) -> list[int] | None:
-    """``shortest_path_between_sets`` for sets given as vertex bitmasks, the
-    form the dominate constructions hold them in. Raises ValueError for a
-    bit outside 0..n-1."""
     if amask < 0 or bmask < 0 or (amask | bmask) >> g.n:
         raise ValueError("vertex mask holds a bit outside 0..n-1")
     if not amask or not bmask:
@@ -488,17 +455,18 @@ def _steiner_rows(
     at most ``top`` vertices, mask holding bit v for each v in T, where
     row[v] is the fewest edges of a tree containing T and v.
 
-    A singleton's row is its BFS distances. A larger T's row is the
-    elementwise minimum of row_A + row_(T-A) over ``_splits`` of T, lowered
-    by ``_relax``. Only the rows still to be merged, those of fewer than
-    ``top`` vertices, are kept.
+    A singleton's row starts at 0 on its vertex and n, beyond any distance
+    of a connected graph, elsewhere; a larger T's at the least row_A +
+    row_(T-A) over ``_splits`` of T. ``_relax`` lowers each. Only the rows
+    still to be merged, those of fewer than ``top`` vertices, are kept.
     """
     rows: dict[int, list[int]] = {}
     for j in range(1, top + 1):
         for combo in itertools.combinations(universe, j):
             mask = sum(1 << v for v in combo)
             if j == 1:
-                row = bfs_distances(g, combo)
+                merged = [g.n] * g.n
+                merged[combo[0]] = 0
             else:
                 merged = None
                 for a in _splits(mask):
@@ -507,7 +475,7 @@ def _steiner_rows(
                         merged = list(pair)
                     else:
                         merged = [x if x < y else y for x, y in zip(merged, pair)]
-                row = _relax(merged, g.adj_bits)
+            row = _relax(merged, g.adj_bits)
             if j < top:
                 rows[mask] = row
             yield mask, row

@@ -291,7 +291,8 @@ def _prune_to_terminals(edges: list[Edge], terminals: frozenset[int]) -> set[Edg
 def exists_rainbow_stree(
     g: Graph, coloring: EdgeColoring, terminals, node_budget: int | None = None
 ) -> RainbowTreeWitness | None:
-    """Witness rainbow tree containing the terminals, or None."""
+    """Witness rainbow tree containing the terminals, or None. Raises
+    SearchBudgetExceeded if the search needs more than ``node_budget`` nodes."""
     edges, inc, bits, max_edges = _search_input(g, coloring)
     terms = sorted(set(terminals))
     if not terms:
@@ -316,7 +317,8 @@ def is_k_rainbow_connected(
     A subset is skipped when an earlier tree covers it. Each tree is kept
     as the mask of the contracted vertices it misses, so the test is one
     AND: the subset's mask, the OR of its vertices' contracted-vertex bits,
-    must share no bit with it.
+    must share no bit with it. Each search gets ``node_budget`` nodes; one
+    that needs more raises SearchBudgetExceeded, and the check stops there.
     """
     if not g.is_connected:
         raise ValueError("requires a connected graph")

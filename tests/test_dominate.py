@@ -14,17 +14,12 @@ from rainbowindex import (
     greedy_two_step_dominating,
     is_k_dominating,
     is_k_step_dominating,
-    is_k_way_dominating,
     path_graph,
     split_k,
     union_connect,
 )
 from tests.oracles import oracle_is_k_dominating, sorted_rows
 from tests.test_graph import connected_graphs
-
-
-def star(n):
-    return Graph.build(n, [(0, i) for i in range(1, n)])
 
 
 # ---------------------------------------------------------------------------
@@ -64,14 +59,8 @@ def test_predicates_name_the_lowest_vertex_out_of_range(pred, dom, bad):
         pred(path_graph(4), dom, 1)
 
 
-def test_way_predicate_examples():
-    assert is_k_way_dominating(complete_graph(4), [0], 3)
-    assert not is_k_way_dominating(star(4), [0], 2)
-    assert is_k_way_dominating(star(4), range(4), 5)
-
-
 def test_predicates_reject_empty_set():
-    for pred in (is_k_step_dominating, is_k_dominating, is_k_way_dominating):
+    for pred in (is_k_step_dominating, is_k_dominating):
         with pytest.raises(ValueError):
             pred(cycle_graph(4), [], 1)
 

@@ -7,7 +7,7 @@ import warnings
 
 import networkx as nx
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rainbowindex import (
@@ -15,7 +15,6 @@ from rainbowindex import (
     Graph,
     InvariantViolation,
     ParseError,
-    bfs_distances,
     bfs_tree_edges,
     complete_graph,
     cycle_graph,
@@ -30,8 +29,6 @@ from rainbowindex import (
     parse_edge_list,
     path_graph,
     petersen_graph,
-    set_distance,
-    shortest_path_between_sets,
     split_two,
     steiner_distance,
     steiner_diameter,
@@ -41,6 +38,7 @@ from rainbowindex.graph import (
     _rows_cheaper,
     _steiner_dp,
     _steiner_enumerate,
+    balls,
     bfs_forest,
     component_masks,
     set_bits,
@@ -245,6 +243,9 @@ def test_distance_examples():
     assert distance(c6, 2, 2) == 0
     p4 = path_graph(4)
     assert distance(p4, 0, 3) == 3
+    for u, v, bad in ((0, 5, 5), (5, 0, 5), (7, 5, 5), (-1, 2, -1), (1, -2, -2)):
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+            distance(path_graph(3), u, v)
 
 
 def test_distance_unreachable_is_none():
@@ -252,17 +253,14 @@ def test_distance_unreachable_is_none():
     assert distance(g, 0, 3) is None
 
 
-def test_set_distance_examples():
+def test_path_search_length_examples():
     c6 = cycle_graph(6)
-    assert set_distance(c6, [0], [3]) == 3
-    assert set_distance(c6, [0, 1], [1, 2]) == 0
+    assert len(shortest_path_between_masks(c6, 0b1, 0b1000)) - 1 == 3
+    assert len(shortest_path_between_masks(c6, 0b11, 0b110)) - 1 == 0
     p7 = path_graph(7)
-    assert set_distance(p7, [0, 1], [5, 6]) == 4
-    with pytest.raises(ValueError):
-        set_distance(c6, [], [1])
-    for bad in ([-1], [6]):
-        with pytest.raises(ValueError, match="out of range"):
-            set_distance(c6, [0], bad)
+    assert len(shortest_path_between_masks(p7, 0b11, 0b1100000)) - 1 == 4
+    assert shortest_path_between_masks(c6, 0, 0b10) is None
+    assert shortest_path_between_masks(c6, 0b10, 0) is None
 
 
 def test_k_step_neighborhood_examples():
@@ -281,13 +279,12 @@ def test_step_levels_partition_ball(g, data):
         st.sets(st.integers(0, g.n - 1), min_size=1, max_size=g.n)
     )
     j = data.draw(st.integers(1, 4))
-    dist = bfs_distances(g, dom)
+    layers = balls(g, dom)
     levels = [set(k_step_neighborhood(g, dom, i)) for i in range(1, j + 1)]
     for a, b in itertools.combinations(levels, 2):
         assert not a & b
     union = set(dom).union(*levels)
-    ball = {v for v in range(g.n) if dist[v] is not None and dist[v] <= j}
-    assert union == ball
+    assert union == set(set_bits(layers[min(j, len(layers) - 1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +418,15 @@ def test_steiner_diameter_examples():
     assert steiner_diameter(cycle_graph(6), 3) == 4
 
 
-def test_steiner_diameter_two_is_diameter():
-    for g in (cycle_graph(7), petersen_graph(), path_graph(5)):
-        assert steiner_diameter(g, 2) == diameter(g)
+@settings(max_examples=60, deadline=None)
+@given(sparse_connected_graphs())
+@example(cycle_graph(7))
+@example(petersen_graph())
+@example(path_graph(5))
+def test_steiner_diameter_two_is_diameter(g):
+    # at k = 2 the rows are the singletons' rows alone, each one _relax
+    # from 0 at its vertex; n runs past the networkx oracle's 8 vertices
+    assert steiner_diameter(g, 2) == diameter(g)
 
 
 @settings(max_examples=30, deadline=None)
@@ -552,10 +555,12 @@ def test_components_and_min_degree_on_bitmask_edge_cases():
 
 
 def test_bfs_forest_rejects_out_of_range_vertices():
-    for bad, low in (([-1, 0], -1), ([0, 3], 3)):
+    cases = (([-1, 0], -1), ([0, 3], 3), ([3], 3), ([1, -1], -1), ([5, 0, 4], 4))
+    for bad, low in cases:
         with pytest.raises(ValueError, match="out of range"):
             bfs_forest(path_graph(3), bad)
-        # a vertex list reaches component_masks only through vertex_mask
+        # a vertex list reaches component_masks and the path search only
+        # through vertex_mask
         with pytest.raises(ValueError, match=f"vertex {low} out of range"):
             vertex_mask(path_graph(3), bad)
 
@@ -831,7 +836,8 @@ def test_bfs_forest_matches_a_plain_queue_bfs(case, data):
         dist = ref_bfs(g, subset)
         reachable = any(dist[v] is not None for v in b)
         expected = ref_shortest_path(g, subset, b) if reachable else None
-        assert shortest_path_between_sets(g, subset, b) == expected
+        path = shortest_path_between_masks(g, vertex_mask(g, subset), vertex_mask(g, b))
+        assert path == expected
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +852,14 @@ def test_distance_helpers_match_references(case, data):
     b = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
     u, v = data.draw(st.integers(0, g.n - 1)), data.draw(st.integers(0, g.n - 1))
     dist = ref_bfs(g, a)
-    assert bfs_distances(g, a) == dist
+    # ring r of the balls holds exactly the vertices at distance r, and the
+    # last ball every reachable vertex
+    layers = balls(g, a)
+    rings = [layers[0]] + [outer & ~inner for inner, outer in zip(layers, layers[1:])]
+    assert [list(set_bits(ring)) for ring in rings] == [
+        [x for x in range(g.n) if dist[x] == r] for r in range(len(rings))
+    ]
+    assert layers[-1] == vertex_mask(g, (x for x in range(g.n) if dist[x] is not None))
     assert distance(g, u, v) == ref_bfs(g, [u])[v]
     for j in range(5):
         within = all(d is not None and d <= j for d in dist)
@@ -855,9 +868,10 @@ def test_distance_helpers_match_references(case, data):
         ring = tuple(x for x in range(g.n) if dist[x] == j)
         assert k_step_neighborhood(g, a, j) == ring
     reach = [dist[x] for x in b if dist[x] is not None]
-    assert set_distance(g, a, b) == (min(reach) if reach else None)
-    expected_path = ref_shortest_path(g, a, b) if reach else None
-    assert shortest_path_between_sets(g, a, b) == expected_path
+    path = shortest_path_between_masks(g, vertex_mask(g, a), vertex_mask(g, b))
+    assert path == (ref_shortest_path(g, a, b) if reach else None)
+    if reach:
+        assert len(path) - 1 == min(reach)
     if g.is_connected:
         assert diameter(g) == max(max(ref_bfs(g, [x])) for x in range(g.n))
     else:
@@ -884,27 +898,8 @@ def test_shortest_path_matches_reference_on_connected_graphs(g, data):
         a, b = set(range(g.n)), data.draw(st.sets(vertex, min_size=1))
     else:
         b = set(range(g.n))
-    assert shortest_path_between_sets(g, a, b) == ref_shortest_path(g, a, b)
-
-
-def test_shortest_path_rejects_out_of_range_vertices():
-    p4 = path_graph(4)
-    for a, b in (([-1], [2]), ([4], [2]), ([2], [4]), ([0], [1, -1])):
-        bad = min(v for v in a + b if not 0 <= v < 4)
-        with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
-            shortest_path_between_sets(p4, a, b)
-
-
-@settings(max_examples=200, deadline=None)
-@given(graphs_with_subsets(), st.data())
-def test_mask_path_search_matches_the_set_one(case, data):
-    g, a = case
-    assume(g.n)
-    b = data.draw(st.sets(st.integers(0, g.n - 1)))
-    amask, bmask = sum(1 << v for v in a), sum(1 << v for v in b)
-    assert shortest_path_between_masks(g, amask, bmask) == shortest_path_between_sets(
-        g, a, b
-    )
+    path = shortest_path_between_masks(g, vertex_mask(g, a), vertex_mask(g, b))
+    assert path == ref_shortest_path(g, a, b)
 
 
 def test_mask_path_search_rejects_bits_out_of_range():

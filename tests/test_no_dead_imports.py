@@ -1,7 +1,9 @@
-"""Every name a library module imports is used in that module, and no
-library module imports another module's underscore-prefixed name.
+"""Every name a library module imports is used in that module, no library
+module imports another module's underscore-prefixed name, and every
+underscore-prefixed name a module defines at its top level is read somewhere
+in the package.
 
-``__init__.py`` is skipped: its imports are the package's re-exports.
+``__init__.py`` is skipped for imports: they are the package's re-exports.
 """
 
 from __future__ import annotations
@@ -41,6 +43,35 @@ def private_imports(source: str) -> list[tuple[int, str]]:
     ]
 
 
+def unread_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of each underscore-prefixed top-level function,
+    class or assigned name (dunders excepted) that no module of ``sources``
+    reads, bare or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                stores = (n for n in ast.walk(node) if isinstance(n, ast.Name))
+                names = [n.id for n in stores if isinstance(n.ctx, ast.Store)]
+            else:
+                continue
+            for name in names:
+                dunder = name.startswith("__") and name.endswith("__")
+                if name.startswith("_") and not dunder and name not in read:
+                    unread.append((module, node.lineno, name))
+    return unread
+
+
 def test_modules_found():
     assert "coloring.py" in MODULES and "__init__.py" not in MODULES
 
@@ -72,3 +103,28 @@ def test_detector_flags_a_private_name():
         "from . import _private as public\n"
     )
     assert private_imports(source) == [(2, "_relax"), (3, "_private")]
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []
+
+
+def test_detector_flags_an_unread_private_name():
+    sources = {
+        "a.py": (
+            "__version__ = '0'\n"
+            "_USED, _SPARE = 1, 2\n"
+            "_COUNT: int = 0\n"
+            "def _helper():\n"
+            "    return _USED\n"
+            "class _Unused:\n"
+            "    pass\n"
+        ),
+        "b.py": "import a\nprint(a._helper())\n",
+    }
+    assert unread_private_names(sources) == [
+        ("a.py", 2, "_SPARE"),
+        ("a.py", 3, "_COUNT"),
+        ("a.py", 6, "_Unused"),
+    ]

@@ -503,6 +503,16 @@ def test_stree_budget_counts_only_explored_nodes():
         exists_rainbow_stree(g, coloring, [0, 2], node_budget=1)
 
 
+def test_verifier_budget_is_per_search_and_raises_when_one_spends_it():
+    # colours 1, 2, 3, 1, 2, 3 around C6: every colour repeats, so no edge
+    # contracts away, and six searches of at most 4 nodes each cover the pairs
+    g, coloring = cycle_coloring(6, [1, 2, 3])
+    verdict = is_k_rainbow_connected(g, coloring, 2, node_budget=4)
+    assert verdict.ok and verdict.searches == 6
+    with pytest.raises(SearchBudgetExceeded, match="node budget"):
+        is_k_rainbow_connected(g, coloring, 2, node_budget=3)
+
+
 @pytest.mark.parametrize(
     "call",
     [
