@@ -46,7 +46,7 @@ for k in (2, 3, 5):
     cert = split_k(g, k)
     degrees = [p.min_degree for p in cert.parts]
     print(
-        f"k={k}: t={cert.pow2_level} s={cert.extra_splits}",
+        f"k={k}: thresholds [{', '.join(map(str, cert.thresholds))}]",
         f"part min degrees {degrees}",
         f"required {cert.required_min_degrees()}",
     )

@@ -45,6 +45,7 @@ from .graph import (
     balls,
     bfs_forest,
     bfs_tree_edges,
+    check_k,
     component_masks,
     edge,
     induced_subgraph,
@@ -215,10 +216,7 @@ def color_pipeline(g: Graph, k: int) -> tuple[EdgeColoring, PipelineTrace]:
          (2k+1, 2k+2, ...);
       3. every remaining edge gets color 1.
     """
-    if not g.is_connected:
-        raise ValueError("color_pipeline requires a connected graph")
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k must satisfy 2 <= k <= n, got {k}")
+    check_k(g, k)
     split = split_k(g, k)
     part_doms = tuple(greedy_two_step_dominating(p) for p in split.parts)
     part_conn = tuple(
@@ -301,8 +299,7 @@ def color_kdom(
     accepted when |D| >= k, where any <=k core terminals extend to a full
     k-subset inside the core.
     """
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k must satisfy 2 <= k <= n, got {k}")
+    check_k(g, k)
     dom = _dominating_core(g, dominating, k, k, core_coloring)
     inside = sum(1 << v for v in dom)
     outside = set_bits(((1 << g.n) - 1) & ~inside)
@@ -342,8 +339,7 @@ def color_km1dom(
     deficient side a 2-edge detour for the missing color. At most
     |D| - 1 + k + 1 colors.
     """
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k must satisfy 2 <= k <= n, got {k}")
+    check_k(g, k)
     if g.min_degree < k:
         raise ValueError(f"minimum degree {g.min_degree} < k={k}")
     dom = _dominating_core(g, dominating, k - 1, k, core_coloring)

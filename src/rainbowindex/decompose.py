@@ -25,6 +25,7 @@ with t the integer satisfying 2^t <= k < 2^(t+1) and s = k - 2^t, it keeps
 k - 2s parts at the depth-t threshold (delta - 2^(t+1) + 2) / 2^t and splits
 s parts once more, giving 2s parts at (delta - 2^(t+2) + 2) / 2^(t+1).
 Nonpositive thresholds are reported as vacuous rather than rejected.
+SpanningSplit stores no threshold: it derives them from delta and k.
 """
 
 from __future__ import annotations
@@ -41,19 +42,24 @@ from .graph import Graph, InvariantViolation
 class SpanningSplit:
     """Certificate for a k-way edge-disjoint spanning decomposition.
 
-    ``thresholds[i]`` is the minimum-degree guarantee claimed for part i
-    (a constraint only when positive). Exactly 2 * extra_splits parts carry
-    the finer split_threshold; the rest carry base_threshold.
+    Only the parent, the parts and k are stored; every claim is derived
+    from them, so ``check`` trusts nothing the construction computed.
     """
 
     parent: Graph
     parts: tuple[Graph, ...]
     k: int
-    pow2_level: int  # t with 2^t <= k < 2^(t+1)
-    extra_splits: int  # s = k - 2^t
-    base_threshold: Fraction
-    split_threshold: Fraction
-    thresholds: tuple[Fraction, ...]
+
+    @property
+    def thresholds(self) -> tuple[Fraction, ...]:
+        """Minimum-degree guarantee per part (a constraint only when
+        positive), derived from the parent's minimum degree and k."""
+        t = self.k.bit_length() - 1
+        s = self.k - (1 << t)
+        delta = self.parent.min_degree
+        alpha = Fraction(delta - 2 ** (t + 1) + 2, 2**t)
+        beta = Fraction(delta - 2 ** (t + 2) + 2, 2 ** (t + 1))
+        return (alpha,) * (self.k - 2 * s) + (beta,) * (2 * s)
 
     def required_min_degrees(self) -> tuple[int | None, ...]:
         """Integer guarantee per part: ceil(threshold) when positive."""
@@ -68,6 +74,8 @@ class SpanningSplit:
         part on another vertex count is judged on its edges as a set would.
         """
         problems = []
+        if len(self.parts) != self.k:
+            problems.append(f"{len(self.parts)} parts, expected k = {self.k}")
         parent = self.parent.adj_bits
         union: list[int] = []
         shared = False
@@ -160,9 +168,6 @@ def split_k(g: Graph, k: int) -> SpanningSplit:
         raise ValueError("k must be >= 1")
     t = k.bit_length() - 1
     s = k - (1 << t)
-    delta = g.min_degree
-    alpha = Fraction(delta - 2 ** (t + 1) + 2, 2**t)
-    beta = Fraction(delta - 2 ** (t + 2) + 2, 2 ** (t + 1))
     base_parts = _pow2_parts(g, t)
     if s == 0:
         parts = tuple(base_parts)
@@ -174,17 +179,7 @@ def split_k(g: Graph, k: int) -> SpanningSplit:
         for i in sorted(selected):
             split_out.extend(split_two(base_parts[i]))
         parts = tuple(kept + split_out)
-    thresholds = tuple([alpha] * (k - 2 * s) + [beta] * (2 * s))
-    cert = SpanningSplit(
-        parent=g,
-        parts=parts,
-        k=k,
-        pow2_level=t,
-        extra_splits=s,
-        base_threshold=alpha,
-        split_threshold=beta,
-        thresholds=thresholds,
-    )
+    cert = SpanningSplit(parent=g, parts=parts, k=k)
     problems = cert.check()
     if problems:
         raise InvariantViolation(

@@ -218,6 +218,14 @@ def vertex_mask(g: Graph, vertices: Iterable[int]) -> int:
     return mask
 
 
+def check_k(g: Graph, k: int) -> None:
+    """ValueError unless g is connected and 2 <= k <= n."""
+    if not g.is_connected:
+        raise ValueError("requires a connected graph")
+    if not 2 <= k <= g.n:
+        raise ValueError(f"k must satisfy 2 <= k <= n, got {k}")
+
+
 def spread(mask: int, adj_bits: tuple[int, ...]) -> int:
     """One BFS step: the union of the adjacency masks of the vertices in
     ``mask`` (``Graph.adj_bits``)."""
@@ -544,12 +552,9 @@ def steiner_distance(g: Graph, terminals: Iterable[int]) -> tuple[int, SteinerWi
     taken when 3^|S| <= 2^(n - |S|) n: the factor n is counted on the
     sweep's side only, so the rule leans towards the rows.
     """
-    ts = sorted(set(terminals))
+    ts = list(set_bits(vertex_mask(g, terminals)))
     if not ts:
         raise ValueError("terminal set must be nonempty")
-    for t in ts:
-        if not 0 <= t < g.n:
-            raise ValueError(f"terminal {t} out of range")
     if not g.is_connected:
         raise ValueError("steiner_distance requires a connected graph")
     if len(ts) == 1:
@@ -600,10 +605,7 @@ def steiner_diameter(g: Graph, k: int) -> int:
     since the Steiner distance grows with the set and k <= n, so the
     answer is the largest entry of any row.
     """
-    if not g.is_connected:
-        raise ValueError("steiner_diameter requires a connected graph")
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k must satisfy 2 <= k <= n, got {k}")
+    check_k(g, k)
     if not _rows_cheaper(g.n, g.m, k):
         subsets = itertools.combinations(range(g.n), k)
         return max(steiner_distance(g, s)[0] for s in subsets)

@@ -68,10 +68,12 @@ from .graph import (
     Edge,
     Graph,
     InvariantViolation,
+    check_k,
     component_masks,
     is_tree_witness,
     set_bits,
     steiner_diameter,
+    vertex_mask,
 )
 
 
@@ -294,12 +296,9 @@ def exists_rainbow_stree(
     """Witness rainbow tree containing the terminals, or None. Raises
     SearchBudgetExceeded if the search needs more than ``node_budget`` nodes."""
     edges, inc, bits, max_edges = _search_input(g, coloring)
-    terms = sorted(set(terminals))
+    terms = list(set_bits(vertex_mask(g, terminals)))
     if not terms:
         raise ValueError("terminal set must be nonempty")
-    for t in terms:
-        if not 0 <= t < g.n:
-            raise ValueError(f"terminal {t} out of range")
     found = _rainbow_tree(inc, bits, terms, max_edges, _Budget(node_budget, None))
     if found is None:
         return None
@@ -320,10 +319,7 @@ def is_k_rainbow_connected(
     must share no bit with it. Each search gets ``node_budget`` nodes; one
     that needs more raises SearchBudgetExceeded, and the check stops there.
     """
-    if not g.is_connected:
-        raise ValueError("requires a connected graph")
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k must satisfy 2 <= k <= n, got {k}")
+    check_k(g, k)
     image, ends, inc, bits, max_edges = _contracted_search_input(g, coloring)
     vertex_bit = [1 << x for x in image]
     every = (1 << (max(image) + 1)) - 1  # all contracted vertices
@@ -388,10 +384,7 @@ def exact_rx_k(
     ``max_colors`` (a negative cap is an error) are checked before any work,
     and the deadline also covers the lower bound.
     """
-    if not g.is_connected:
-        raise ValueError("requires a connected graph")
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k must satisfy 2 <= k <= n, got {k}")
+    check_k(g, k)
     if not force and not _desk_scale(g):
         raise ValueError(
             "instance above desk scale (n > 9 and m > 16); pass force=True"
@@ -399,23 +392,20 @@ def exact_rx_k(
     budget = _Budget(node_budget, time_budget_s)
     if max_colors is not None and max_colors < 0:
         raise ValueError(f"max colors must be >= 0, got {max_colors}")
-    lo = max(k - 1, steiner_diameter(g, k))
+    c = max(k - 1, steiner_diameter(g, k))
     hi = g.n - 1
-    if lo >= hi:
-        return ExactResult("exact", hi, hi, hi, spanning_tree_coloring(g), budget.nodes)
     cap = min(hi, max_colors) if max_colors is not None else hi
-    c = lo
-    while c <= cap:
-        if c == hi:
-            return ExactResult("exact", c, c, c, spanning_tree_coloring(g), budget.nodes)
+    while c < hi and c <= cap:
         try:
             found = _search_k_rainbow_coloring(g, k, c, budget)
         except SearchBudgetExceeded:
-            return ExactResult("unknown", None, c, hi, None, budget.nodes)
+            break
         if found is not None:
             return ExactResult("exact", c, c, c, found, budget.nodes)
         c += 1
-    return ExactResult("unknown", None, max(cap + 1, lo), hi, None, budget.nodes)
+    if c == hi:  # every level below n - 1 refuted (or none below it)
+        return ExactResult("exact", c, c, c, spanning_tree_coloring(g), budget.nodes)
+    return ExactResult("unknown", None, c, hi, None, budget.nodes)
 
 
 def _search_k_rainbow_coloring(
@@ -575,10 +565,7 @@ def bounds_report(
     than silently dropped. When the value from the decomposition formula
     exceeds n - 1 both are listed; nothing is clamped.
     """
-    if not g.is_connected:
-        raise ValueError("bounds_report requires a connected graph")
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k must satisfy 2 <= k <= n, got {k}")
+    check_k(g, k)
     _check_budgets(None, time_budget_s)
     started = time.monotonic()
     n, delta = g.n, g.min_degree

@@ -236,6 +236,20 @@ def test_exact_text_and_json(tmp_path, capsys):
     assert payload["status"] == "exact" and payload["value"] == 2
 
 
+def test_exact_cap_that_refutes_every_level_below_n_minus_1(tmp_path, capsys):
+    graph_file = tmp_path / "k14.edgelist"
+    argv = ("gen", "--family", "complete_bipartite", "--a", "1", "--b", "4")
+    run(capsys, *argv, "--out", str(graph_file))
+    exact = ("exact", "--input", str(graph_file), "--k", "2")
+    code, out, _ = run(capsys, *exact, "--max-colors", "3")
+    assert (code, out) == (0, "exact rx_2 = 4\n")
+    code, out, _ = run(capsys, *exact, "--max-colors", "2")
+    assert (code, out) == (0, "unknown, bounds [3, 4]\n")
+    code, out, _ = run(capsys, *exact, "--max-colors", "3", "--format", "json")
+    payload = json.loads(out)
+    assert (payload["status"], payload["value"], payload["nodes"]) == ("exact", 4, 14)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -76,14 +77,14 @@ def test_split_two_contract_random(g):
 
 def test_split_pow2_k9_level_one():
     cert = split_k(complete_graph(9), 2)  # threshold (delta - 2) / 2
-    assert cert.pow2_level == 1 and cert.extra_splits == 0
+    assert cert.thresholds == (3, 3)
     assert cert.required_min_degrees() == (3, 3)
     assert all(p.min_degree >= 3 for p in cert.parts)
 
 
 def test_split_pow2_k9_level_two():
     cert = split_k(complete_graph(9), 4)  # threshold (delta - 6) / 4
-    assert cert.pow2_level == 2 and cert.extra_splits == 0
+    assert cert.thresholds == (Fraction(1, 2),) * 4
     assert cert.required_min_degrees() == (1, 1, 1, 1)
     assert all(p.min_degree >= 1 for p in cert.parts)
 
@@ -100,25 +101,25 @@ def test_split_pow2_vacuous_threshold_reported():
 def test_split_k_identity():
     g = complete_graph(5)
     cert = split_k(g, 1)
-    assert cert.pow2_level == 0 and cert.extra_splits == 0
     assert cert.parts == (g,)
-    assert cert.thresholds[0] == 4
+    assert cert.thresholds == (4,)
+    assert split_k(complete_graph(9), 1).thresholds == (8,)
 
 
 def test_split_k_two_on_k5():
     cert = split_k(complete_graph(5), 2)
-    assert cert.pow2_level == 1 and cert.extra_splits == 0
+    assert cert.thresholds == (1, 1)
     assert cert.required_min_degrees() == (1, 1)
     assert all(p.min_degree >= 1 for p in cert.parts)
 
 
 def test_split_k_three_on_k9():
     cert = split_k(complete_graph(9), 3)
-    assert cert.pow2_level == 1 and cert.extra_splits == 1
-    assert cert.thresholds.count(cert.base_threshold) == 1
-    assert cert.thresholds.count(cert.split_threshold) == 2
+    assert cert.thresholds == (3, Fraction(1, 2), Fraction(1, 2))
     assert cert.required_min_degrees() == (3, 1, 1)
     assert not cert.check()
+    with pytest.raises(TypeError):  # the claims are derived, not stored
+        dataclasses.replace(cert, thresholds=(0, 0, 0))
 
 
 @settings(max_examples=30, deadline=None)
@@ -126,9 +127,17 @@ def test_split_k_three_on_k9():
 def test_split_k_certificate_random(g, k):
     cert = split_k(g, k)
     assert len(cert.parts) == k
-    assert len(cert.thresholds) == k
-    expected_fine = 2 * cert.extra_splits
-    assert sum(1 for t in cert.thresholds if t == cert.split_threshold) >= expected_fine
+    # the lemma: 2^t <= k < 2^(t+1), s = k - 2^t; k - 2s parts at the
+    # depth-t threshold, then 2s parts split once more
+    t = max(l for l in range(k.bit_length()) if 2**l <= k)
+    s = k - 2**t
+    delta = g.min_degree
+    base = Fraction(delta - 2 ** (t + 1) + 2, 2**t)
+    fine = Fraction(delta - 2 ** (t + 2) + 2, 2 ** (t + 1))
+    assert cert.thresholds == (base,) * (k - 2 * s) + (fine,) * (2 * s)
+    assert cert.required_min_degrees() == tuple(
+        math.ceil(x) if x > 0 else None for x in cert.thresholds
+    )
     assert not cert.check()
 
 
@@ -241,7 +250,7 @@ def test_split_parts_build_no_sorted_rows():
 
 
 def _tampered(cert, shape):
-    """``cert`` with one claim broken: its parts or its thresholds edited."""
+    """``cert`` with one claim broken by editing its parts."""
     g = cert.parent
     p0, p1, p2 = cert.parts
     missing = next(e for e in itertools.combinations(range(g.n), 2) if e not in g.edges)
@@ -256,11 +265,16 @@ def _tampered(cert, shape):
             p1,
             Graph(g.n - 1, frozenset(e for e in p2.edges if e[1] < g.n - 1)),
         ),
-    }.get(shape)
-    if parts is not None:
-        return dataclasses.replace(cert, parts=parts)
-    need = Fraction(p0.min_degree + 1)  # "low degree": one above part 0's
-    return dataclasses.replace(cert, thresholds=(need, *cert.thresholds[1:]))
+        # vertex 0's part-0 edges move to part 1: a partition still, but
+        # part 0 falls below the degree its threshold requires
+        "low degree": (
+            Graph(g.n, frozenset(e for e in p0.edges if 0 not in e)),
+            Graph(g.n, p1.edges | frozenset(e for e in p0.edges if 0 in e)),
+            p2,
+        ),
+        "two parts": (p0, Graph(g.n, p1.edges | p2.edges)),
+    }[shape]
+    return dataclasses.replace(cert, parts=parts)
 
 
 @pytest.mark.parametrize(
@@ -279,7 +293,8 @@ def _tampered(cert, shape):
             ],
         ),
         ("fewer vertices", ["part 2 is not spanning", "parts do not cover the parent edge set"]),
-        ("low degree", ["part 0 min degree 3 < required 4"]),
+        ("low degree", ["part 0 min degree 0 < required 2"]),
+        ("two parts", ["2 parts, expected k = 3"]),
     ],
 )
 def test_split_certificate_names_each_violation(shape, problems):

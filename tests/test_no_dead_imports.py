@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, no library
 module imports another module's underscore-prefixed name, and every
 underscore-prefixed name a module defines at its top level is read somewhere
-in the package.
+in the package, and only ``graph.check_k`` tests ``2 <= k <= ...``, so the
+(graph, k) guard is stated once.
 
 ``__init__.py`` is skipped for imports: they are the package's re-exports.
 """
@@ -72,6 +73,20 @@ def unread_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
     return unread
 
 
+def k_range_checks(source: str) -> list[int]:
+    """Line of each chained comparison ``2 <= k <= ...``, ascending."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Constant)
+        and node.left.value == 2
+        and [type(op) for op in node.ops] == [ast.LtE, ast.LtE]
+        and isinstance(node.comparators[0], ast.Name)
+        and node.comparators[0].id == "k"
+    )
+
+
 def test_modules_found():
     assert "coloring.py" in MODULES and "__init__.py" not in MODULES
 
@@ -128,3 +143,20 @@ def test_detector_flags_an_unread_private_name():
         ("a.py", 3, "_COUNT"),
         ("a.py", 6, "_Unused"),
     ]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_only_graph_checks_the_range_of_k(module):
+    found = k_range_checks((SRC / module).read_text(encoding="utf-8"))
+    assert len(found) == (module == "graph.py")
+
+
+def test_detector_flags_a_k_range_check():
+    source = (
+        "def f(g, k, j):\n"
+        "    if not 2 <= k <= g.n:\n"
+        "        pass\n"
+        "    ok = 2 <= j <= g.n or 1 <= k <= g.n or 2 <= k < g.n\n"
+        "    return 2 <= k <= g.n - 1\n"
+    )
+    assert k_range_checks(source) == [2, 5]

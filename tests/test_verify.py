@@ -21,6 +21,7 @@ from rainbowindex import (
     color_kdom,
     color_km1dom,
     color_pipeline,
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     exact_rx_k,
@@ -32,6 +33,7 @@ from rainbowindex import (
     path_graph,
     spanning_tree_coloring,
     steiner_diameter,
+    steiner_distance,
 )
 from rainbowindex import verify as verify_module
 from rainbowindex.graph import is_tree_witness
@@ -85,9 +87,38 @@ def test_single_terminal_trivial():
 
 
 def test_terminal_out_of_range_rejected():
-    g = cycle_graph(4)
-    with pytest.raises(ValueError):
-        exists_rainbow_stree(g, all_distinct_coloring(g), [0, 9])
+    # the Steiner distance and the rainbow-tree search name the lowest bad vertex
+    g = path_graph(3)
+    coloring = all_distinct_coloring(g)
+    for terminals, bad in (([0, 5], 5), ([0, 9], 9), ([7, 5, 0], 5), ([1, -1, 9], -1)):
+        with pytest.raises(ValueError, match=f"^vertex {bad} out of range$"):
+            steiner_distance(g, terminals)
+        with pytest.raises(ValueError, match=f"^vertex {bad} out of range$"):
+            exists_rainbow_stree(g, coloring, terminals)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        color_pipeline,
+        lambda g, k: color_kdom(g, range(g.n), k),
+        lambda g, k: color_km1dom(g, range(g.n), k),
+        steiner_diameter,
+        lambda g, k: is_k_rainbow_connected(g, all_distinct_coloring(g), k),
+        exact_rx_k,
+        bounds_report,
+    ],
+    ids=["pipeline", "kdom", "km1dom", "sdiam", "verify", "exact", "report"],
+)
+def test_every_k_subset_question_shares_one_guard(call):
+    g = cycle_graph(5)
+    for k in (1, 6):
+        with pytest.raises(ValueError, match=f"^k must satisfy 2 <= k <= n, got {k}$"):
+            call(g, k)
+    two_edges = Graph.build(4, [(0, 1), (2, 3)])
+    for k in (2, 5):  # connectivity is checked first
+        with pytest.raises(ValueError, match="^requires a connected graph$"):
+            call(two_edges, k)
 
 
 def test_budget_exhaustion_raises():
@@ -582,6 +613,24 @@ def test_exact_max_colors_cap():
     assert result.status == "unknown"
     assert result.lower == 3 and result.upper == 5
     assert exact_rx_k(g, 2, max_colors=3).value == 3
+
+
+@pytest.mark.parametrize(
+    "max_colors, expected",
+    [
+        (1, ("unknown", None, 2, 4, 0)),
+        (2, ("unknown", None, 3, 4, 5)),
+        # levels 2 and 3 refuted: nothing below n - 1 = 4 is left, so the
+        # cap at 3 still settles the value
+        (3, ("exact", 4, 4, 4, 14)),
+        (4, ("exact", 4, 4, 4, 14)),
+    ],
+)
+def test_exact_refuting_every_level_below_n_minus_1_settles_it(max_colors, expected):
+    result = exact_rx_k(complete_bipartite_graph(1, 4), 2, max_colors=max_colors)
+    assert (result.status, result.value, result.lower, result.upper, result.nodes) == expected
+    if result.known:
+        assert result.coloring.color_count == 4
 
 
 def test_exact_rejects_negative_max_colors():
