@@ -13,12 +13,11 @@ from .graph import (
     Graph,
     InvariantViolation,
     ParseError,
-    SteinerWitness,
+    TreeWitness,
     bfs_tree_edges,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    diameter,
     distance,
     edge,
     format_edge_list,
@@ -60,7 +59,6 @@ from .verify import (
     BoundEntry,
     BoundsReport,
     ExactResult,
-    RainbowTreeWitness,
     RainbowVerdict,
     SearchBudgetExceeded,
     bounds_report,

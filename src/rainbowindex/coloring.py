@@ -80,12 +80,6 @@ class EdgeColoring:
             if not 1 <= c <= top:
                 raise ValueError(f"color {c} on edge {e} outside 1..{self.color_count}")
 
-    def color(self, u: int, v: int) -> int:
-        return self.colors[edge(u, v)]
-
-    def used_colors(self) -> frozenset[int]:
-        return frozenset(self.colors.values())
-
 
 def all_distinct_coloring(g: Graph) -> EdgeColoring:
     """Every edge its own color; trivially k-rainbow for every k."""

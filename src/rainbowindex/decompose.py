@@ -73,6 +73,8 @@ class SpanningSplit:
         Works on bitmask rows: a row past a graph's n reads as empty, so a
         part on another vertex count is judged on its edges as a set would.
         """
+        if self.k < 1:
+            return [f"k = {self.k}, expected k >= 1"]
         problems = []
         if len(self.parts) != self.k:
             problems.append(f"{len(self.parts)} parts, expected k = {self.k}")

@@ -48,15 +48,8 @@ class DominationCertificate:
     def holds(self) -> bool:
         g = self.graph
         dom = set(self.vertices)
-        if not dom:
-            return False
-        if self.kind == STEP:
-            ok = is_k_step_dominating(g, dom, self.j)
-        elif self.kind == MULTI:
-            ok = is_k_dominating(g, dom, self.j)
-        else:
-            return False
-        if not ok:
+        predicate = {STEP: is_k_step_dominating, MULTI: is_k_dominating}.get(self.kind)
+        if not dom or predicate is None or not predicate(g, dom, self.j):
             return False
         if self.connected and len(component_masks(g, vertex_mask(g, dom))) != 1:
             return False
@@ -250,8 +243,9 @@ def connect_two_step(
 def union_connect(
     g: Graph, certificates: Sequence[DominationCertificate]
 ) -> DominationCertificate:
-    """Union the given connected 2-step dominating sets of g and reconnect
-    with at most len(certificates) - 1 extra vertices.
+    """Union the given connected 2-step dominating sets of g, each checked
+    by ``holds()``, and reconnect with at most len(certificates) - 1 extra
+    vertices.
 
     Each detached component sits at distance exactly 2 from the component
     holding the first input (that input 2-step dominates g), so a single
@@ -262,14 +256,9 @@ def union_connect(
         raise ValueError("need at least one certificate")
     dom = 0
     for cert in certificates:
-        if not cert.vertices:
-            raise ValueError("certificate with empty vertex set")
-        if is_k_step_dominating(g, cert.vertices, 2):
-            mask = sum(1 << v for v in set(cert.vertices))
-            if len(component_masks(g, mask)) == 1:
-                dom |= mask
-                continue
-        raise ValueError("input is not a connected 2-step dominating set of the graph")
+        if not DominationCertificate(g, cert.vertices, STEP, 2, True).holds():
+            raise ValueError("input is not a connected 2-step dominating set of the graph")
+        dom |= vertex_mask(g, cert.vertices)
     anchor_bit = 1 << certificates[0].vertices[0]
     adj_bits = g.adj_bits
     connectors: list[int] = []

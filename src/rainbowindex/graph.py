@@ -267,13 +267,6 @@ def k_step_neighborhood(g: Graph, dom: Iterable[int], j: int) -> tuple[int, ...]
     return tuple(set_bits(layers[j] & ~layers[j - 1]))
 
 
-def diameter(g: Graph) -> int:
-    """Maximum pairwise distance; requires a connected graph."""
-    if not g.is_connected:
-        raise ValueError("diameter requires a connected graph")
-    return max((len(balls(g, [v])) for v in range(g.n)), default=1) - 1
-
-
 def _first_arrivals(
     g: Graph, roots: int, unseen: int
 ) -> tuple[dict[int, int | None], int]:
@@ -415,19 +408,19 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
 
 
 @dataclass(frozen=True)
-class SteinerWitness:
-    """A tree achieving a Steiner distance: edge set plus the terminal set."""
+class TreeWitness:
+    """A tree containing a terminal set: a Steiner tree, or a rainbow tree
+    under an edge coloring."""
 
     edges: frozenset[Edge]
     terminals: frozenset[int]
 
-    @property
-    def size(self) -> int:
-        return len(self.edges)
-
-    def is_valid_for(self, g: Graph) -> bool:
-        """Tree containing the terminals, using only edges of g."""
-        return is_tree_witness(g, self.edges, self.terminals)
+    def is_valid_for(self, g: Graph, coloring=None) -> bool:
+        """Tree containing the terminals, using only edges of g; under a
+        ``coloring`` of g, also with all its edge colors distinct."""
+        if not is_tree_witness(g, self.edges, self.terminals):
+            return False
+        return coloring is None or len({coloring.colors[e] for e in self.edges}) == len(self.edges)
 
 
 def is_tree_witness(g: Graph, edges: frozenset[Edge], terminals: Iterable[int]) -> bool:
@@ -489,7 +482,7 @@ def _steiner_rows(
             yield mask, row
 
 
-def _steiner_dp(g: Graph, terminals: list[int]) -> tuple[int, SteinerWitness]:
+def _steiner_dp(g: Graph, terminals: list[int]) -> tuple[int, TreeWitness]:
     """Dreyfus-Wagner over the terminal sets (``_steiner_rows``), with a
     witness walked back from the values alone.
 
@@ -522,10 +515,10 @@ def _steiner_dp(g: Graph, terminals: list[int]) -> tuple[int, SteinerWitness]:
             stack.append((mask, u))
     if len(edges_out) != value:
         raise InvariantViolation("steiner reconstruction mismatch")
-    return value, SteinerWitness(frozenset(edges_out), frozenset(terminals))
+    return value, TreeWitness(frozenset(edges_out), frozenset(terminals))
 
 
-def _steiner_enumerate(g: Graph, terminals: list[int]) -> tuple[int, SteinerWitness]:
+def _steiner_enumerate(g: Graph, terminals: list[int]) -> tuple[int, TreeWitness]:
     """Exhaustive check over connected vertex supersets, smallest first."""
     base = set(terminals)
     others = [v for v in range(g.n) if v not in base]
@@ -536,13 +529,13 @@ def _steiner_enumerate(g: Graph, terminals: list[int]) -> tuple[int, SteinerWitn
                 tree = bfs_tree_edges(g, vs)
             except ValueError:
                 continue
-            return len(vs) - 1, SteinerWitness(
+            return len(vs) - 1, TreeWitness(
                 frozenset(tree), frozenset(terminals)
             )
     raise ValueError("terminals are not connected in the graph")
 
 
-def steiner_distance(g: Graph, terminals: Iterable[int]) -> tuple[int, SteinerWitness]:
+def steiner_distance(g: Graph, terminals: Iterable[int]) -> tuple[int, TreeWitness]:
     """Minimum size of a tree containing the terminals, with a witness tree.
 
     Two exact paths, cross-checked in the test suite: the Dreyfus-Wagner
@@ -558,7 +551,7 @@ def steiner_distance(g: Graph, terminals: Iterable[int]) -> tuple[int, SteinerWi
     if not g.is_connected:
         raise ValueError("steiner_distance requires a connected graph")
     if len(ts) == 1:
-        return 0, SteinerWitness(frozenset(), frozenset(ts))
+        return 0, TreeWitness(frozenset(), frozenset(ts))
     if 3 ** len(ts) <= 2 ** (g.n - len(ts)) * g.n:
         return _steiner_dp(g, ts)
     return _steiner_enumerate(g, ts)
@@ -647,9 +640,7 @@ def petersen_graph() -> Graph:
     return Graph.build(10, outer + spokes + inner)
 
 
-def gnp_connected_graph(
-    n: int, p: float, seed: int = 0, retry_cap: int = GNP_RETRY_CAP
-) -> Graph:
+def gnp_connected_graph(n: int, p: float, seed: int = 0) -> Graph:
     """Erdos-Renyi G(n, p), retried with derived sub-seeds until connected.
 
     Deterministic for a fixed (n, p, seed); raises GenerationError when the
@@ -659,7 +650,7 @@ def gnp_connected_graph(
         raise ValueError("gnp requires n >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("gnp requires 0 <= p <= 1")
-    for attempt in range(retry_cap):
+    for attempt in range(GNP_RETRY_CAP):
         rng = random.Random(seed * 1_000_003 + attempt)
         pairs = [
             (u, v)
@@ -670,7 +661,7 @@ def gnp_connected_graph(
         if g.is_connected:
             return g
     raise GenerationError(
-        f"no connected G({n}, {p}) found in {retry_cap} attempts (seed {seed})"
+        f"no connected G({n}, {p}) found in {GNP_RETRY_CAP} attempts (seed {seed})"
     )
 
 
@@ -761,11 +752,10 @@ def parse_records(
         if len(fields) != width:
             raise ParseError(f"expected {record}", line_no)
         try:
-            u, v = int(fields[0]), int(fields[1])
-            # plain edge lines skip the general conversion: they are the bulk
-            values = (u, v, *map(int, fields[2:])) if width > 2 else (u, v)
+            values = tuple(map(int, fields))
         except ValueError:
             raise ParseError(not_integer, line_no) from None
+        u, v = values[:2]
         if u == v:
             raise ParseError(f"loop edge ({u}, {v})", line_no)
         if not (0 <= u < n and 0 <= v < n):

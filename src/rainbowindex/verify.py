@@ -68,9 +68,9 @@ from .graph import (
     Edge,
     Graph,
     InvariantViolation,
+    TreeWitness,
     check_k,
     component_masks,
-    is_tree_witness,
     set_bits,
     steiner_diameter,
     vertex_mask,
@@ -105,20 +105,6 @@ class _Budget:
         if self.deadline is not None and self.nodes % 256 == 0:
             if time.monotonic() > self.deadline:
                 raise SearchBudgetExceeded("time budget exhausted")
-
-
-@dataclass(frozen=True)
-class RainbowTreeWitness:
-    edges: frozenset[Edge]
-    terminals: frozenset[int]
-    colors: frozenset[int]
-
-    def is_valid_for(self, g: Graph, coloring: EdgeColoring) -> bool:
-        """Tree containing the terminals whose edge colors are all distinct."""
-        if not is_tree_witness(g, self.edges, self.terminals):
-            return False
-        colors = [coloring.colors[e] for e in self.edges]
-        return len(set(colors)) == len(colors) and set(colors) == set(self.colors)
 
 
 @dataclass(frozen=True)
@@ -234,16 +220,6 @@ def _rainbow_tree(inc, bits, terms, max_edges, budget=None) -> list[int] | None:
         del grow  # grow refers to itself; free the memo when the search ends
 
 
-def _search_input(g: Graph, coloring: EdgeColoring):
-    """Sorted edges, incidence, color bits and edge allowance of the search
-    over (g, coloring); a rainbow tree has at most one edge per color in use."""
-    if coloring.graph != g:
-        raise ValueError("coloring does not belong to this graph")
-    edges = g.sorted_edges()
-    bits = [1 << coloring.colors[e] for e in edges]
-    return edges, _incidence(g.n, edges), bits, len(coloring.used_colors())
-
-
 def _contracted_search_input(g: Graph, coloring: EdgeColoring):
     """The search input over G/F, F a spanning forest of the edges whose color
     appears on no other edge: each vertex's contracted vertex (components of
@@ -292,20 +268,23 @@ def _prune_to_terminals(edges: list[Edge], terminals: frozenset[int]) -> set[Edg
 
 def exists_rainbow_stree(
     g: Graph, coloring: EdgeColoring, terminals, node_budget: int | None = None
-) -> RainbowTreeWitness | None:
+) -> TreeWitness | None:
     """Witness rainbow tree containing the terminals, or None. Raises
     SearchBudgetExceeded if the search needs more than ``node_budget`` nodes."""
-    edges, inc, bits, max_edges = _search_input(g, coloring)
+    if coloring.graph != g:
+        raise ValueError("coloring does not belong to this graph")
+    edges = g.sorted_edges()
+    bits = [1 << coloring.colors[e] for e in edges]
     terms = list(set_bits(vertex_mask(g, terminals)))
     if not terms:
         raise ValueError("terminal set must be nonempty")
-    found = _rainbow_tree(inc, bits, terms, max_edges, _Budget(node_budget, None))
+    budget = _Budget(node_budget, None)
+    found = _rainbow_tree(_incidence(g.n, edges), bits, terms, len(set(bits)), budget)
     if found is None:
         return None
     term_set = frozenset(terms)
     tree = _prune_to_terminals([edges[i] for i in found], term_set)
-    colors = frozenset(coloring.colors[e] for e in tree)
-    return RainbowTreeWitness(frozenset(tree), term_set, colors)
+    return TreeWitness(frozenset(tree), term_set)
 
 
 def is_k_rainbow_connected(

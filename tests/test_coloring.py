@@ -36,7 +36,7 @@ def check_pipeline_trace(g, k, coloring, trace):
     core = set(trace.core)
     outside = set(range(g.n)) - core
     assert coloring.color_count == len(core) - 1 + 2 * k
-    assert coloring.used_colors() <= set(range(1, coloring.color_count + 1))
+    assert set(coloring.colors.values()) <= set(range(1, coloring.color_count + 1))
     # tree spans the core
     tree_vertices = set()
     for u, v in trace.tree_edges:
@@ -60,7 +60,7 @@ def check_pipeline_attachment(g, k, coloring, trace):
         far = trace.far_sets[i - 1]
         for v in near:
             assert any(
-                w in dom_i and coloring.color(v, w) == i for w in adj[v]
+                w in dom_i and coloring.colors[edge(v, w)] == i for w in adj[v]
             ), f"near vertex {v} unattached in part {i}"
         for v in far:
             ok = False
@@ -71,7 +71,7 @@ def check_pipeline_attachment(g, k, coloring, trace):
                     ok = True
                     break
                 if any(
-                    x in dom_i and coloring.color(w, x) == i for x in adj[w]
+                    x in dom_i and coloring.colors[edge(w, x)] == i for x in adj[w]
                 ):
                     ok = True
                     break
@@ -85,7 +85,7 @@ def test_pipeline_k5():
     check_pipeline_attachment(g, 2, coloring, trace)
     assert is_k_rainbow_connected(g, coloring, 2).ok
     # generic instance: the whole declared palette is present on edges
-    assert coloring.used_colors() == set(range(1, coloring.color_count + 1))
+    assert set(coloring.colors.values()) == set(range(1, coloring.color_count + 1))
 
 
 def test_pipeline_small_complete_cores_stay_small():
@@ -135,7 +135,7 @@ def test_kdom_k4():
     g = complete_graph(4)
     coloring = color_kdom(g, [0, 1], 2)
     assert coloring.color_count == 3
-    assert coloring.used_colors() == {1, 2, 3}
+    assert set(coloring.colors.values()) == {1, 2, 3}
     assert is_k_rainbow_connected(g, coloring, 2).ok
 
 
@@ -143,7 +143,7 @@ def test_kdom_whole_vertex_set_degenerates_to_tree():
     g = cycle_graph(6)
     coloring = color_kdom(g, range(6), 2)
     assert coloring.color_count == 5
-    assert coloring.used_colors() == {1, 2, 3, 4, 5}
+    assert set(coloring.colors.values()) == {1, 2, 3, 4, 5}
     assert is_k_rainbow_connected(g, coloring, 2).ok
 
 
@@ -160,8 +160,8 @@ def test_kdom_legs_get_position_colors():
     coloring = color_kdom(g, [0, 1, 2], 2)
     for v in (3, 4):
         feet = [w for w in (0, 1, 2)]
-        assert coloring.color(v, feet[0]) == 1
-        assert coloring.color(v, feet[1]) == 2
+        assert coloring.colors[edge(v, feet[0])] == 1
+        assert coloring.colors[edge(v, feet[1])] == 2
     assert is_k_rainbow_connected(g, coloring, 2).ok
 
 
@@ -183,7 +183,7 @@ def test_kdom_random(g, k):
     cert = greedy_connected_k_dominating(g, k)
     coloring = color_kdom(g, cert, k)
     assert coloring.color_count <= len(cert.vertices) - 1 + k
-    assert coloring.used_colors() == set(range(1, coloring.color_count + 1))
+    assert set(coloring.colors.values()) == set(range(1, coloring.color_count + 1))
     assert is_k_rainbow_connected(g, coloring, k).ok
 
 
@@ -245,7 +245,7 @@ def replay_km1_cases(g, coloring, trace, k):
             else:
                 assert any(
                     w in yset
-                    and coloring.color(vk, w) == k + 1
+                    and coloring.colors[edge(vk, w)] == k + 1
                     and has_leg(w, k)
                     for w in adj[vk]
                 )
@@ -254,7 +254,7 @@ def replay_km1_cases(g, coloring, trace, k):
                 assert has_leg(ordered[pos - 1], pos + 1)
             vk = ordered[k - 1]
             assert any(
-                w in xset and coloring.color(vk, w) == k + 1 and has_leg(w, 1)
+                w in xset and coloring.colors[edge(vk, w)] == k + 1 and has_leg(w, 1)
                 for w in adj[vk]
             )
         else:
@@ -313,7 +313,7 @@ def test_km1dom_random(g, k):
     cert = greedy_connected_k_dominating(g, k - 1)
     coloring, trace = color_km1dom(g, cert, k)
     assert coloring.color_count <= len(cert.vertices) - 1 + k + 1
-    assert coloring.used_colors() == set(range(1, coloring.color_count + 1))
+    assert set(coloring.colors.values()) == set(range(1, coloring.color_count + 1))
     check_km1_trace(g, k, trace)
     replay_km1_cases(g, coloring, trace, k)
     assert is_k_rainbow_connected(g, coloring, k).ok

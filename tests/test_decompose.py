@@ -250,7 +250,9 @@ def test_split_parts_build_no_sorted_rows():
 
 
 def _tampered(cert, shape):
-    """``cert`` with one claim broken by editing its parts."""
+    """``cert`` with one claim broken by editing its parts, or its k."""
+    if shape.startswith("k = "):
+        return dataclasses.replace(cert, k=int(shape[4:]))
     g = cert.parent
     p0, p1, p2 = cert.parts
     missing = next(e for e in itertools.combinations(range(g.n), 2) if e not in g.edges)
@@ -295,6 +297,9 @@ def _tampered(cert, shape):
         ("fewer vertices", ["part 2 is not spanning", "parts do not cover the parent edge set"]),
         ("low degree", ["part 0 min degree 0 < required 2"]),
         ("two parts", ["2 parts, expected k = 3"]),
+        # no threshold is read below k = 1: its shift count would be negative
+        ("k = 0", ["k = 0, expected k >= 1"]),
+        ("k = -1", ["k = -1, expected k >= 1"]),
     ],
 )
 def test_split_certificate_names_each_violation(shape, problems):

@@ -65,6 +65,15 @@ def test_predicates_reject_empty_set():
             pred(cycle_graph(4), [], 1)
 
 
+def test_certificate_of_unknown_kind_never_holds():
+    # the whole vertex set meets either kind's predicate, so only the kind
+    # lookup can refuse it
+    k4 = complete_graph(4)
+    for kind in ("step", "multi"):
+        assert DominationCertificate(k4, (0, 1, 2, 3), kind, 1, True).holds()
+    assert not DominationCertificate(k4, (0, 1, 2, 3), "way", 1, True).holds()
+
+
 # ---------------------------------------------------------------------------
 # Greedy 2-step dominating sets
 
@@ -205,6 +214,9 @@ def test_union_rejects_invalid_inputs():
     assert not cert.holds()
     with pytest.raises(ValueError, match="not a connected 2-step dominating set"):
         union_connect(c8, [cert])
+    c4 = cycle_graph(4)
+    with pytest.raises(ValueError, match="not a connected 2-step dominating set"):
+        union_connect(c4, [_step2_cert(c4, [0]), _step2_cert(c4, [])])
 
 
 def test_union_connector_budget_on_split_parts(corpus):

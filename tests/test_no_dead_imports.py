@@ -2,7 +2,9 @@
 module imports another module's underscore-prefixed name, and every
 underscore-prefixed name a module defines at its top level is read somewhere
 in the package, and only ``graph.check_k`` tests ``2 <= k <= ...``, so the
-(graph, k) guard is stated once.
+(graph, k) guard is stated once. Every public function and public method is
+read by a library module or a demo, apart from a few kept for tests and
+callers (``TEST_FACING``).
 
 ``__init__.py`` is skipped for imports: they are the package's re-exports.
 """
@@ -15,7 +17,17 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rainbowindex"
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+#: Public functions that no library module or demo reads, kept because the
+#: tests hold them against the oracles: the rainbow-tree search with its
+#: witness check, and the coloring that gives every edge its own color.
+TEST_FACING = {
+    "all_distinct_coloring",
+    "exists_rainbow_stree",
+    "TreeWitness.is_valid_for",
+}
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -44,18 +56,24 @@ def private_imports(source: str) -> list[tuple[int, str]]:
     ]
 
 
-def unread_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
-    """(module, line, name) of each underscore-prefixed top-level function,
-    class or assigned name (dunders excepted) that no module of ``sources``
-    reads, bare or as an attribute."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
+def names_read(trees) -> set[str]:
+    """Every name the parsed modules read, bare or as an attribute."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def unread_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of each underscore-prefixed top-level function,
+    class or assigned name (dunders excepted) that no module of ``sources``
+    reads, bare or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = names_read(trees.values())
     unread = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -70,6 +88,34 @@ def unread_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
                 dunder = name.startswith("__") and name.endswith("__")
                 if name.startswith("_") and not dunder and name not in read:
                     unread.append((module, node.lineno, name))
+    return unread
+
+
+def unread_public_functions(
+    sources: dict[str, str], readers: dict[str, str]
+) -> list[tuple[str, int, str]]:
+    """(module, line, name) of each public top-level function of ``sources``,
+    and each public method of a top-level class, named ``Class.method``,
+    that no module of ``sources`` or ``readers`` reads, bare or as an
+    attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = names_read([*trees.values(), *map(ast.parse, readers.values())])
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                defs = [
+                    (f"{node.name}.{f.name}", f)
+                    for f in node.body
+                    if isinstance(f, ast.FunctionDef)
+                ]
+            else:
+                continue
+            for name, f in defs:
+                if not f.name.startswith("_") and f.name not in read:
+                    unread.append((module, f.lineno, name))
     return unread
 
 
@@ -143,6 +189,45 @@ def test_detector_flags_an_unread_private_name():
         ("a.py", 3, "_COUNT"),
         ("a.py", 6, "_Unused"),
     ]
+
+
+def test_every_public_function_is_read():
+    sources = {m: (SRC / m).read_text(encoding="utf-8") for m in MODULES}
+    demos = {p.name: p.read_text(encoding="utf-8") for p in sorted(DEMOS.glob("*.py"))}
+    unread = unread_public_functions(sources, demos)
+    assert [entry for entry in unread if entry[2] not in TEST_FACING] == []
+
+
+def test_detector_flags_an_unread_public_function():
+    sources = {
+        "a.py": (
+            "def used():\n"
+            "    def nested():\n"
+            "        pass\n"
+            "    return Box().size\n"
+            "def spare():\n"
+            "    pass\n"
+            "def _private():\n"
+            "    pass\n"
+            "def shown():\n"
+            "    pass\n"
+            "class Box:\n"
+            "    def __init__(self):\n"
+            "        pass\n"
+            "    @property\n"
+            "    def size(self):\n"
+            "        return 0\n"
+            "    def holds(self):\n"
+            "        return False\n"
+        ),
+        "b.py": "from a import used\nused()\n",
+    }
+    demos = {"demo.py": "import a\na.shown()\n"}
+    assert unread_public_functions(sources, demos) == [
+        ("a.py", 5, "spare"),
+        ("a.py", 17, "Box.holds"),
+    ]
+    assert unread_public_functions(sources, {})[1] == ("a.py", 9, "shown")
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))

@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from rainbowindex import (
     EdgeColoring,
     Graph,
-    RainbowTreeWitness,
     SearchBudgetExceeded,
-    SteinerWitness,
+    TreeWitness,
     all_distinct_coloring,
     bfs_tree_edges,
     bounds_report,
@@ -472,11 +471,12 @@ def test_rainbow_tree_search_leaves_no_garbage():
     # the search's nested function refers to itself; unless that cycle is
     # broken, every memo waits for the cyclic collector
     g = cycle_graph(6)
-    _, inc, bits, max_edges = verify_module._search_input(g, all_distinct_coloring(g))
+    inc = verify_module._incidence(g.n, g.sorted_edges())
+    bits = [1 << c for c in range(1, g.m + 1)]
     gc.collect()
     gc.disable()
     try:
-        assert verify_module._rainbow_tree(inc, bits, [0, 3], max_edges) is not None
+        assert verify_module._rainbow_tree(inc, bits, [0, 3], g.m) is not None
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -790,10 +790,6 @@ WITNESS_COLORING = EdgeColoring(
     ],
 )
 def test_witness_validators(edges, terminals, is_tree, is_rainbow):
-    edges, terminals = frozenset(edges), frozenset(terminals)
-    assert SteinerWitness(edges, terminals).is_valid_for(WITNESS_GRAPH) is is_tree
-    colors = frozenset(
-        WITNESS_COLORING.colors[e] for e in edges if e in WITNESS_GRAPH.edges
-    )
-    witness = RainbowTreeWitness(edges, terminals, colors)
+    witness = TreeWitness(frozenset(edges), frozenset(terminals))
+    assert witness.is_valid_for(WITNESS_GRAPH) is is_tree
     assert witness.is_valid_for(WITNESS_GRAPH, WITNESS_COLORING) is is_rainbow
