@@ -1,15 +1,17 @@
 """Ground truth for rainbow connectivity.
 
-One search, ``_rainbow_tree``, asks for every caller whether a rainbow tree
-contains a terminal set S. It grows a tree from the first terminal it is
-given (the lowest for the verifier and the witness search, the one of
-lowest degree for the exact solver), treats uncolored edges as wildcards
-and memoizes failed (vertex set, color set) states. Each edge adds one
-vertex, so a state may still add as many other vertices as its edges left
-exceed its missing terminals (its slack). It is refuted unless every
-missing terminal can be reached from the tree, through edges of unused
-colors, past at most that many non-terminals; with no slack left, only
-children that add a missing terminal are grown.
+One search, ``_rainbow_tree``, asks whether a rainbow tree contains a
+terminal set S, for the verifier, the witness search and the exact solver
+above its tree cap; below the cap the exact solver prunes by tree supports
+instead (see ``exact_rx_k``). The search grows a tree from the first
+terminal it is given (the lowest for the verifier and the witness search,
+the one of lowest degree for the exact solver), treats uncolored edges as
+wildcards and memoizes failed (vertex set, color set) states. Each edge
+adds one vertex, so a state may still add as many other vertices as its
+edges left exceed its missing terminals (its slack). It is refuted unless
+every missing terminal can be reached from the tree, through edges of
+unused colors, past at most that many non-terminals; with no slack left,
+only children that add a missing terminal are grown.
 
 * ``exists_rainbow_stree``: the search, allowing one edge per color in use,
   with the found tree pruned to a witness.
@@ -29,18 +31,25 @@ children that add a missing terminal are grown.
   checked are those of a search per subset. Each search has its own node
   budget. Only the verdict is needed, so no witnesses are built.
 * ``exact_rx_k``: smallest c admitting a k-rainbow coloring, by canonical
-  backtracking over edge colors (color j+1 may first appear only after j),
-  pruned by the search, allowing c edges, for every subset, grown from
-  the subset's terminal of lowest degree. Each subset keeps a tree with
-  its vertex and edge masks. When that tree repeats a color, any other
-  subset's tree that is still rainbow and spans the terminals takes its
-  place (the tree pool); only if none does is the subset searched again.
-  Only coloring an edge can break a tree, and every held tree is rainbow
-  before it, so after each placed color every subset tests one bit, the
-  placed edge, of its held tree's edge mask, and only trees through that
-  edge are rechecked. Once every edge is colored the check is exact, so
-  complete colorings are not re-verified. Budget exhaustion yields an
-  explicit unknown-with-bounds result, never a guess.
+  backtracking over edge colors (color j+1 may first appear only after j).
+  After each placed color it prunes unless every k-subset still has a tree
+  of at most c edges whose colored edges have distinct colors. Below a
+  fixed cap of 20,000 trees of at most c edges, it enumerates them once per
+  level and keeps bitsets over them (tree supports): the trees through each
+  edge, the trees containing each subset, and the trees with an edge of
+  each color. A placed color kills the trees through its edge that already
+  hold that color, and a subset survives while its cover meets the live
+  trees, a few ANDs instead of a search. Above the cap the level keeps a
+  tree per subset, grown by the search from the subset's terminal of
+  lowest degree; when that tree repeats a color, any other subset's
+  still-rainbow tree that spans the terminals takes its place (the tree
+  pool), and only if none does is the subset searched again. Only the trees
+  through the placed edge can break. Both prunes give the same answer, so
+  the nodes and colorings do not depend on the path. The enumeration is
+  bounded by the cap, so it can overrun a deadline only by that bounded
+  amount. Once every edge is colored the check is exact, so complete
+  colorings are not re-verified. Budget exhaustion yields an explicit
+  unknown-with-bounds result, never a guess.
 * ``bounds_report``: assembles lower/upper bounds with provenance labels.
   Which parts run follows from the instance size: the Steiner diameter up to
   20,000 k-subsets, the exact solver (2M-node budget) at desk scale, and
@@ -49,8 +58,10 @@ children that add a missing terminal are grown.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -387,25 +398,161 @@ def exact_rx_k(
     return ExactResult("unknown", None, c, hi, None, budget.nodes)
 
 
+#: The most trees of at most c edges that ``_search_k_rainbow_coloring``
+#: enumerates for level c; past it the level prunes by ``_rainbow_tree``.
+#: Set from the in-process table in ``BENCH_30.json``.
+_TREE_CAP = 20_000
+
+
 def _search_k_rainbow_coloring(
     g: Graph, k: int, c: int, budget: _Budget
 ) -> EdgeColoring | None:
     """Backtracking over edge colors in canonical first-use order.
 
-    Each subset keeps its terminals lowest degree first, ties to the lowest
-    id, so its searches grow from the terminal with the fewest incident
-    edges, where a tree has the fewest first choices (fail first). Which
-    tree a subset holds cannot change the nodes: ``prune_ok`` is True iff
-    every subset has a rainbow tree of at most c edges under the partial
-    coloring, since a held or pooled tree is one and an exhaustive search
-    finds one if any exists, and ``place`` reads only that answer. So the
-    root moves only the trees held, never the nodes, the colorings or an
-    unknown result's bounds.
+    After each placed color, a prune asks whether every k-subset still has
+    a tree of at most c edges whose colored edges have distinct colors
+    (uncolored edges are wildcards), and ``place`` reads only that answer.
+    Two prunes give it: ``_support_prune`` over every such tree, enumerated
+    once for the level, while there are at most ``_TREE_CAP`` of them, and
+    ``_pool_prune``, by held trees and ``_rainbow_tree``, above the cap.
+    The tree count of the input selects one, and the nodes, the colorings
+    and an unknown result's bounds do not depend on which. The enumeration
+    ticks no node; the cap bounds it, so it can overrun a deadline only by
+    that bounded amount. Once every edge is colored the answer is the exact
+    k-rainbow check, so complete colorings are not re-verified.
     """
     edges = g.sorted_edges()
     inc = _incidence(g.n, edges)
     m = len(edges)
     bits = [0] * m  # color bit per edge, 0 = uncolored
+    through = _tree_supports(inc, k, c)
+    if through is None:
+        admit, retract = _pool_prune(g, k, c, edges, inc, bits)
+    else:
+        admit, retract = _support_prune(k, c, inc, through)
+
+    def place(i: int, max_used: int):
+        if i == m:
+            return True
+        top = min(max_used + 1, c)
+        for col in range(1, top + 1):
+            budget.tick()
+            bits[i] = 1 << col
+            if admit(i, col):
+                if place(i + 1, max(max_used, col)):
+                    return True
+                retract()
+        bits[i] = 0
+        return False
+
+    if place(0, 0):
+        assign = [b.bit_length() - 1 for b in bits]
+        if max(assign) != c:
+            raise InvariantViolation(
+                "canonical search used fewer colors than its level"
+            )
+        return EdgeColoring(g, dict(zip(edges, assign)), c)
+    return None
+
+
+def _tree_supports(inc, k: int, c: int) -> list[int] | None:
+    """Per edge the bitset of the trees through it, over every tree of at
+    most ``c`` edges and at least ``k`` vertices; None as soon as more
+    than ``_TREE_CAP`` trees of at most ``c`` edges, smaller ones
+    included, have been grown.
+
+    Trees grow one edge at a time from single vertices, and a tree reached
+    twice is kept once, by its edge mask. Tree t is bit T-1-t of every
+    bitset, T the trees kept: written out one tree per row, the edge masks
+    hold edge i's bitset in one column, read as one binary literal.
+    """
+    # per tree its edge mask, vertex mask and vertices
+    level = [(0, 1 << v, (v,)) for v in range(len(inc))]
+    kept: list[int] = []  # edge masks
+    grown = 0
+    for size in range(1, c + 1):
+        bigger: dict[int, tuple[int, tuple[int, ...]]] = {}
+        for tree, mask, verts in level:
+            for v in verts:
+                for w, i, bit in inc[v]:
+                    if not mask & bit:
+                        child = tree | 1 << i
+                        if child not in bigger:
+                            bigger[child] = mask | bit, verts + (w,)
+                            grown += 1
+                            if grown > _TREE_CAP:
+                                return None
+        level = [(tree, mask, verts) for tree, (mask, verts) in bigger.items()]
+        if size + 1 >= k:
+            kept.extend(bigger)
+    m = sum(map(len, inc)) // 2
+    top = 1 << m  # a leading 1, so every row has m digits after it
+    rows = "".join([bin(tree | top)[3:] for tree in kept])
+    return [int(rows[m - 1 - i :: m], 2) for i in range(m)]
+
+
+def _support_prune(k: int, c: int, inc, through: list[int]):
+    """``admit(i, col)`` and ``retract()`` over the trees of ``through``.
+
+    A tree is live while its colored edges have distinct colors. Coloring
+    edge i with col kills the live trees through i that hold an edge
+    already colored col. A subset survives while a live tree contains it:
+    one AND with its cover, the trees through an edge at each of its
+    vertices (every tree has an edge, as k >= 2). A placement that kills no
+    live tree needs no check. ``retract`` undoes the last admitted
+    placement.
+    """
+    holds = [0] * len(inc)  # per vertex the trees containing it
+    for v, row in enumerate(inc):
+        for _, i, _ in row:
+            holds[v] |= through[i]
+    covers = [
+        functools.reduce(operator.and_, s) for s in itertools.combinations(holds, k)
+    ]
+    if not all(covers):  # c is at least the Steiner diameter
+        raise InvariantViolation("a k-subset has no tree within the level")
+    live = [functools.reduce(operator.or_, holds)]  # after each placement
+    by_color = [0] * (c + 1)  # trees with an edge colored col
+    saved: list[tuple[int, int]] = []  # (col, by_color[col]) per placement
+
+    def admit(i: int, col: int) -> bool:
+        tip = live[-1]
+        old = by_color[col]
+        kill = through[i] & old & tip
+        if kill:
+            tip ^= kill
+            for idx, cover in enumerate(covers):
+                if not tip & cover:
+                    # fail-first: remember the troublemaker up front
+                    covers.insert(0, covers.pop(idx))
+                    return False
+        live.append(tip)
+        saved.append((col, old))
+        by_color[col] = old | through[i]
+        return True
+
+    def retract() -> None:
+        live.pop()
+        col, old = saved.pop()
+        by_color[col] = old
+
+    return admit, retract
+
+
+def _pool_prune(g: Graph, k: int, c: int, edges, inc, bits: list[int]):
+    """``admit(i, col)`` and ``retract()`` by held trees and searches, for
+    levels above ``_TREE_CAP``; ``bits`` holds the partial coloring, the
+    placed color included.
+
+    Each subset keeps its terminals lowest degree first, ties to the lowest
+    id, so its searches grow from the terminal with the fewest incident
+    edges, where a tree has the fewest first choices (fail first). Which
+    tree a subset holds cannot change the answer: ``admit`` is True iff
+    every subset has a rainbow tree of at most c edges under the partial
+    coloring, since a held or pooled tree is one and an exhaustive search
+    finds one if any exists. Nothing is undone on backtracking, since a
+    tree held under more colored edges stays rainbow under fewer.
+    """
     # each subset with its terminals (the search's root first), terminal
     # mask and a (tree, vertex mask, edge mask) triple; a tree stays valid
     # while rainbow
@@ -422,11 +569,10 @@ def _search_k_rainbow_coloring(
             used |= bits[i]
         return True
 
-    def prune_ok(placed: int) -> bool:
-        # optimistic: uncolored edges are wildcards, so once every edge is
-        # colored this is the exact k-rainbow check. Every held tree was
-        # rainbow with edge ``placed`` uncolored (backtracking only uncolors
-        # edges), so a tree without that edge is still rainbow.
+    def admit(placed: int, col: int) -> bool:
+        # Every held tree was rainbow with edge ``placed`` uncolored
+        # (backtracking only uncolors edges), so a tree without that edge
+        # is still rainbow.
         for idx, entry in enumerate(subsets):
             terms, need, held = entry
             if held is not None and (not held[2] >> placed & 1 or rainbow(held[0])):
@@ -450,26 +596,7 @@ def _search_k_rainbow_coloring(
                 entry[2] = tree, need | verts, _mask(tree)
         return True
 
-    def place(i: int, max_used: int):
-        if i == m:
-            return True
-        top = min(max_used + 1, c)
-        for col in range(1, top + 1):
-            budget.tick()
-            bits[i] = 1 << col
-            if prune_ok(i) and place(i + 1, max(max_used, col)):
-                return True
-        bits[i] = 0
-        return False
-
-    if place(0, 0):
-        assign = [b.bit_length() - 1 for b in bits]
-        if max(assign) != c:
-            raise InvariantViolation(
-                "canonical search used fewer colors than its level"
-            )
-        return EdgeColoring(g, dict(zip(edges, assign)), c)
-    return None
+    return admit, lambda: None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import functools
 import gc
 import hashlib
 import itertools
+import operator
 import random
 from types import SimpleNamespace
 
@@ -35,7 +37,7 @@ from rainbowindex import (
     steiner_distance,
 )
 from rainbowindex import verify as verify_module
-from rainbowindex.graph import is_tree_witness
+from rainbowindex.graph import InvariantViolation, is_tree_witness
 from tests.oracles import (
     oracle_exact_rx,
     oracle_exists_rainbow_tree,
@@ -200,10 +202,9 @@ def test_rainbow_tree_expands_pinned_states(
     assert budget.nodes == states
 
 
-def test_exact_solver_expands_pinned_search_states(monkeypatch):
-    # pinned so that a weaker root rule shows up as a larger count, not only
-    # as wall time. With every search grown from the lowest terminal, the
-    # nodes were the same and the states 124,604
+def _count_searches(monkeypatch) -> _CountingBudget:
+    """Replace the exact solver's ``_rainbow_tree`` by one that counts the
+    states of every search in the returned budget."""
     budget = _CountingBudget()
     search = verify_module._rainbow_tree
 
@@ -211,9 +212,73 @@ def test_exact_solver_expands_pinned_search_states(monkeypatch):
         return search(inc, bits, terms, max_edges, budget)
 
     monkeypatch.setattr(verify_module, "_rainbow_tree", counted)
-    result = exact_rx_k(gnp_connected_graph(9, 0.4, seed=5), 3)
+    return budget
+
+
+def test_exact_solver_expands_pinned_search_states(monkeypatch):
+    # below the tree cap the solver prunes by tree supports and searches
+    # nothing; the states are pinned on the search path, forced by a cap of
+    # 0, so that a weaker root rule shows up as a larger count, not only as
+    # wall time. With every search grown from the lowest terminal, the
+    # nodes were the same and the states 124,604
+    g = gnp_connected_graph(9, 0.4, seed=5)
+    budget = _count_searches(monkeypatch)
+    result = exact_rx_k(g, 3)
+    assert result.value == 5 and result.nodes == 8352
+    assert budget.nodes == 0
+    monkeypatch.setattr(verify_module, "_TREE_CAP", 0)
+    result = exact_rx_k(g, 3)
     assert result.value == 5 and result.nodes == 8352
     assert budget.nodes == 63172
+
+
+def _connected_gnm(n: int, m: int, seed: int) -> Graph:
+    rng = random.Random(seed)
+    pairs = list(itertools.combinations(range(n), 2))
+    while True:
+        g = Graph(n, rng.sample(pairs, m))
+        if g.is_connected:
+            return g
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_prunes_desk_graphs_by_tree_supports(monkeypatch, seed, k):
+    # the exact benchmark's shape: every level stays under the tree cap
+    def refuse(*args):
+        raise AssertionError("searched below the tree cap")
+
+    monkeypatch.setattr(verify_module, "_rainbow_tree", refuse)
+    result = exact_rx_k(_connected_gnm(8, 14, seed), k, node_budget=200)
+    assert result.nodes > 0
+
+
+def test_exact_searches_above_the_tree_cap(monkeypatch):
+    # K8 has 134,456 trees of 6 edges alone, so level 6 searches
+    budget = _count_searches(monkeypatch)
+    result = exact_rx_k(complete_graph(8), 7)
+    assert (result.status, result.value, result.nodes) == ("exact", 6, 1358)
+    assert budget.nodes > 0
+
+
+def test_tree_supports_refuse_a_level_below_the_steiner_diameter():
+    # in P5 the 3-set {0, 2, 4} needs 4 edges; exact_rx_k never asks for
+    # fewer than the Steiner diameter
+    budget = verify_module._Budget(None, None)
+    with pytest.raises(InvariantViolation, match="no tree within the level"):
+        verify_module._search_k_rainbow_coloring(path_graph(5), 3, 2, budget)
+
+
+def test_tree_supports_count_every_tree_up_to_the_cap(monkeypatch):
+    # C5 has 5 trees of one edge and 5 of two; at k = 3 only the second
+    # are kept, and each edge lies on two of them
+    inc = verify_module._incidence(5, cycle_graph(5).sorted_edges())
+    monkeypatch.setattr(verify_module, "_TREE_CAP", 10)
+    through = verify_module._tree_supports(inc, 3, 2)
+    assert [trees.bit_count() for trees in through] == [2] * 5
+    assert functools.reduce(operator.or_, through) == (1 << 5) - 1
+    monkeypatch.setattr(verify_module, "_TREE_CAP", 9)
+    assert verify_module._tree_supports(inc, 3, 2) is None
 
 
 def test_slack_walk_refutes_a_far_terminal_at_the_root():

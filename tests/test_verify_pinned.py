@@ -19,6 +19,7 @@ from rainbowindex import (
     gnp_connected_graph,
 )
 from rainbowindex import verify as verify_module
+from tests.test_acceptance import _exact_oracle_sample
 
 
 def _digest(items) -> str:
@@ -53,16 +54,53 @@ def test_pinned_witnesses():
     assert _digest(items) == PINNED_WITNESSES
 
 
-def test_pinned_exact_results():
+def _pinned_exact_instances():
+    """(graph, k, node budget) per pinned exact instance."""
     rng = random.Random(5)
-    items = []
     for i in range(24):
         n = rng.randint(6, 8)
         g = gnp_connected_graph(n, rng.choice((0.35, 0.5)), seed=rng.randrange(10**6))
-        r = exact_rx_k(g, 2 + i % 3, node_budget=1500)
+        yield g, 2 + i % 3, 1500
+
+
+def _exact_outcomes(instances):
+    """(status, value, lower, upper, nodes, sorted coloring) per instance."""
+    items = []
+    for g, k, node_budget in instances:
+        r = exact_rx_k(g, k, node_budget=node_budget)
         colors = None if r.coloring is None else sorted(r.coloring.colors.items())
-        items.append((r.status, r.value, r.nodes, colors))
+        items.append((r.status, r.value, r.lower, r.upper, r.nodes, colors))
+    return items
+
+
+def test_pinned_exact_results():
+    items = [
+        (status, value, nodes, colors)
+        for status, value, _, _, nodes, colors in _exact_outcomes(
+            _pinned_exact_instances()
+        )
+    ]
     assert _digest(items) == PINNED_EXACT
+
+
+def test_tree_supports_and_searches_prune_alike(monkeypatch):
+    # the pinned instances and the oracle graphs stay under the tree cap, so
+    # they never search; forced onto the search path by a cap of 0, every
+    # result, node count and coloring must be the same
+    instances = list(_pinned_exact_instances())
+    instances += [
+        (g, k, None) for g in _exact_oracle_sample() for k in (2, 3) if k <= g.n
+    ]
+    search = verify_module._rainbow_tree
+
+    def refuse(*args):
+        raise AssertionError("searched below the tree cap")
+
+    monkeypatch.setattr(verify_module, "_rainbow_tree", refuse)
+    supported = _exact_outcomes(instances)
+    monkeypatch.setattr(verify_module, "_rainbow_tree", search)
+    monkeypatch.setattr(verify_module, "_TREE_CAP", 0)
+    assert _exact_outcomes(instances) == supported
 
 
 def test_exact_does_not_reverify_complete_colorings(monkeypatch):
