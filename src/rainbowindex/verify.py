@@ -1,17 +1,16 @@
 """Ground truth for rainbow connectivity.
 
 One search, ``_rainbow_tree``, asks whether a rainbow tree contains a
-terminal set S, for the verifier, the witness search and the exact solver
-above its tree cap; below the cap the exact solver prunes by tree supports
-instead (see ``exact_rx_k``). The search grows a tree from the first
-terminal it is given (the lowest for the verifier and the witness search,
-the one of lowest degree for the exact solver), treats uncolored edges as
-wildcards and memoizes failed (vertex set, color set) states. Each edge
-adds one vertex, so a state may still add as many other vertices as its
-edges left exceed its missing terminals (its slack). It is refuted unless
-every missing terminal can be reached from the tree, through edges of
-unused colors, past at most that many non-terminals; with no slack left,
-only children that add a missing terminal are grown.
+terminal set S, for the verifier, the witness search and the exact
+solver's tree pool above its cap (see ``exact_rx_k``). The search grows a
+tree from the first terminal it is given (the lowest for the verifier and
+the witness search, the one of lowest degree for the exact solver),
+treats uncolored edges as wildcards and memoizes failed (vertex set, color
+set) states. Each edge adds one vertex, so a state may still add as many
+other vertices as its edges left exceed its missing terminals (its slack).
+It is refuted unless every missing terminal can be reached from the tree,
+through edges of unused colors, past at most that many non-terminals; with
+no slack left, only children that add a missing terminal are grown.
 
 * ``exists_rainbow_stree``: the search, allowing one edge per color in use,
   with the found tree pruned to a witness.
@@ -33,23 +32,22 @@ only children that add a missing terminal are grown.
 * ``exact_rx_k``: smallest c admitting a k-rainbow coloring, by canonical
   backtracking over edge colors (color j+1 may first appear only after j).
   After each placed color it prunes unless every k-subset still has a tree
-  of at most c edges whose colored edges have distinct colors. Below a
-  fixed cap of 20,000 trees of at most c edges, it enumerates them once per
-  level and keeps bitsets over them (tree supports): the trees through each
+  of at most c edges whose colored edges have distinct colors. It keeps
+  bitsets over a pool of such trees (tree supports): the trees through each
   edge, the trees containing each subset, and the trees with an edge of
   each color. A placed color kills the trees through its edge that already
   hold that color, and a subset survives while its cover meets the live
-  trees, a few ANDs instead of a search. Above the cap the level keeps a
+  trees, a few ANDs. Up to a fixed cap of 20,000 trees of at most c edges
+  the pool is all of them, enumerated once per level, so a subset with no
+  live tree refutes the placement. Above the cap the pool starts with a
   tree per subset, grown by the search from the subset's terminal of
-  lowest degree; when that tree repeats a color, any other subset's
-  still-rainbow tree that spans the terminals takes its place (the tree
-  pool), and only if none does is the subset searched again. Only the trees
-  through the placed edge can break. Both prunes give the same answer, so
-  the nodes and colorings do not depend on the path. The enumeration is
-  bounded by the cap, so it can overrun a deadline only by that bounded
-  amount. Once every edge is colored the check is exact, so complete
-  colorings are not re-verified. Budget exhaustion yields an explicit
-  unknown-with-bounds result, never a guess.
+  lowest degree; a subset left with no live tree is searched under the
+  partial coloring, and the tree found joins the pool. Either pool gives
+  the same answer, so the nodes and colorings do not depend on the cap.
+  The enumeration is bounded by the cap, so it can overrun a deadline only
+  by that bounded amount. Once every edge is colored the check is exact,
+  so complete colorings are not re-verified. Budget exhaustion yields an
+  explicit unknown-with-bounds result, never a guess.
 * ``bounds_report``: assembles lower/upper bounds with provenance labels.
   Which parts run follows from the instance size: the Steiner diameter up to
   20,000 k-subsets, the exact solver (2M-node budget) at desk scale, and
@@ -398,9 +396,9 @@ def exact_rx_k(
     return ExactResult("unknown", None, c, hi, None, budget.nodes)
 
 
-#: The most trees of at most c edges that ``_search_k_rainbow_coloring``
-#: enumerates for level c; past it the level prunes by ``_rainbow_tree``.
-#: Set from the in-process table in ``BENCH_30.json``.
+#: The most trees of at most c edges that ``_tree_prune`` enumerates for
+#: level c; past it the level's tree pool starts small and grows by
+#: ``_rainbow_tree``. Set from the in-process table in ``BENCH_30.json``.
 _TREE_CAP = 20_000
 
 
@@ -409,27 +407,20 @@ def _search_k_rainbow_coloring(
 ) -> EdgeColoring | None:
     """Backtracking over edge colors in canonical first-use order.
 
-    After each placed color, a prune asks whether every k-subset still has
-    a tree of at most c edges whose colored edges have distinct colors
-    (uncolored edges are wildcards), and ``place`` reads only that answer.
-    Two prunes give it: ``_support_prune`` over every such tree, enumerated
-    once for the level, while there are at most ``_TREE_CAP`` of them, and
-    ``_pool_prune``, by held trees and ``_rainbow_tree``, above the cap.
-    The tree count of the input selects one, and the nodes, the colorings
-    and an unknown result's bounds do not depend on which. The enumeration
-    ticks no node; the cap bounds it, so it can overrun a deadline only by
-    that bounded amount. Once every edge is colored the answer is the exact
-    k-rainbow check, so complete colorings are not re-verified.
+    After each placed color, ``place`` asks ``_tree_prune`` whether every
+    k-subset still has a tree of at most c edges whose colored edges have
+    distinct colors (uncolored edges are wildcards); the answer, and so
+    the nodes and colorings, do not depend on ``_TREE_CAP``. The prune
+    ticks no node, and the cap bounds its enumeration, so it can overrun a
+    deadline only by that bounded amount. Once every edge is colored the
+    answer is the exact k-rainbow check, so complete colorings are not
+    re-verified.
     """
     edges = g.sorted_edges()
     inc = _incidence(g.n, edges)
     m = len(edges)
     bits = [0] * m  # color bit per edge, 0 = uncolored
-    through = _tree_supports(inc, k, c)
-    if through is None:
-        admit, retract = _pool_prune(g, k, c, edges, inc, bits)
-    else:
-        admit, retract = _support_prune(k, c, inc, through)
+    admit, retract = _tree_prune(k, c, edges, inc, bits)
 
     def place(i: int, max_used: int):
         if i == m:
@@ -491,29 +482,79 @@ def _tree_supports(inc, k: int, c: int) -> list[int] | None:
     return [int(rows[m - 1 - i :: m], 2) for i in range(m)]
 
 
-def _support_prune(k: int, c: int, inc, through: list[int]):
-    """``admit(i, col)`` and ``retract()`` over the trees of ``through``.
+def _tree_prune(k: int, c: int, edges, inc, bits: list[int]):
+    """``admit(i, col)`` and ``retract()`` over a pool of trees of at most
+    ``c`` edges; ``bits`` holds the partial coloring, the placed color
+    included.
 
     A tree is live while its colored edges have distinct colors. Coloring
     edge i with col kills the live trees through i that hold an edge
     already colored col. A subset survives while a live tree contains it:
-    one AND with its cover, the trees through an edge at each of its
-    vertices (every tree has an edge, as k >= 2). A placement that kills no
-    live tree needs no check. ``retract`` undoes the last admitted
-    placement.
+    one AND with its cover, the pool trees containing it. A placement that
+    kills no live tree needs no check. ``retract`` undoes the last admitted
+    placement. Up to ``_TREE_CAP`` trees the pool holds every tree
+    (``_tree_supports``), so a subset with no live tree refutes the
+    placement. Above it the pool starts with a ``_rainbow_tree`` tree for
+    each subset no earlier one spans, grown from the subset's terminal of
+    lowest degree, ties to the lowest id, where a tree has the fewest
+    first choices; a subset left with no live tree is searched under the
+    partial coloring, and the tree found joins the pool. Either way
+    ``admit`` is True iff every subset has a rainbow tree of at most c
+    edges, so the pool does not change the answer.
     """
-    holds = [0] * len(inc)  # per vertex the trees containing it
-    for v, row in enumerate(inc):
-        for _, i, _ in row:
-            holds[v] |= through[i]
-    covers = [
-        functools.reduce(operator.and_, s) for s in itertools.combinations(holds, k)
-    ]
+    n = len(inc)
+    through = _tree_supports(inc, k, c)
+    complete = through is not None
+    if complete:
+        holds = [0] * n  # per vertex the trees containing it
+        for v, row in enumerate(inc):
+            for _, i, _ in row:
+                holds[v] |= through[i]  # every tree has an edge, as k >= 2
+        covers = [
+            functools.reduce(operator.and_, s)
+            for s in itertools.combinations(holds, k)
+        ]
+        live = [functools.reduce(operator.or_, holds)]  # after each placement
+    else:
+        subsets = list(itertools.combinations(range(n), k))  # in step with covers
+        through, covers, live = [0] * len(edges), [0] * len(subsets), [0]
+    by_color = [0] * (c + 1)  # trees with an edge colored col
+    saved: list[tuple[int, int]] = []  # (col, by_color[col]) per placed edge
+
+    def rescue(idx: int) -> int:
+        # search subset idx under the partial coloring; the tree found is
+        # rainbow under every placement before it too, so it joins every
+        # live entry, and each snapshot whose color it holds on an earlier
+        # edge. Returns its bit, 0 if none
+        terms = sorted(subsets[idx], key=lambda v: (len(inc[v]), v))
+        tree = _rainbow_tree(inc, bits, terms, c)
+        if tree is None:
+            subsets.insert(0, subsets.pop(idx))  # as admit moves its cover
+            return 0
+        bit = 1 << live[0].bit_length()  # the root's entry holds every tree
+        placed = len(saved)  # edges colored before the one being placed
+        for i in tree:
+            through[i] |= bit
+            if i < placed:
+                col = bits[i].bit_length() - 1
+                by_color[col] |= bit
+                for j in range(i + 1, placed):
+                    if saved[j][0] == col:
+                        saved[j] = col, saved[j][1] | bit
+        verts = {v for i in tree for v in edges[i]}
+        for j, subset in enumerate(subsets):
+            if verts.issuperset(subset):
+                covers[j] |= bit
+        for j in range(len(live)):
+            live[j] |= bit
+        return bit
+
+    if not complete:
+        for idx, cover in enumerate(covers):
+            if not cover and not rescue(idx):
+                break
     if not all(covers):  # c is at least the Steiner diameter
         raise InvariantViolation("a k-subset has no tree within the level")
-    live = [functools.reduce(operator.or_, holds)]  # after each placement
-    by_color = [0] * (c + 1)  # trees with an edge colored col
-    saved: list[tuple[int, int]] = []  # (col, by_color[col]) per placement
 
     def admit(i: int, col: int) -> bool:
         tip = live[-1]
@@ -523,9 +564,12 @@ def _support_prune(k: int, c: int, inc, through: list[int]):
             tip ^= kill
             for idx, cover in enumerate(covers):
                 if not tip & cover:
-                    # fail-first: remember the troublemaker up front
-                    covers.insert(0, covers.pop(idx))
-                    return False
+                    if complete or not (bit := rescue(idx)):
+                        # fail-first: remember the troublemaker up front
+                        covers.insert(0, covers.pop(idx))
+                        return False
+                    tip |= bit
+                    old = by_color[col]
         live.append(tip)
         saved.append((col, old))
         by_color[col] = old | through[i]
@@ -537,66 +581,6 @@ def _support_prune(k: int, c: int, inc, through: list[int]):
         by_color[col] = old
 
     return admit, retract
-
-
-def _pool_prune(g: Graph, k: int, c: int, edges, inc, bits: list[int]):
-    """``admit(i, col)`` and ``retract()`` by held trees and searches, for
-    levels above ``_TREE_CAP``; ``bits`` holds the partial coloring, the
-    placed color included.
-
-    Each subset keeps its terminals lowest degree first, ties to the lowest
-    id, so its searches grow from the terminal with the fewest incident
-    edges, where a tree has the fewest first choices (fail first). Which
-    tree a subset holds cannot change the answer: ``admit`` is True iff
-    every subset has a rainbow tree of at most c edges under the partial
-    coloring, since a held or pooled tree is one and an exhaustive search
-    finds one if any exists. Nothing is undone on backtracking, since a
-    tree held under more colored edges stays rainbow under fewer.
-    """
-    # each subset with its terminals (the search's root first), terminal
-    # mask and a (tree, vertex mask, edge mask) triple; a tree stays valid
-    # while rainbow
-    subsets = [
-        [sorted(s, key=lambda v: (g.degree(v), v)), _mask(s), None]
-        for s in itertools.combinations(range(g.n), k)
-    ]
-
-    def rainbow(tree: list[int]) -> bool:
-        used = 0
-        for i in tree:
-            if bits[i] & used:
-                return False
-            used |= bits[i]
-        return True
-
-    def admit(placed: int, col: int) -> bool:
-        # Every held tree was rainbow with edge ``placed`` uncolored
-        # (backtracking only uncolors edges), so a tree without that edge
-        # is still rainbow.
-        for idx, entry in enumerate(subsets):
-            terms, need, held = entry
-            if held is not None and (not held[2] >> placed & 1 or rainbow(held[0])):
-                continue
-            # any still-rainbow tree spanning the terminals will do
-            for _, _, pooled in subsets:
-                if (
-                    pooled is not None
-                    and not need & ~pooled[1]
-                    and (not pooled[2] >> placed & 1 or rainbow(pooled[0]))
-                ):
-                    entry[2] = pooled
-                    break
-            else:
-                tree = _rainbow_tree(inc, bits, terms, c)
-                if tree is None:
-                    # fail-first: remember the troublemaker up front
-                    subsets.insert(0, subsets.pop(idx))
-                    return False
-                verts = _mask(v for i in tree for v in edges[i])
-                entry[2] = tree, need | verts, _mask(tree)
-        return True
-
-    return admit, lambda: None
 
 
 # ---------------------------------------------------------------------------

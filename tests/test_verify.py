@@ -216,11 +216,12 @@ def _count_searches(monkeypatch) -> _CountingBudget:
 
 
 def test_exact_solver_expands_pinned_search_states(monkeypatch):
-    # below the tree cap the solver prunes by tree supports and searches
+    # below the tree cap the pool holds every tree and the solver searches
     # nothing; the states are pinned on the search path, forced by a cap of
-    # 0, so that a weaker root rule shows up as a larger count, not only as
-    # wall time. With every search grown from the lowest terminal, the
-    # nodes were the same and the states 124,604
+    # 0, so that a weaker root rule or pool shows up as a larger count, not
+    # only as wall time. With every search grown from the lowest terminal,
+    # the nodes were the same and the states 124,604; with a tree held per
+    # subset and a found tree kept only until it broke, 63,172
     g = gnp_connected_graph(9, 0.4, seed=5)
     budget = _count_searches(monkeypatch)
     result = exact_rx_k(g, 3)
@@ -229,7 +230,7 @@ def test_exact_solver_expands_pinned_search_states(monkeypatch):
     monkeypatch.setattr(verify_module, "_TREE_CAP", 0)
     result = exact_rx_k(g, 3)
     assert result.value == 5 and result.nodes == 8352
-    assert budget.nodes == 63172
+    assert budget.nodes == 50376
 
 
 def _connected_gnm(n: int, m: int, seed: int) -> Graph:
@@ -254,16 +255,24 @@ def test_exact_prunes_desk_graphs_by_tree_supports(monkeypatch, seed, k):
 
 
 def test_exact_searches_above_the_tree_cap(monkeypatch):
-    # K8 has 134,456 trees of 6 edges alone, so level 6 searches
+    # K8 has 134,456 trees of 6 edges alone, so level 6 searches; the
+    # states are pinned so that a weaker pool shows up as a larger count.
+    # With a tree held per subset and a found tree kept only until it
+    # broke, they were 44,573
     budget = _count_searches(monkeypatch)
     result = exact_rx_k(complete_graph(8), 7)
     assert (result.status, result.value, result.nodes) == ("exact", 6, 1358)
-    assert budget.nodes > 0
+    assert budget.nodes == 43469
 
 
-def test_tree_supports_refuse_a_level_below_the_steiner_diameter():
+@pytest.mark.parametrize(
+    "cap", [verify_module._TREE_CAP, 0], ids=["default-cap", "cap-0"]
+)
+def test_tree_supports_refuse_a_level_below_the_steiner_diameter(monkeypatch, cap):
     # in P5 the 3-set {0, 2, 4} needs 4 edges; exact_rx_k never asks for
-    # fewer than the Steiner diameter
+    # fewer than the Steiner diameter. Above the cap the pool's first
+    # search for that set finds no tree
+    monkeypatch.setattr(verify_module, "_TREE_CAP", cap)
     budget = verify_module._Budget(None, None)
     with pytest.raises(InvariantViolation, match="no tree within the level"):
         verify_module._search_k_rainbow_coloring(path_graph(5), 3, 2, budget)

@@ -20,6 +20,7 @@ from rainbowindex import (
 )
 from rainbowindex import verify as verify_module
 from tests.test_acceptance import _exact_oracle_sample
+from tests.test_verify import _connected_gnm
 
 
 def _digest(items) -> str:
@@ -84,12 +85,16 @@ def test_pinned_exact_results():
 
 
 def test_tree_supports_and_searches_prune_alike(monkeypatch):
-    # the pinned instances and the oracle graphs stay under the tree cap, so
-    # they never search; forced onto the search path by a cap of 0, every
-    # result, node count and coloring must be the same
+    # the pinned instances, the oracle graphs and the exact benchmark's
+    # shape stay under the tree cap, so they never search; forced onto the
+    # search path by a cap of 0, every result, node count, coloring and
+    # unknown result's bounds must be the same
     instances = list(_pinned_exact_instances())
     instances += [
         (g, k, None) for g in _exact_oracle_sample() for k in (2, 3) if k <= g.n
+    ]
+    instances += [
+        (_connected_gnm(8, 14, seed), k, 200) for seed in range(4) for k in (2, 4)
     ]
     search = verify_module._rainbow_tree
 
