@@ -22,6 +22,8 @@ print("vertices at distance exactly 2 from {0}:", k_step_neighborhood(c6, [0], 2
 d, witness = steiner_distance(c6, [0, 2, 4])
 print("steiner distance of {0, 2, 4} =", d, "witness edges:", sorted(witness.edges))
 print("steiner 3-diameter =", steiner_diameter(c6, 3))
+# k near n: the diameter works on the removable complements of the 9-sets
+print("steiner 9-diameter of the 16-cycle =", steiner_diameter(cycle_graph(16), 9))
 
 print()
 print("== metrics on the Petersen graph ==")

@@ -6,20 +6,21 @@ distances and diameters).
 cumulative distance layers of a source set, and ``component_masks`` the
 components of a vertex mask (``vertex_mask`` of a vertex list), each from
 its lowest vertex; the latter is the one connectivity test, serving
-``Graph.is_connected``, the tree, certificate and core checks and the
-dominate constructions. The first-arrival BFS, ``_first_arrivals``, serves only
-forests (``bfs_forest``) and paths (``shortest_path_between_masks``): it
-gives the first-arrival parents of one BFS from all roots at once, taking
-each row's new vertices in ascending order, as a walk over sorted
-adjacency would. The path search grows balls from both sets until they
-meet and runs that BFS only on the vertices of shortest paths between
-them.
+``Graph.is_connected``, the tree, certificate, core and Steiner set checks
+and the dominate constructions. The first-arrival BFS, ``_first_arrivals``,
+serves only forests (``bfs_forest``) and paths
+(``shortest_path_between_masks``): it gives the first-arrival parents of
+one BFS from all roots at once, taking each row's new vertices in
+ascending order, as a walk over sorted adjacency would. The path search
+grows balls from both sets until they meet and runs that BFS only on the
+vertices of shortest paths between them.
 Only ``_relax`` walks its own layers, because its sources join the BFS at
 different times and it writes each vertex's row value while it walks a
 layer; a ``spread`` step would walk each layer twice. It lowers the rows of
 the one Dreyfus-Wagner engine, ``_steiner_rows``, which serves both
 ``steiner_distance`` (walking a witness back from the values) and
-``steiner_diameter``.
+``steiner_diameter``, unless ``steiner_diameter_steps`` estimates the
+diameter's removal table over the complements of the k-sets cheaper.
 
 A ``Graph`` stores one form of its edges, its ascending edge order or its
 bitmask rows, and derives the other (one OR pass, or one walk over the
@@ -519,19 +520,17 @@ def _steiner_dp(g: Graph, terminals: list[int]) -> tuple[int, TreeWitness]:
 
 
 def _steiner_enumerate(g: Graph, terminals: list[int]) -> tuple[int, TreeWitness]:
-    """Exhaustive check over connected vertex supersets, smallest first."""
-    base = set(terminals)
-    others = [v for v in range(g.n) if v not in base]
+    """Exhaustive check over vertex supersets, smallest first: one
+    ``component_masks`` walk per superset, and a BFS tree of the first
+    connected one."""
+    base = vertex_mask(g, terminals)
+    others = [v for v in range(g.n) if not base >> v & 1]
     for extra in range(len(others) + 1):
         for combo in itertools.combinations(others, extra):
-            vs = sorted(base.union(combo))
-            try:
-                tree = bfs_tree_edges(g, vs)
-            except ValueError:
-                continue
-            return len(vs) - 1, TreeWitness(
-                frozenset(tree), frozenset(terminals)
-            )
+            mask = base | sum(1 << v for v in combo)
+            if len(component_masks(g, mask)) == 1:
+                tree = bfs_tree_edges(g, set_bits(mask))
+                return len(tree), TreeWitness(frozenset(tree), frozenset(terminals))
     raise ValueError("terminals are not connected in the graph")
 
 
@@ -557,13 +556,14 @@ def steiner_distance(g: Graph, terminals: Iterable[int]) -> tuple[int, TreeWitne
     return _steiner_enumerate(g, ts)
 
 
-def _rows_cheaper(n: int, m: int, k: int) -> bool:
-    """True when ``steiner_diameter``'s shared rows are estimated cheaper
-    than one ``steiner_distance`` per k-subset: each row of a j-set costs
-    its 2^(j-1) splits of n entries plus a relaxation over the m edges,
-    and each subset costs the cheaper of its two paths, times n."""
+def steiner_diameter_steps(n: int, m: int, k: int) -> tuple[int, int]:
+    """(rows, removal): estimated steps of ``steiner_diameter``'s two tables
+    at n vertices and m edges. A j-set's row costs 2^(j-1) splits of n
+    entries and a relaxation over m edges; a removal entry, with its walk,
+    n + m/2, the ratio measured in ``BENCH_32.json``."""
     rows = sum(math.comb(n, j) * (2 ** (j - 1) * n + m) for j in range(1, k))
-    return rows <= math.comb(n, k) * min(3**k, 2 ** (n - k)) * n
+    removal = sum(math.comb(n, j) for j in range(n - k + 1)) * (2 * n + m) // 2
+    return rows, removal
 
 
 def _relax(row: list[int], adj_bits: tuple[int, ...]) -> list[int]:
@@ -586,23 +586,42 @@ def _relax(row: list[int], adj_bits: tuple[int, ...]) -> list[int]:
     return row
 
 
+def _removal_table(g: Graph, k: int) -> int:
+    """The least, over the (n-k)-sets U, of the most vertices of U whose
+    removal leaves g connected: |U| if g - U is connected, else the largest
+    entry of U less one vertex. g - U is connected only if g - U + v is for
+    a v of U next to it, so only a U with an entry |U| - 1 below it walks."""
+    everyone = (1 << g.n) - 1
+    best = {0: 0}
+    for j in range(1, g.n - k + 1):
+        table = {}
+        for combo in itertools.combinations([1 << v for v in range(g.n)], j):
+            mask = sum(combo)
+            most = max(map(best.__getitem__, map(mask.__xor__, combo)))
+            if most == j - 1 and len(component_masks(g, everyone ^ mask)) == 1:
+                most = j
+            table[mask] = most
+        best = table
+    return min(best.values())
+
+
 def steiner_diameter(g: Graph, k: int) -> int:
     """Maximum Steiner distance over all k-subsets of vertices.
 
-    Picks one of two exact paths by an estimate from n, m and k alone (see
-    ``_rows_cheaper``). The per-subset path takes ``steiner_distance`` of
-    every k-subset. The row path shares the rows of ``_steiner_rows`` among
-    all subsets, for every vertex set T of at most k-1 vertices. A k-set S
-    has Steiner distance row_(S-s)[s] for any s in S, so the answer is the
-    largest entry of any (k-1)-row. A smaller T's row never holds more,
-    since the Steiner distance grows with the set and k <= n, so the
-    answer is the largest entry of any row.
+    Takes whichever of two exact tables shared by all k-subsets
+    ``steiner_diameter_steps`` estimates cheaper. The rows table holds the
+    ``_steiner_rows`` of every vertex set T of at most k-1 vertices. A k-set
+    S has Steiner distance row_(S-s)[s] for any s in S, and a smaller T's
+    row never holds more, so the answer is the largest entry of any row.
+    The removal table works on complements: a tree containing S spans a
+    connected V - W with W inside V - S, so S has Steiner distance n - 1
+    minus the most vertices of V - S whose removal leaves g connected.
     """
     check_k(g, k)
-    if not _rows_cheaper(g.n, g.m, k):
-        subsets = itertools.combinations(range(g.n), k)
-        return max(steiner_distance(g, s)[0] for s in subsets)
-    return max(max(row) for _, row in _steiner_rows(g, range(g.n), k - 1))
+    rows, removal = steiner_diameter_steps(g.n, g.m, k)
+    if rows <= removal:
+        return max(max(row) for _, row in _steiner_rows(g, range(g.n), k - 1))
+    return g.n - 1 - _removal_table(g, k)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ no slack left, only children that add a missing terminal are grown.
   explicit unknown-with-bounds result, never a guess.
 * ``bounds_report``: assembles lower/upper bounds with provenance labels.
   Which parts run follows from the instance size: the Steiner diameter up to
-  20,000 k-subsets, the exact solver (2M-node budget) at desk scale, and
+  10M estimated steps, the exact solver (2M-node budget) at desk scale, and
   verification of the constructions up to n = 14 and 2,000 subsets.
 """
 
@@ -82,6 +82,7 @@ from .graph import (
     component_masks,
     set_bits,
     steiner_diameter,
+    steiner_diameter_steps,
     vertex_mask,
 )
 
@@ -641,8 +642,9 @@ class BoundsReport:
 #: bounds_report runs the exact solver with this node budget.
 _EXACT_NODE_BUDGET = 2_000_000
 
-#: bounds_report computes the Steiner diameter up to this many k-subsets.
-_SDIAM_SUBSET_LIMIT = 20_000
+#: bounds_report computes the Steiner diameter up to this many estimated
+#: steps (``steiner_diameter_steps``); set from ``BENCH_32.json``.
+_SDIAM_STEP_LIMIT = 10_000_000
 
 
 def bounds_report(
@@ -652,8 +654,9 @@ def bounds_report(
 
     Construction-achieved color counts are included as upper bounds; entries
     that are infeasible at this size are reported with a null value rather
-    than silently dropped. When the value from the decomposition formula
-    exceeds n - 1 both are listed; nothing is clamped.
+    than silently dropped (the Steiner diameter past ``_SDIAM_STEP_LIMIT``).
+    When the value from the decomposition formula exceeds n - 1 both are
+    listed; nothing is clamped.
     """
     check_k(g, k)
     _check_budgets(None, time_budget_s)
@@ -661,7 +664,7 @@ def bounds_report(
     n, delta = g.n, g.min_degree
 
     lower: list[BoundEntry] = [BoundEntry(k - 1, "minimum tree size (k-1)")]
-    if math.comb(n, k) <= _SDIAM_SUBSET_LIMIT:
+    if min(steiner_diameter_steps(n, g.m, k)) <= _SDIAM_STEP_LIMIT:
         lower.append(BoundEntry(steiner_diameter(g, k), "steiner diameter"))
     else:
         lower.append(BoundEntry(None, "steiner diameter (not computed)"))

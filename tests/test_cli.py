@@ -346,6 +346,16 @@ def test_report_many_terminals_on_more_than_twenty_vertices(tmp_path, capsys):
     assert {"source": "steiner diameter", "value": 20} in lower
 
 
+def test_report_computes_the_steiner_diameter_of_a_long_cycle(tmp_path, capsys):
+    # C(17, 10) = 19,448 k-subsets, each once solved on its own (28 s); the
+    # removal table shares the work among them
+    graph_file = tmp_path / "c17.edgelist"
+    run(capsys, "gen", "--family", "cycle", "--n", "17", "--out", str(graph_file))
+    code, out, err = run(capsys, "report", "--input", str(graph_file), "--k", "10")
+    assert code == 0, err
+    assert {"source": "steiner diameter", "value": 15} in json.loads(out)["lower"]
+
+
 def test_parser_is_reused_across_calls(tmp_path, capsys):
     # one process, one parser: a usage error, then valid calls, each giving
     # the exit code and output of a call with a freshly built parser

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import re
+import time
 import tracemalloc
 import warnings
 
@@ -34,7 +35,6 @@ from rainbowindex import (
 )
 from rainbowindex import graph as graph_module
 from rainbowindex.graph import (
-    _rows_cheaper,
     _steiner_dp,
     _steiner_enumerate,
     balls,
@@ -42,6 +42,7 @@ from rainbowindex.graph import (
     component_masks,
     set_bits,
     shortest_path_between_masks,
+    steiner_diameter_steps,
     vertex_mask,
 )
 from tests.oracles import oracle_steiner_diameter, sorted_rows
@@ -447,26 +448,93 @@ def _refuse(*args):
     raise AssertionError("steiner_diameter took the other path")
 
 
+#: G(8, 14): an 8-cycle with six chords, the shape of the exact benchmark
+DESK_GRAPH = Graph.build(
+    8,
+    [(i, (i + 1) % 8) for i in range(8)]
+    + [(0, 2), (0, 4), (1, 5), (2, 6), (3, 7), (5, 7)],
+)
+
+
+def _each_table(g, k):
+    """steiner_diameter(g, k) with the estimate patched to pick the rows
+    table, then the removal table; ``steiner_distance`` raises."""
+    values = []
+    for steps in ((0, 1), (1, 0)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "steiner_diameter_steps", lambda n, m, k: steps)
+            mp.setattr(graph_module, "steiner_distance", _refuse)
+            values.append(steiner_diameter(g, k))
+    return values
+
+
+@settings(max_examples=12, deadline=None)
+@given(connected_graphs(max_n=12))
+@example(cycle_graph(12))
+def test_steiner_diameter_tables_agree(g):
+    # the rows at every k of a 12-vertex graph take about 2 s
+    for k in range(2, g.n + 1):
+        rows, removal = _each_table(g, k)
+        assert rows == removal
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(max_n=8))
+def test_steiner_diameter_tables_match_oracle(g):
+    for k in range(2, g.n + 1):
+        assert _each_table(g, k) == [oracle_steiner_diameter(g, k)] * 2
+
+
 def test_steiner_diameter_takes_the_rows_on_a_desk_scale_graph(monkeypatch):
-    # G(8, 14): an 8-cycle with six chords
-    g = Graph.build(
-        8,
-        [(i, (i + 1) % 8) for i in range(8)]
-        + [(0, 2), (0, 4), (1, 5), (2, 6), (3, 7), (5, 7)],
-    )
-    assert g.m == 14 and _rows_cheaper(8, 14, 4)
-    expected = oracle_steiner_diameter(g, 4)
-    monkeypatch.setattr(graph_module, "steiner_distance", _refuse)
-    assert steiner_diameter(g, 4) == expected
+    rows, removal = steiner_diameter_steps(8, 14, 3)
+    assert DESK_GRAPH.m == 14 and rows <= removal
+    expected = oracle_steiner_diameter(DESK_GRAPH, 3)
+    monkeypatch.setattr(graph_module, "_removal_table", _refuse)
+    assert steiner_diameter(DESK_GRAPH, 3) == expected
 
 
-def test_steiner_diameter_solves_each_subset_when_k_is_near_n(monkeypatch):
+@pytest.mark.parametrize(
+    "n, m, k, table",
+    [
+        # exact: G(8, 14); at k = 4 the removal table measured faster
+        (8, 14, 2, "rows"),
+        (8, 14, 4, "removal"),
+        # certify's report shapes
+        (10, 22, 2, "rows"),
+        (12, 28, 3, "rows"),
+        (14, 40, 2, "rows"),
+    ],
+)
+def test_benchmark_shapes_take_the_measured_table(n, m, k, table):
+    rows, removal = steiner_diameter_steps(n, m, k)
+    assert ("rows" if rows <= removal else "removal") == table
+
+
+def test_steiner_diameter_takes_the_removal_table_when_k_is_near_n(monkeypatch):
     # rows would cover every set of up to 20 of the 22 vertices, about four
-    # million; the 22 subsets of size 21 are cheap
+    # million; the removal table holds the 23 sets of at most one vertex
     g = gnp_connected_graph(22, 0.3, seed=1)
-    assert not _rows_cheaper(22, g.m, 21)
+    rows, removal = steiner_diameter_steps(22, g.m, 21)
+    assert removal < rows
     monkeypatch.setattr(graph_module, "_relax", _refuse)
     assert steiner_diameter(g, 21) == 20
+
+
+@pytest.mark.parametrize(
+    "g, k, expected",
+    [
+        (cycle_graph(16), 9, 14),
+        (cycle_graph(17), 10, 15),
+        (cycle_graph(18), 12, 16),
+        (gnp_connected_graph(30, 0.3, seed=1), 26, 26),
+    ],
+    ids=["C16-9", "C17-10", "C18-12", "G30-26"],
+)
+def test_steiner_diameter_is_fast_for_k_near_n(g, k, expected):
+    # one steiner_distance per k-subset took 12-28 s on the cycles
+    started = time.perf_counter()
+    assert steiner_diameter(g, k) == expected
+    assert time.perf_counter() - started < 5.0
 
 
 def test_steiner_diameter_rejects_bad_k():

@@ -36,8 +36,9 @@ from rainbowindex import (
     steiner_diameter,
     steiner_distance,
 )
+from rainbowindex import graph as graph_module
 from rainbowindex import verify as verify_module
-from rainbowindex.graph import InvariantViolation, is_tree_witness
+from rainbowindex.graph import InvariantViolation, is_tree_witness, steiner_diameter_steps
 from tests.oracles import (
     oracle_exact_rx,
     oracle_exists_rainbow_tree,
@@ -796,6 +797,34 @@ def test_report_marks_inapplicable_formula():
 def test_report_rejects_disconnected():
     with pytest.raises(ValueError):
         bounds_report(Graph.build(4, [(0, 1), (2, 3)]), 2)
+
+
+def _steiner_entry(report):
+    return next(e for e in report.lower if e.source.startswith("steiner diameter"))
+
+
+def test_report_takes_the_steiner_diameter_by_its_cheaper_table(monkeypatch):
+    # C(17, 10) = 19,448 subsets passed the old subset gate and then took
+    # 28 s, one steiner_distance each; the removal table is shared by all
+    def refuse(*args):
+        raise AssertionError("the Steiner diameter solved a subset on its own")
+
+    monkeypatch.setattr(graph_module, "steiner_distance", refuse)
+    entry = _steiner_entry(bounds_report(cycle_graph(17), 10))
+    assert (entry.source, entry.value) == ("steiner diameter", 15)
+
+
+def test_report_gates_the_steiner_diameter_on_its_estimated_steps():
+    # C(30, 4) = 27,405 subsets failed the old subset gate, but the rows of
+    # the sets of at most 3 vertices are about a million steps
+    g = gnp_connected_graph(30, 0.3, seed=1)
+    assert min(steiner_diameter_steps(30, g.m, 4)) <= verify_module._SDIAM_STEP_LIMIT
+    entry = _steiner_entry(bounds_report(g, 4))
+    assert (entry.source, entry.value) == ("steiner diameter", 6)
+    # k = 15 of 40 vertices is past the limit on either side of k
+    g = gnp_connected_graph(40, 0.3, seed=1)
+    assert min(steiner_diameter_steps(40, g.m, 15)) > verify_module._SDIAM_STEP_LIMIT
+    assert _steiner_entry(bounds_report(g, 15)).value is None
 
 
 def test_report_large_graph_formula_cross_check():
