@@ -453,30 +453,34 @@ def _tree_supports(inc, k: int, c: int) -> list[int] | None:
     than ``_TREE_CAP`` trees of at most ``c`` edges, smaller ones
     included, have been grown.
 
-    Trees grow one edge at a time from single vertices, and a tree reached
-    twice is kept once, by its edge mask. Tree t is bit T-1-t of every
-    bitset, T the trees kept: written out one tree per row, the edge masks
-    hold edge i's bitset in one column, read as one binary literal.
+    Each tree is grown once, from its lowest vertex r, over vertices above
+    r only: a branch takes one frontier edge and drops the frontier edges
+    before it, so no two branches share a tree. Tree t is bit T-1-t of
+    every bitset, T the trees kept: written out one tree per row, the edge
+    masks hold edge i's bitset in one column, read as one binary literal.
     """
-    # per tree its edge mask, vertex mask and vertices
-    level = [(0, 1 << v, (v,)) for v in range(len(inc))]
     kept: list[int] = []  # edge masks
     grown = 0
-    for size in range(1, c + 1):
-        bigger: dict[int, tuple[int, tuple[int, ...]]] = {}
-        for tree, mask, verts in level:
-            for v in verts:
-                for w, i, bit in inc[v]:
-                    if not mask & bit:
-                        child = tree | 1 << i
-                        if child not in bigger:
-                            bigger[child] = mask | bit, verts + (w,)
-                            grown += 1
-                            if grown > _TREE_CAP:
-                                return None
-        level = [(tree, mask, verts) for tree, (mask, verts) in bigger.items()]
-        if size + 1 >= k:
-            kept.extend(bigger)
+    for r in range(len(inc)):
+        up = [[e for e in ends if e[0] > r] for ends in inc]
+        # per tree to grow: its edge mask, vertex mask, frontier and edges
+        stack = [(0, 1 << r, up[r], 0)]
+        while stack:
+            tree, mask, frontier, size = stack.pop()
+            size += 1  # the children's edges
+            for j, (w, i, bit) in enumerate(frontier):
+                if mask & bit:
+                    continue
+                child = tree | 1 << i
+                grown += 1
+                if grown > _TREE_CAP:
+                    return None
+                if size >= k - 1:
+                    kept.append(child)
+                if size < c:
+                    joined = mask | bit
+                    more = [e for e in up[w] if not joined & e[2]]
+                    stack.append((child, joined, frontier[j + 1 :] + more, size))
     m = sum(map(len, inc)) // 2
     top = 1 << m  # a leading 1, so every row has m digits after it
     rows = "".join([bin(tree | top)[3:] for tree in kept])

@@ -3,12 +3,13 @@
 These deliberately avoid the library's search code: rainbow-tree existence,
 also with uncolored edges as wildcards and a cap on the edges, is decided by
 enumerating spanning trees of vertex supersets (via networkx), the first
-tree the search grows by a plain depth-first search with no prunes,
-k-rainbow connectivity by picking at most one edge per color class, the
-exact index by exhausting canonical colorings, the Steiner k-diameter by
-connected vertex supersets of every k-set (via networkx), and j-domination
-by counting each outside vertex's neighbours in plain sets. The sorted
-adjacency rows the reference walks use are read off the edge set alone.
+tree the search grows by a plain depth-first search with no prunes, the
+trees of a graph by testing every edge subset, k-rainbow connectivity by
+picking at most one edge per color class, the exact index by exhausting
+canonical colorings, the Steiner k-diameter by connected vertex supersets
+of every k-set (via networkx), and j-domination by counting each outside
+vertex's neighbours in plain sets. The sorted adjacency rows the reference
+walks use are read off the edge set alone.
 """
 
 from __future__ import annotations
@@ -135,6 +136,29 @@ def oracle_first_rainbow_tree(n: int, ends: list, bits: list, terms: list, max_e
         return None
 
     return dfs([terms[0]], 0, [])
+
+
+def oracle_trees(ends: list, size: int) -> list[tuple[int, ...]]:
+    """Every tree of ``size`` >= 1 edges as its sorted edge indices: each
+    edge subset of that size, kept when it touches ``size + 1`` vertices
+    and a walk from one of them reaches all the others."""
+    trees = []
+    for subset in itertools.combinations(range(len(ends)), size):
+        touched = {v for i in subset for v in ends[i]}
+        if len(touched) != size + 1:
+            continue
+        reached = {ends[subset[0]][0]}
+        grew = True
+        while grew:
+            grew = False
+            for i in subset:
+                x, y = ends[i]
+                if (x in reached) != (y in reached):
+                    reached |= {x, y}
+                    grew = True
+        if len(reached) == size + 1:
+            trees.append(subset)
+    return trees
 
 
 def _is_tree_containing(edges: list, terminals: set[int]) -> bool:

@@ -44,6 +44,7 @@ from tests.oracles import (
     oracle_exists_rainbow_tree,
     oracle_first_rainbow_tree,
     oracle_rainbow_tree_within,
+    oracle_trees,
 )
 from tests.test_graph import connected_graphs
 
@@ -289,6 +290,63 @@ def test_tree_supports_count_every_tree_up_to_the_cap(monkeypatch):
     assert functools.reduce(operator.or_, through) == (1 << 5) - 1
     monkeypatch.setattr(verify_module, "_TREE_CAP", 9)
     assert verify_module._tree_supports(inc, 3, 2) is None
+
+
+def _supported_trees(g: Graph, k: int, c: int) -> list[tuple[int, ...]] | None:
+    """The trees behind ``_tree_supports``' columns, as sorted edge indices,
+    one entry per tree bit; None past the cap."""
+    through = verify_module._tree_supports(
+        verify_module._incidence(g.n, g.sorted_edges()), k, c
+    )
+    if through is None:
+        return None
+    count = max(trees.bit_length() for trees in through)  # every tree has an edge
+    return [
+        tuple(i for i, trees in enumerate(through) if trees >> t & 1)
+        for t in range(count)
+    ]
+
+
+_TREE_GRAPHS = {
+    "K4": complete_graph(4),
+    "K5": complete_graph(5),
+    "C6": cycle_graph(6),
+    "P6": path_graph(6),
+    **{
+        f"gnm-{n}-{m}-seed-{seed}": _connected_gnm(n, m, seed)
+        for n, m in ((5, 6), (6, 8), (7, 9), (7, 11))
+        for seed in range(2)
+    },
+}
+
+
+@pytest.mark.parametrize("g", _TREE_GRAPHS.values(), ids=_TREE_GRAPHS.keys())
+def test_tree_supports_grow_each_tree_once(g):
+    # each tree of at most c edges and at least k vertices holds exactly one
+    # bit, whatever the order the enumeration grows the trees in: the oracle
+    # lists each tree once, so equal sorted lists also rule out repeats. The
+    # solver never asks for c below k - 1
+    ends = g.sorted_edges()
+    by_size = [[]] + [oracle_trees(ends, size) for size in range(1, g.n)]
+    for k in range(2, g.n + 1):
+        for c in range(k - 1, g.n):
+            expected = [t for size in range(k - 1, c + 1) for t in by_size[size]]
+            assert sorted(_supported_trees(g, k, c)) == sorted(expected)
+
+
+@pytest.mark.parametrize(
+    "name, c", [("K5", 3), ("gnm-7-11-seed-0", 4), ("gnm-7-11-seed-1", 4)]
+)
+def test_tree_supports_pass_the_cap_at_one_tree_more(monkeypatch, name, c):
+    # the cap counts every tree of 1..c edges, kept or not, so the level
+    # takes the complete pool exactly when they number at most the cap
+    g = _TREE_GRAPHS[name]
+    ends = g.sorted_edges()
+    total = sum(len(oracle_trees(ends, size)) for size in range(1, c + 1))
+    monkeypatch.setattr(verify_module, "_TREE_CAP", total)
+    assert _supported_trees(g, 2, c) is not None
+    monkeypatch.setattr(verify_module, "_TREE_CAP", total - 1)
+    assert _supported_trees(g, 2, c) is None
 
 
 def test_slack_walk_refutes_a_far_terminal_at_the_root():

@@ -13,6 +13,7 @@ import random
 
 from rainbowindex import (
     EdgeColoring,
+    complete_graph,
     cycle_graph,
     exact_rx_k,
     exists_rainbow_stree,
@@ -72,6 +73,25 @@ def _exact_outcomes(instances):
         colors = None if r.coloring is None else sorted(r.coloring.colors.items())
         items.append((r.status, r.value, r.lower, r.upper, r.nodes, colors))
     return items
+
+
+#: sha256 over (status, value, lower, upper, nodes, sorted coloring) per
+#: instance of the exact benchmark's shape: G(8, m=14) at k = 2 and 4 with a
+#: node budget of 200, and K8 at k = 7, whose level 6 passes the tree cap.
+#: Recorded while the tree enumeration still grew each tree from every
+#: vertex and dropped duplicates.
+PINNED_EXACT_BENCH_SHAPE = (
+    "d3fa636b22af3e18a5d6aa065f35f482a8b3555bf0fdbb65fb0f10ae249db8e9"
+)
+
+
+def test_pinned_exact_benchmark_shape():
+    # about 0.3-0.6 s on a 2-core host
+    instances = [
+        (_connected_gnm(8, 14, seed), k, 200) for seed in range(40) for k in (2, 4)
+    ]
+    instances.append((complete_graph(8), 7, None))
+    assert _digest(_exact_outcomes(instances)) == PINNED_EXACT_BENCH_SHAPE
 
 
 def test_pinned_exact_results():
