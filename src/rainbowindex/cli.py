@@ -210,6 +210,8 @@ def cmd_exact(args) -> int:
             print(f"exact rx_{args.k} = {result.value}")
         else:
             print(f"unknown, bounds [{result.lower}, {result.upper}]")
+    if args.witness is not None and result.known:
+        _write_text(args.witness, format_coloring(result.coloring))
     return EXIT_OK
 
 
@@ -308,6 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=None)
     p.add_argument("--force", action="store_true", help="skip the desk-scale guard")
     p.add_argument("--format", choices=["text", "json"], default="text")
+    p.add_argument(
+        "--witness",
+        default=None,
+        metavar="FILE",
+        help="write the settling coloring here; an unknown result writes nothing",
+    )
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("report", help="assembled bounds report")

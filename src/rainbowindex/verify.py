@@ -31,7 +31,9 @@ no slack left, only children that add a missing terminal are grown.
   budget. Only the verdict is needed, so no witnesses are built.
 * ``exact_rx_k``: smallest c admitting a k-rainbow coloring, by canonical
   backtracking over edge colors (color j+1 may first appear only after j).
-  After each placed color it prunes unless every k-subset still has a tree
+  Each node colors the uncolored edge on the most live trees of the subset
+  that failed last (fail-first). After each placed color it prunes unless
+  every k-subset still has a tree
   of at most c edges whose colored edges have distinct colors. It keeps
   bitsets over a pool of such trees (tree supports): the trees through each
   edge, the trees containing each subset, and the trees with an edge of
@@ -43,7 +45,8 @@ no slack left, only children that add a missing terminal are grown.
   tree per subset, grown by the search from the subset's terminal of
   lowest degree; a subset left with no live tree is searched under the
   partial coloring, and the tree found joins the pool. Either pool gives
-  the same answer, so the nodes and colorings do not depend on the cap.
+  the same answer, so a settled value does not depend on the cap; the
+  next edge does, and so may the nodes and colorings.
   The enumeration is bounded by the cap, so it can overrun a deadline only
   by that bounded amount. Once every edge is colored the check is exact,
   so complete colorings are not re-verified. Budget exhaustion yields an
@@ -408,10 +411,13 @@ def _search_k_rainbow_coloring(
 ) -> EdgeColoring | None:
     """Backtracking over edge colors in canonical first-use order.
 
-    After each placed color, ``place`` asks ``_tree_prune`` whether every
-    k-subset still has a tree of at most c edges whose colored edges have
-    distinct colors (uncolored edges are wildcards); the answer, and so
-    the nodes and colorings, do not depend on ``_TREE_CAP``. The prune
+    Each node colors the edge ``pick`` chooses in every color up to one
+    past the largest in use, so any edge order reaches every coloring up to
+    a renaming of colors. After each placed color, ``place`` asks
+    ``_tree_prune`` whether every k-subset still has a tree of at most c
+    edges whose colored edges have distinct colors (uncolored edges are
+    wildcards); that answer does not depend on ``_TREE_CAP``, but the
+    chosen edges, and so the nodes and colorings, may. The prune
     ticks no node, and the cap bounds its enumeration, so it can overrun a
     deadline only by that bounded amount. Once every edge is colored the
     answer is the exact k-rainbow check, so complete colorings are not
@@ -421,23 +427,28 @@ def _search_k_rainbow_coloring(
     inc = _incidence(g.n, edges)
     m = len(edges)
     bits = [0] * m  # color bit per edge, 0 = uncolored
-    admit, retract = _tree_prune(k, c, edges, inc, bits)
+    free = list(range(m))  # the uncolored edges, in index order
+    admit, retract, pick = _tree_prune(k, c, edges, inc, bits)
 
-    def place(i: int, max_used: int):
-        if i == m:
+    def place(max_used: int):
+        if not free:
             return True
+        i = pick(free)
+        j = free.index(i)
+        del free[j]
         top = min(max_used + 1, c)
         for col in range(1, top + 1):
             budget.tick()
             bits[i] = 1 << col
             if admit(i, col):
-                if place(i + 1, max(max_used, col)):
+                if place(max(max_used, col)):
                     return True
                 retract()
         bits[i] = 0
+        free.insert(j, i)
         return False
 
-    if place(0, 0):
+    if place(0):
         assign = [b.bit_length() - 1 for b in bits]
         if max(assign) != c:
             raise InvariantViolation(
@@ -488,24 +499,27 @@ def _tree_supports(inc, k: int, c: int) -> list[int] | None:
 
 
 def _tree_prune(k: int, c: int, edges, inc, bits: list[int]):
-    """``admit(i, col)`` and ``retract()`` over a pool of trees of at most
-    ``c`` edges; ``bits`` holds the partial coloring, the placed color
-    included.
+    """``admit(i, col)``, ``retract()`` and ``pick(free)`` over a pool of trees
+    of at most ``c`` edges; ``bits`` holds the partial coloring, the placed
+    color included.
 
     A tree is live while its colored edges have distinct colors. Coloring
     edge i with col kills the live trees through i that hold an edge
     already colored col. A subset survives while a live tree contains it:
     one AND with its cover, the pool trees containing it. A placement that
     kills no live tree needs no check. ``retract`` undoes the last admitted
-    placement. Up to ``_TREE_CAP`` trees the pool holds every tree
-    (``_tree_supports``), so a subset with no live tree refutes the
-    placement. Above it the pool starts with a ``_rainbow_tree`` tree for
+    placement. ``admit`` moves a subset left with no live tree to the
+    front, and ``pick`` returns the edge of ``free``, the uncolored ones in
+    index order, on the most live trees of the subset in front, ties to
+    the lowest index (fail-first). Up to ``_TREE_CAP`` trees the pool holds
+    every tree (``_tree_supports``), so a subset with no live tree refutes
+    the placement. Above it the pool starts with a ``_rainbow_tree`` tree for
     each subset no earlier one spans, grown from the subset's terminal of
     lowest degree, ties to the lowest id, where a tree has the fewest
     first choices; a subset left with no live tree is searched under the
     partial coloring, and the tree found joins the pool. Either way
     ``admit`` is True iff every subset has a rainbow tree of at most c
-    edges, so the pool does not change the answer.
+    edges, so the pool does not change the answer; it changes ``pick``.
     """
     n = len(inc)
     through = _tree_supports(inc, k, c)
@@ -524,28 +538,28 @@ def _tree_prune(k: int, c: int, edges, inc, bits: list[int]):
         subsets = list(itertools.combinations(range(n), k))  # in step with covers
         through, covers, live = [0] * len(edges), [0] * len(subsets), [0]
     by_color = [0] * (c + 1)  # trees with an edge colored col
-    saved: list[tuple[int, int]] = []  # (col, by_color[col]) per placed edge
+    saved: list[tuple[int, int, int]] = []  # (edge, col, by_color[col]) each
 
     def rescue(idx: int) -> int:
         # search subset idx under the partial coloring; the tree found is
         # rainbow under every placement before it too, so it joins every
-        # live entry, and each snapshot whose color it holds on an earlier
-        # edge. Returns its bit, 0 if none
+        # live entry, and each snapshot of a color it holds on an edge
+        # placed earlier. Returns its bit, 0 if none
         terms = sorted(subsets[idx], key=lambda v: (len(inc[v]), v))
         tree = _rainbow_tree(inc, bits, terms, c)
         if tree is None:
             subsets.insert(0, subsets.pop(idx))  # as admit moves its cover
             return 0
         bit = 1 << live[0].bit_length()  # the root's entry holds every tree
-        placed = len(saved)  # edges colored before the one being placed
         for i in tree:
             through[i] |= bit
-            if i < placed:
-                col = bits[i].bit_length() - 1
+        held = 0  # the color bits the tree holds on the edges placed so far
+        for j, (e, col, old) in enumerate(saved):
+            if held & bits[e]:
+                saved[j] = e, col, old | bit
+            if through[e] & bit:
+                held |= bits[e]
                 by_color[col] |= bit
-                for j in range(i + 1, placed):
-                    if saved[j][0] == col:
-                        saved[j] = col, saved[j][1] | bit
         verts = {v for i in tree for v in edges[i]}
         for j, subset in enumerate(subsets):
             if verts.issuperset(subset):
@@ -576,16 +590,27 @@ def _tree_prune(k: int, c: int, edges, inc, bits: list[int]):
                     tip |= bit
                     old = by_color[col]
         live.append(tip)
-        saved.append((col, old))
+        saved.append((i, col, old))
         by_color[col] = old | through[i]
         return True
 
     def retract() -> None:
         live.pop()
-        col, old = saved.pop()
+        _, col, old = saved.pop()
         by_color[col] = old
 
-    return admit, retract
+    def pick(free: list[int]) -> int:
+        # the edge of ``free`` on the most live trees of the subset up
+        # front, the first of ties
+        focus = live[-1] & covers[0]
+        best, most = -1, -1
+        for i in free:
+            count = (through[i] & focus).bit_count()
+            if count > most:
+                best, most = i, count
+        return best
+
+    return admit, retract, pick
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,24 @@ def test_exact_text_and_json(tmp_path, capsys):
     assert payload["status"] == "exact" and payload["value"] == 2
 
 
+def test_exact_witness_passes_verify(tmp_path, capsys):
+    graph_file, witness = tmp_path / "g.edgelist", tmp_path / "g.coloring"
+    argv = ("gen", "--family", "gnp", "--n", "7", "--p", "0.5", "--seed", "3")
+    run(capsys, *argv, "--out", str(graph_file))
+    exact = ("exact", "--input", str(graph_file), "--k", "3")
+    _, plain, _ = run(capsys, *exact)
+    code, out, _ = run(capsys, *exact, "--witness", str(witness))
+    assert (code, out) == (0, plain) and plain.startswith("exact rx_3 = ")
+    coloring = parse_coloring(witness.read_text(), read_edge_list(graph_file))
+    assert coloring.color_count == int(plain.split("= ")[1])
+    verify = ("verify", "--graph", str(graph_file), "--coloring", str(witness))
+    assert run(capsys, *verify, "--k", "3")[:2] == (0, "OK\n")
+    # an unknown result settles nothing, so it writes no witness
+    missing = tmp_path / "unknown.coloring"
+    code, out, _ = run(capsys, *exact, "--node-budget", "0", "--witness", str(missing))
+    assert (code, out.split(",")[0]) == (0, "unknown") and not missing.exists()
+
+
 def test_exact_cap_that_refutes_every_level_below_n_minus_1(tmp_path, capsys):
     graph_file = tmp_path / "k14.edgelist"
     argv = ("gen", "--family", "complete_bipartite", "--a", "1", "--b", "4")

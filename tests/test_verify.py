@@ -221,18 +221,20 @@ def test_exact_solver_expands_pinned_search_states(monkeypatch):
     # below the tree cap the pool holds every tree and the solver searches
     # nothing; the states are pinned on the search path, forced by a cap of
     # 0, so that a weaker root rule or pool shows up as a larger count, not
-    # only as wall time. With every search grown from the lowest terminal,
-    # the nodes were the same and the states 124,604; with a tree held per
-    # subset and a found tree kept only until it broke, 63,172
+    # only as wall time. The next edge is read off the pool, so the nodes
+    # differ between the two. With the edges colored in index order, the
+    # nodes were 8,352 at either cap and the states 50,376; before that,
+    # with every search grown from the lowest terminal, 124,604, and with a
+    # tree held per subset and a found tree kept only until it broke, 63,172
     g = gnp_connected_graph(9, 0.4, seed=5)
     budget = _count_searches(monkeypatch)
     result = exact_rx_k(g, 3)
-    assert result.value == 5 and result.nodes == 8352
+    assert result.value == 5 and result.nodes == 198
     assert budget.nodes == 0
     monkeypatch.setattr(verify_module, "_TREE_CAP", 0)
     result = exact_rx_k(g, 3)
-    assert result.value == 5 and result.nodes == 8352
-    assert budget.nodes == 50376
+    assert result.value == 5 and result.nodes == 1379
+    assert budget.nodes == 9034
 
 
 def _connected_gnm(n: int, m: int, seed: int) -> Graph:
@@ -258,13 +260,31 @@ def test_exact_prunes_desk_graphs_by_tree_supports(monkeypatch, seed, k):
 
 def test_exact_searches_above_the_tree_cap(monkeypatch):
     # K8 has 134,456 trees of 6 edges alone, so level 6 searches; the
-    # states are pinned so that a weaker pool shows up as a larger count.
-    # With a tree held per subset and a found tree kept only until it
-    # broke, they were 44,573
+    # states are pinned so that a weaker pool or edge order shows up as a
+    # larger count. With the edges colored in index order, 1,358 nodes and
+    # 43,469 states; before that, with a tree held per subset and a found
+    # tree kept only until it broke, 44,573 states
     budget = _count_searches(monkeypatch)
     result = exact_rx_k(complete_graph(8), 7)
-    assert (result.status, result.value, result.nodes) == ("exact", 6, 1358)
-    assert budget.nodes == 43469
+    assert (result.status, result.value, result.nodes) == ("exact", 6, 263)
+    assert budget.nodes == 7522
+
+
+@pytest.mark.parametrize(
+    "g, k, value, nodes",
+    [
+        (complete_graph(9), 6, 5, 531),
+        (gnp_connected_graph(9, 0.7, seed=1), 6, 6, 1543),
+    ],
+    ids=["K9-k6", "gnp-9-0.7-seed-1-k6"],
+)
+def test_exact_settles_dense_nine_vertex_graphs_above_the_tree_cap(g, k, value, nodes):
+    # both levels pass the tree cap; with the edges colored in index order
+    # neither settled in 20 s. The deadline keeps a regression from running
+    # away: it yields unknown, and the assertion fails
+    result = exact_rx_k(g, k, time_budget_s=5.0)
+    assert (result.status, result.value, result.nodes) == ("exact", value, nodes)
+    assert is_k_rainbow_connected(g, result.coloring, k).ok
 
 
 @pytest.mark.parametrize(
@@ -704,7 +724,10 @@ def test_exact_checks_its_budget_before_the_lower_bound(monkeypatch):
 
 def test_exact_deadline_covers_the_lower_bound(monkeypatch):
     # a fake clock that the lower bound moves past the deadline: the search
-    # must stop at its first deadline check (every 256 nodes), not run on
+    # must stop at its first deadline check (every 256 nodes), not run on.
+    # The instance needs more than 256 nodes to settle
+    g = _connected_gnm(8, 14, seed=1)
+    assert exact_rx_k(g, 4, node_budget=1000).nodes > 256
     clock = [0.0]
     steiner_diameter_of = verify_module.steiner_diameter
 
@@ -715,8 +738,7 @@ def test_exact_deadline_covers_the_lower_bound(monkeypatch):
     fake_time = SimpleNamespace(monotonic=lambda: clock[0])
     monkeypatch.setattr(verify_module, "time", fake_time)
     monkeypatch.setattr(verify_module, "steiner_diameter", slow_lower_bound)
-    g = gnp_connected_graph(9, 0.4, seed=5)
-    result = exact_rx_k(g, 3, node_budget=1000, time_budget_s=1.0)
+    result = exact_rx_k(g, 4, node_budget=1000, time_budget_s=1.0)
     assert (result.status, result.nodes) == ("unknown", 256)
 
 
@@ -786,6 +808,32 @@ def test_exact_sandwich():
         for k in (2, 3):
             result = exact_rx_k(g, k)
             assert max(k - 1, steiner_diameter(g, k)) <= result.value <= g.n - 1
+
+
+@st.composite
+def _few_edge_graphs(draw):
+    """Connected graphs with n <= 7 of a random spanning tree and at most
+    two more edges: few enough edges for the oracle's full enumeration of
+    colorings (at most about 0.3 s per query at n = 7)."""
+    n = draw(st.integers(2, 7))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    others = [e for e in itertools.combinations(range(n), 2) if e not in edges]
+    if others:
+        edges |= draw(st.sets(st.sampled_from(others), max_size=2))
+    return Graph.build(n, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=_few_edge_graphs(), data=st.data())
+def test_exact_agrees_with_the_oracle_at_either_cap(g, data):
+    # the next edge is read off the tree pool, so the search differs with
+    # the cap; the value must not, and must be the oracle's
+    k = data.draw(st.integers(2, g.n), label="k")
+    want = oracle_exact_rx(g, k)
+    assert exact_rx_k(g, k).value == want
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify_module, "_TREE_CAP", 0)
+        assert exact_rx_k(g, k).value == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Pinned outputs of the rainbow-tree search and the exact solver.
 
-The digests were recorded before the verifier and the exact solver's
-pruning were merged into one search, so any change to a witness, a node
-count or a returned coloring shows up here.
+The witness digest was recorded before the verifier and the exact
+solver's pruning were merged into one search, and the exact digests when
+the solver began to color the edge on the most live trees of the subset
+that failed last, so any change to a witness, a node count or a returned
+coloring shows up here.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from rainbowindex import (
     exact_rx_k,
     exists_rainbow_stree,
     gnp_connected_graph,
+    steiner_diameter,
 )
 from rainbowindex import verify as verify_module
 from tests.test_acceptance import _exact_oracle_sample
@@ -43,7 +46,9 @@ def _random_colorings(count: int, seed: int):
 PINNED_WITNESSES = "4b9b8180581589a7574718827ff5b1008ec94a981d7694a490852f72605f3f74"
 
 #: sha256 over (status, value, nodes, sorted coloring) per instance.
-PINNED_EXACT = "8c6819c7dbd3468e7364224b11fc7e6e43f2132791eef8e4777676eb052a66a3"
+#: With the edges colored in index order it was 8c6819c7..., one instance
+#: ended unknown and the 24 took 4,726 nodes; now all settle, in 1,649.
+PINNED_EXACT = "e19ebd73383faa2e1a90e03236d85cfe81f3dd3a95619ee531c78c7125e9c94d"
 
 
 def test_pinned_witnesses():
@@ -78,10 +83,11 @@ def _exact_outcomes(instances):
 #: sha256 over (status, value, lower, upper, nodes, sorted coloring) per
 #: instance of the exact benchmark's shape: G(8, m=14) at k = 2 and 4 with a
 #: node budget of 200, and K8 at k = 7, whose level 6 passes the tree cap.
-#: Recorded while the tree enumeration still grew each tree from every
-#: vertex and dropped duplicates.
+#: With the edges colored in index order it was d3fa636b..., and the 81
+#: instances took 10,783 nodes; 12 unknown results now settle, none the
+#: other way, and they take 7,751.
 PINNED_EXACT_BENCH_SHAPE = (
-    "d3fa636b22af3e18a5d6aa065f35f482a8b3555bf0fdbb65fb0f10ae249db8e9"
+    "c5aab7e49e13baac6189fc76fb40b6082786e310e374eda0631adc265b77089c"
 )
 
 
@@ -104,17 +110,53 @@ def test_pinned_exact_results():
     assert _digest(items) == PINNED_EXACT
 
 
+def _replay_admits(g, k: int, c: int, steps: int, seed: int) -> list[bool]:
+    """``admit``'s answers along one seeded walk of placements, in any edge
+    order and color, and retractions, through a prune built at the current
+    tree cap. The walk follows the answers, so two prunes that answer alike
+    see the same walk."""
+    edges = g.sorted_edges()
+    bits = [0] * len(edges)
+    inc = verify_module._incidence(g.n, edges)
+    admit, retract, _ = verify_module._tree_prune(k, c, edges, inc, bits)
+    rng = random.Random(seed)
+    placed: list[int] = []
+    answers = []
+    for _ in range(steps):
+        free = [i for i, bit in enumerate(bits) if not bit]
+        if placed and (not free or rng.random() < 0.25):
+            retract()
+            bits[placed.pop()] = 0
+            continue
+        i, col = rng.choice(free), rng.randint(1, c)
+        bits[i] = 1 << col
+        answers.append(admit(i, col))
+        if answers[-1]:
+            placed.append(i)
+        else:
+            bits[i] = 0
+    return answers
+
+
 def test_tree_supports_and_searches_prune_alike(monkeypatch):
     # the pinned instances, the oracle graphs and the exact benchmark's
     # shape stay under the tree cap, so they never search; forced onto the
-    # search path by a cap of 0, every result, node count, coloring and
-    # unknown result's bounds must be the same
+    # search path by a cap of 0, the prune must give the same answer at
+    # every step of a walk of placements and retractions, in an edge order
+    # unlike the solver's. The next edge is read off the pool, so the
+    # solver's nodes and colorings may differ between the caps, but an
+    # instance that settles under both must settle alike
     instances = list(_pinned_exact_instances())
     instances += [
         (g, k, None) for g in _exact_oracle_sample() for k in (2, 3) if k <= g.n
     ]
     instances += [
         (_connected_gnm(8, 14, seed), k, 200) for seed in range(4) for k in (2, 4)
+    ]
+    levels = [
+        (index, g, k, c)
+        for index, (g, k, _) in enumerate(instances)
+        for c in range(max(k - 1, steiner_diameter(g, k)), g.n - 1)
     ]
     search = verify_module._rainbow_tree
 
@@ -123,9 +165,20 @@ def test_tree_supports_and_searches_prune_alike(monkeypatch):
 
     monkeypatch.setattr(verify_module, "_rainbow_tree", refuse)
     supported = _exact_outcomes(instances)
+    replayed = [_replay_admits(g, k, c, 40, seed) for seed, g, k, c in levels]
     monkeypatch.setattr(verify_module, "_rainbow_tree", search)
     monkeypatch.setattr(verify_module, "_TREE_CAP", 0)
-    assert _exact_outcomes(instances) == supported
+    searched = _exact_outcomes(instances)
+    assert [_replay_admits(g, k, c, 40, seed) for seed, g, k, c in levels] == replayed
+    answers = [answer for walk in replayed for answer in walk]
+    assert True in answers and False in answers
+    settled = [
+        (a[:2], b[:2])
+        for a, b in zip(supported, searched)
+        if a[0] == b[0] == "exact"
+    ]
+    assert len(settled) > len(instances) * 3 // 4
+    assert all(a == b for a, b in settled)
 
 
 def test_exact_does_not_reverify_complete_colorings(monkeypatch):
