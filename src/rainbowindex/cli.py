@@ -69,7 +69,7 @@ def _certificate_json(cert: DominationCertificate) -> dict:
 
 
 def _parse_domset(source: str, g) -> tuple[int, ...]:
-    if source in ("all", "all-vertices"):
+    if source == "all-vertices":
         return tuple(range(g.n))
     text = Path(source).read_text(encoding="utf-8")
     vertices = set()

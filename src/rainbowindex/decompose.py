@@ -171,16 +171,13 @@ def split_k(g: Graph, k: int) -> SpanningSplit:
     t = k.bit_length() - 1
     s = k - (1 << t)
     base_parts = _pow2_parts(g, t)
-    if s == 0:
-        parts = tuple(base_parts)
-    else:
-        order = sorted(range(len(base_parts)), key=lambda i: (-base_parts[i].m, i))
-        selected = set(order[:s])
-        kept = [p for i, p in enumerate(base_parts) if i not in selected]
-        split_out: list[Graph] = []
-        for i in sorted(selected):
-            split_out.extend(split_two(base_parts[i]))
-        parts = tuple(kept + split_out)
+    order = sorted(range(len(base_parts)), key=lambda i: (-base_parts[i].m, i))
+    selected = set(order[:s])
+    kept = [p for i, p in enumerate(base_parts) if i not in selected]
+    split_out: list[Graph] = []
+    for i in sorted(selected):
+        split_out.extend(split_two(base_parts[i]))
+    parts = tuple(kept + split_out)
     cert = SpanningSplit(parent=g, parts=parts, k=k)
     problems = cert.check()
     if problems:

@@ -27,17 +27,19 @@ no slack left, only children that add a missing terminal are grown.
   vertices of the contracted vertices it touches, so a subset inside that
   set of an earlier tree is settled without a search (witness cover); it
   cannot be a failure, so the first failure and the count of subsets
-  checked are those of a search per subset. Each search has its own node
-  budget. Only the verdict is needed, so no witnesses are built.
+  checked are those of a search per subset. A subset is covered iff the
+  bitsets of the trees touching its vertices share a bit, k ANDs, as in
+  the exact solver. Each search has its own node budget. Only the verdict
+  is needed, so no witnesses are built.
 * ``exact_rx_k``: smallest c admitting a k-rainbow coloring, by canonical
   backtracking over edge colors (color j+1 may first appear only after j).
   Each node colors the uncolored edge on the most live trees of the subset
   that failed last (fail-first). After each placed color it prunes unless
-  every k-subset still has a tree
-  of at most c edges whose colored edges have distinct colors. It keeps
-  bitsets over a pool of such trees (tree supports): the trees through each
-  edge, the trees containing each subset, and the trees with an edge of
-  each color. A placed color kills the trees through its edge that already
+  every k-subset still has a tree of at most c edges whose colored edges
+  have distinct colors. It keeps bitsets over a pool of such trees (tree
+  supports): the trees through each edge, the trees containing each
+  subset (its vertices' AND), and the trees with an edge of each color.
+  A placed color kills the trees through its edge that already
   hold that color, and a subset survives while its cover meets the live
   trees, a few ANDs. Up to a fixed cap of 20,000 trees of at most c edges
   the pool is all of them, enumerated once per level, so a subset with no
@@ -147,13 +149,6 @@ def _incidence(n: int, ends) -> list[list[tuple[int, int, int]]]:
     return inc
 
 
-def _mask(vertices) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
-
-
 def _rainbow_tree(inc, bits, terms, max_edges, budget=None) -> list[int] | None:
     """Edge indices of a tree grown from ``terms[0]`` that contains every
     terminal, has at most ``max_edges`` edges and uses no color twice.
@@ -172,7 +167,7 @@ def _rainbow_tree(inc, bits, terms, max_edges, budget=None) -> list[int] | None:
     tree found is that of the unpruned search. ``budget`` ticks once per
     state entered.
     """
-    target = _mask(terms)
+    target = functools.reduce(operator.or_, [1 << v for v in terms])
     memo: set[tuple[int, int]] = set()
     verts = [terms[0]]  # the tree's vertices in join order
     chosen: list[int] = []  # its edges in the same order
@@ -305,33 +300,29 @@ def is_k_rainbow_connected(
 ) -> RainbowVerdict:
     """Check every k-subset; returns the first failing subset if any.
 
-    A subset is skipped when an earlier tree covers it. Each tree is kept
-    as the mask of the contracted vertices it misses, so the test is one
-    AND: the subset's mask, the OR of its vertices' contracted-vertex bits,
-    must share no bit with it. Each search gets ``node_budget`` nodes; one
-    that needs more raises SearchBudgetExceeded, and the check stops there.
+    A subset is skipped when an earlier tree covers it: when the bitsets
+    ``holds[x]`` of the trees touching its contracted vertices x share a
+    bit. Each search gets ``node_budget`` nodes; one that needs more raises
+    SearchBudgetExceeded, and the check stops there.
     """
     check_k(g, k)
     image, ends, inc, bits, max_edges = _contracted_search_input(g, coloring)
-    vertex_bit = [1 << x for x in image]
-    every = (1 << (max(image) + 1)) - 1  # all contracted vertices
-    outs: list[int] = []  # per tree found so far, the contracted vertices it misses
+    holds = [0] * (max(image) + 1)  # per contracted vertex the trees touching it
     searches = 0
     for checked, subset in enumerate(itertools.combinations(range(g.n), k), 1):
-        need = 0
+        common = -1
         for v in subset:
-            need |= vertex_bit[v]
-        for out in outs:
-            if not need & out:
-                break
-        else:
+            common &= holds[image[v]]
+        if not common:
             searches += 1
             budget = _Budget(node_budget, None)
             terms = sorted({image[v] for v in subset})
             tree = _rainbow_tree(inc, bits, terms, max_edges, budget)
             if tree is None:
                 return RainbowVerdict(False, subset, checked, searches)
-            outs.append(every & ~(need | _mask(x for i in tree for x in ends[i])))
+            bit = 1 << searches
+            for x in itertools.chain(terms, *[ends[i] for i in tree]):
+                holds[x] |= bit
     return RainbowVerdict(True, None, checked, searches)
 
 
@@ -511,32 +502,32 @@ def _tree_prune(k: int, c: int, edges, inc, bits: list[int]):
     placement. ``admit`` moves a subset left with no live tree to the
     front, and ``pick`` returns the edge of ``free``, the uncolored ones in
     index order, on the most live trees of the subset in front, ties to
-    the lowest index (fail-first). Up to ``_TREE_CAP`` trees the pool holds
+    the lowest index (fail-first). Each cover starts as the AND of its
+    vertices' pool bitsets. Up to ``_TREE_CAP`` trees the pool holds
     every tree (``_tree_supports``), so a subset with no live tree refutes
-    the placement. Above it the pool starts with a ``_rainbow_tree`` tree for
-    each subset no earlier one spans, grown from the subset's terminal of
-    lowest degree, ties to the lowest id, where a tree has the fewest
-    first choices; a subset left with no live tree is searched under the
-    partial coloring, and the tree found joins the pool. Either way
+    the placement. Above it the pool starts empty, and the set-up adds a
+    ``_rainbow_tree`` tree for each subset no earlier one spans, grown
+    from the subset's terminal of lowest degree, ties to the lowest id,
+    where a tree has the fewest first choices; a subset left with no live
+    tree is searched under the partial coloring, and the tree found joins
+    the pool. Either way
     ``admit`` is True iff every subset has a rainbow tree of at most c
     edges, so the pool does not change the answer; it changes ``pick``.
     """
     n = len(inc)
     through = _tree_supports(inc, k, c)
     complete = through is not None
-    if complete:
-        holds = [0] * n  # per vertex the trees containing it
-        for v, row in enumerate(inc):
-            for _, i, _ in row:
-                holds[v] |= through[i]  # every tree has an edge, as k >= 2
-        covers = [
-            functools.reduce(operator.and_, s)
-            for s in itertools.combinations(holds, k)
-        ]
-        live = [functools.reduce(operator.or_, holds)]  # after each placement
-    else:
-        subsets = list(itertools.combinations(range(n), k))  # in step with covers
-        through, covers, live = [0] * len(edges), [0] * len(subsets), [0]
+    if not complete:
+        through = [0] * len(edges)  # the pool grows by rescue
+    holds = [0] * n  # per vertex the pool trees containing it
+    for v, row in enumerate(inc):
+        for _, i, _ in row:
+            holds[v] |= through[i]  # every tree has an edge, as k >= 2
+    subsets = list(itertools.combinations(range(n), k))  # in step with covers
+    covers = [
+        functools.reduce(operator.and_, s) for s in itertools.combinations(holds, k)
+    ]
+    live = [functools.reduce(operator.or_, holds)]  # after each placement
     by_color = [0] * (c + 1)  # trees with an edge colored col
     saved: list[tuple[int, int, int]] = []  # (edge, col, by_color[col]) each
 
@@ -548,7 +539,6 @@ def _tree_prune(k: int, c: int, edges, inc, bits: list[int]):
         terms = sorted(subsets[idx], key=lambda v: (len(inc[v]), v))
         tree = _rainbow_tree(inc, bits, terms, c)
         if tree is None:
-            subsets.insert(0, subsets.pop(idx))  # as admit moves its cover
             return 0
         bit = 1 << live[0].bit_length()  # the root's entry holds every tree
         for i in tree:
@@ -568,12 +558,9 @@ def _tree_prune(k: int, c: int, edges, inc, bits: list[int]):
             live[j] |= bit
         return bit
 
-    if not complete:
-        for idx, cover in enumerate(covers):
-            if not cover and not rescue(idx):
-                break
-    if not all(covers):  # c is at least the Steiner diameter
-        raise InvariantViolation("a k-subset has no tree within the level")
+    for idx, cover in enumerate(covers):
+        if not cover and not rescue(idx):  # c is at least the Steiner diameter
+            raise InvariantViolation("a k-subset has no tree within the level")
 
     def admit(i: int, col: int) -> bool:
         tip = live[-1]
@@ -586,6 +573,7 @@ def _tree_prune(k: int, c: int, edges, inc, bits: list[int]):
                     if complete or not (bit := rescue(idx)):
                         # fail-first: remember the troublemaker up front
                         covers.insert(0, covers.pop(idx))
+                        subsets.insert(0, subsets.pop(idx))
                         return False
                     tip |= bit
                     old = by_color[col]

@@ -40,5 +40,6 @@ def corpus() -> list[tuple[str, Graph]]:
 
 @pytest.fixture(scope="session")
 def small_corpus(corpus) -> list[tuple[str, Graph]]:
-    """The corpus graphs small enough to verify every k-subset: n <= 20."""
-    return [(name, g) for name, g in corpus if g.n <= 20]
+    """The corpus graphs small enough to verify every k-subset at k <= 3:
+    n <= 30. Checks at k = 4 take only those with n <= 20."""
+    return [(name, g) for name, g in corpus if g.n <= 30]

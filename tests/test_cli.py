@@ -180,6 +180,20 @@ def test_color_domset_file(tmp_path, capsys):
     assert parse_coloring(coloring_file.read_text()).color_count == 3
 
 
+def test_color_domset_file_named_all_is_read(tmp_path, capsys, monkeypatch):
+    # only 'all-vertices' means every vertex; a file named 'all' is a file
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "gen", "--family", "complete", "--n", "5", "--out", "k5.edgelist")
+    (tmp_path / "all").write_text("0 1\n")
+    code, _, _ = run(
+        capsys,
+        "color", "--input", "k5.edgelist", "--method", "kdom", "--k", "2",
+        "--domset", "all", "--out", "kdom.coloring",
+    )
+    assert code == 0
+    assert parse_coloring((tmp_path / "kdom.coloring").read_text()).color_count == 3
+
+
 @pytest.mark.parametrize(
     "content, message",
     [

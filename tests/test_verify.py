@@ -589,16 +589,20 @@ def test_pinned_verdicts():
 
 def test_constructions_verify_at_thirty_vertices():
     # each core contracts to one vertex, so each check takes under a second
-    # (before contraction each ran for more than 30 s)
-    g = gnp_connected_graph(30, 0.3, seed=1)
-    colorings = [
-        color_pipeline(g, 3)[0],
-        color_kdom(g, greedy_connected_k_dominating(g, 3), 3),
-        color_km1dom(g, greedy_connected_k_dominating(g, 2), 3)[0],
-    ]
-    for coloring in colorings:
-        verdict = is_k_rainbow_connected(g, coloring, 3)
-        assert verdict.ok and verdict.subsets_checked == 4060
+    # (before contraction each ran for more than 30 s). At n = 40 the checks
+    # find hundreds to thousands of trees, the regime where the cover test,
+    # k ANDs of per-vertex tree bitsets, skips the most searches
+    cases = ((30, 4060, [50, 287, 728]), (40, 9880, [800, 2927, 2186]))
+    for n, checked, searches in cases:
+        g = gnp_connected_graph(n, 0.3, seed=1)
+        colorings = [
+            color_pipeline(g, 3)[0],
+            color_kdom(g, greedy_connected_k_dominating(g, 3), 3),
+            color_km1dom(g, greedy_connected_k_dominating(g, 2), 3)[0],
+        ]
+        verdicts = [is_k_rainbow_connected(g, c, 3) for c in colorings]
+        assert all(v.ok and v.subsets_checked == checked for v in verdicts)
+        assert [v.searches for v in verdicts] == searches
 
 
 def test_km1dom_at_thirty_vertices_counts_searches():
