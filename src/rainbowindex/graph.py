@@ -227,12 +227,25 @@ def check_k(g: Graph, k: int) -> None:
         raise ValueError(f"k must satisfy 2 <= k <= n, got {k}")
 
 
+#: Masks up to this many bits walk their set bits by peeling off the
+#: lowest one; wider ones are spelled out in C by bin() and walked with
+#: find(). Over 1 to all bits set, peeling took 0.36-0.74x the time of
+#: that walk up to 30 bits (one CPython digit), 0.72-1.08x from 31 to 64
+#: (the less, the fewer bits set) and 0.79-1.19x past 64, mostly above 1
+#: (``BENCH_36.json``).
+_PEEL_BITS = 64
+
+
 def spread(mask: int, adj_bits: tuple[int, ...]) -> int:
     """One BFS step: the union of the adjacency masks of the vertices in
     ``mask`` (``Graph.adj_bits``)."""
     grown = 0
-    # bin() spells out the mask in C; find() then walks its set bits faster
-    # than peeling them off the integer one at a time.
+    if mask.bit_length() <= _PEEL_BITS:
+        while mask:
+            low = mask & -mask
+            grown |= adj_bits[low.bit_length() - 1]
+            mask ^= low
+        return grown
     bits = bin(mask)
     top = len(bits) - 1
     i = bits.find("1", 2)
@@ -244,6 +257,12 @@ def spread(mask: int, adj_bits: tuple[int, ...]) -> int:
 
 def set_bits(mask: int) -> Iterator[int]:
     """The set bits of ``mask``, ascending."""
+    if mask.bit_length() <= _PEEL_BITS:
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+        return
     bits = bin(mask)[:1:-1]
     i = bits.find("1")
     while i != -1:
@@ -560,9 +579,9 @@ def steiner_diameter_steps(n: int, m: int, k: int) -> tuple[int, int]:
     """(rows, removal): estimated steps of ``steiner_diameter``'s two tables
     at n vertices and m edges. A j-set's row costs 2^(j-1) splits of n
     entries and a relaxation over m edges; a removal entry, with its walk,
-    n + m/2, the ratio measured in ``BENCH_32.json``."""
+    (2n + m)/3, the ratio measured in ``BENCH_36.json``."""
     rows = sum(math.comb(n, j) * (2 ** (j - 1) * n + m) for j in range(1, k))
-    removal = sum(math.comb(n, j) for j in range(n - k + 1)) * (2 * n + m) // 2
+    removal = sum(math.comb(n, j) for j in range(n - k + 1)) * (2 * n + m) // 3
     return rows, removal
 
 

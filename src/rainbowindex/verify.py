@@ -168,6 +168,8 @@ def _rainbow_tree(inc, bits, terms, max_edges, budget=None) -> list[int] | None:
     state entered.
     """
     target = functools.reduce(operator.or_, [1 << v for v in terms])
+    if target == 1 << terms[0]:
+        return []
     memo: set[tuple[int, int]] = set()
     verts = [terms[0]]  # the tree's vertices in join order
     chosen: list[int] = []  # its edges in the same order
@@ -220,8 +222,6 @@ def _rainbow_tree(inc, bits, terms, max_edges, budget=None) -> list[int] | None:
                 chosen.pop()
         return False
 
-    if target == 1 << terms[0]:
-        return []
     try:
         return chosen if grow(1 << terms[0], 0, max_edges) else None
     finally:
@@ -439,14 +439,15 @@ def _search_k_rainbow_coloring(
         free.insert(j, i)
         return False
 
-    if place(0):
-        assign = [b.bit_length() - 1 for b in bits]
-        if max(assign) != c:
-            raise InvariantViolation(
-                "canonical search used fewer colors than its level"
-            )
-        return EdgeColoring(g, dict(zip(edges, assign)), c)
-    return None
+    try:
+        if not place(0):
+            return None
+    finally:
+        del place  # place refers to itself; free the pool when the search ends
+    assign = [b.bit_length() - 1 for b in bits]
+    if max(assign) != c:
+        raise InvariantViolation("canonical search used fewer colors than its level")
+    return EdgeColoring(g, dict(zip(edges, assign)), c)
 
 
 def _tree_supports(inc, k: int, c: int) -> list[int] | None:
@@ -456,34 +457,49 @@ def _tree_supports(inc, k: int, c: int) -> list[int] | None:
     included, have been grown.
 
     Each tree is grown once, from its lowest vertex r, over vertices above
-    r only: a branch takes one frontier edge and drops the frontier edges
-    before it, so no two branches share a tree. Tree t is bit T-1-t of
-    every bitset, T the trees kept: written out one tree per row, the edge
-    masks hold edge i's bitset in one column, read as one binary literal.
+    r only. A tree, its frontier (the edges from it to vertices outside)
+    and ``met`` (the edges that touch it or a vertex below r) are edge
+    masks. A branch takes the frontier's lowest edge e, to a new vertex w:
+    the child keeps the frontier's edges above e, less w's edges into the
+    tree, plus w's edges outside ``met``. The branches that take later
+    edges never take e, and ``met`` keeps a passed-over edge from coming
+    back, so no two branches share a tree. Tree t is bit T-1-t of every
+    bitset, T the trees kept: written out one tree per row, the edge masks
+    hold edge i's bitset in one column, read as one binary literal.
     """
+    ends = {}  # per edge bit its two end vertices
+    touch = [0] * len(inc)  # per vertex its edge mask
+    for v, row in enumerate(inc):
+        for w, i, _ in row:
+            ends[1 << i] = v, w
+            touch[v] |= 1 << i
     kept: list[int] = []  # edge masks
     grown = 0
-    for r in range(len(inc)):
-        up = [[e for e in ends if e[0] > r] for ends in inc]
-        # per tree to grow: its edge mask, vertex mask, frontier and edges
-        stack = [(0, 1 << r, up[r], 0)]
+    below = 0  # the edges that touch a vertex below r
+    for r, near in enumerate(touch):
+        # per tree to grow: its edge mask, vertex mask, frontier, met mask
+        # and edges
+        stack = [(0, 1 << r, near & ~below, below | near, 0)]
+        below |= near
         while stack:
-            tree, mask, frontier, size = stack.pop()
+            tree, verts, front, met, size = stack.pop()
             size += 1  # the children's edges
-            for j, (w, i, bit) in enumerate(frontier):
-                if mask & bit:
-                    continue
-                child = tree | 1 << i
+            while front:
+                e = front & -front
+                front ^= e
                 grown += 1
                 if grown > _TREE_CAP:
                     return None
                 if size >= k - 1:
-                    kept.append(child)
+                    kept.append(tree | e)
                 if size < c:
-                    joined = mask | bit
-                    more = [e for e in up[w] if not joined & e[2]]
-                    stack.append((child, joined, frontier[j + 1 :] + more, size))
-    m = sum(map(len, inc)) // 2
+                    x, w = ends[e]
+                    if not verts >> x & 1:
+                        w = x  # the end outside the tree joins it
+                    step = touch[w]
+                    frontier = front & ~step | step & ~met
+                    stack.append((tree | e, verts | 1 << w, frontier, met | step, size))
+    m = len(ends)
     top = 1 << m  # a leading 1, so every row has m digits after it
     rows = "".join([bin(tree | top)[3:] for tree in kept])
     return [int(rows[m - 1 - i :: m], 2) for i in range(m)]

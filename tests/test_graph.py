@@ -471,6 +471,17 @@ def _each_table(g, k):
 @settings(max_examples=12, deadline=None)
 @given(connected_graphs(max_n=12))
 @example(cycle_graph(12))
+# removing most vertex sets disconnects these graphs
+@example(Graph.build(8, [(0, v) for v in range(1, 8)]))  # K1,7
+@example(path_graph(9))
+@example(  # two K4s joined by a bridge
+    Graph.build(
+        8,
+        list(itertools.combinations(range(4), 2))
+        + list(itertools.combinations(range(4, 8), 2))
+        + [(3, 4)],
+    )
+)
 def test_steiner_diameter_tables_agree(g):
     # the rows at every k of a 12-vertex graph take about 2 s
     for k in range(2, g.n + 1):

@@ -639,6 +639,30 @@ def test_rainbow_tree_search_leaves_no_garbage():
         gc.enable()
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: exact_rx_k(gnp_connected_graph(8, 0.45, seed=3), 3, node_budget=200),
+        # every color unique, so each subset lies in one contracted vertex
+        lambda: is_k_rainbow_connected(
+            cycle_graph(6), all_distinct_coloring(cycle_graph(6)), 3
+        ),
+        lambda: bounds_report(gnp_connected_graph(8, 0.45, seed=3), 3),
+    ],
+    ids=["exact", "verify-C6-distinct", "report"],
+)
+def test_solver_and_verifier_leave_no_garbage(run):
+    # a nested function that refers to itself holds its closure until the
+    # cyclic collector runs, unless the function is deleted when it ends
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # Exact solver
 

@@ -110,6 +110,28 @@ def test_pinned_exact_results():
     assert _digest(items) == PINNED_EXACT
 
 
+def test_tree_bit_order_is_not_read(monkeypatch):
+    # below the tree cap every reader of the pool only ANDs, ORs or counts
+    # tree bits, so numbering the trees the other way round leaves every
+    # value, node count and coloring as it was
+    instances = list(_pinned_exact_instances())
+    instances += [
+        (_connected_gnm(8, 14, seed), k, 200) for seed in range(40) for k in (2, 4)
+    ]
+    expected = _exact_outcomes(instances)
+    supports = verify_module._tree_supports
+
+    def reversed_supports(inc, k, c):
+        through = supports(inc, k, c)
+        if through is None:
+            return None
+        count = max(trees.bit_length() for trees in through)
+        return [int(f"{trees:0{count}b}"[::-1], 2) for trees in through]
+
+    monkeypatch.setattr(verify_module, "_tree_supports", reversed_supports)
+    assert _exact_outcomes(instances) == expected
+
+
 def _replay_admits(g, k: int, c: int, steps: int, seed: int) -> list[bool]:
     """``admit``'s answers along one seeded walk of placements, in any edge
     order and color, and retractions, through a prune built at the current
