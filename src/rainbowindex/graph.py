@@ -578,8 +578,9 @@ def steiner_distance(g: Graph, terminals: Iterable[int]) -> tuple[int, TreeWitne
 def steiner_diameter_steps(n: int, m: int, k: int) -> tuple[int, int]:
     """(rows, removal): estimated steps of ``steiner_diameter``'s two tables
     at n vertices and m edges. A j-set's row costs 2^(j-1) splits of n
-    entries and a relaxation over m edges; a removal entry, with its walk,
-    (2n + m)/3, the ratio measured in ``BENCH_36.json``."""
+    entries and a relaxation over m edges; a removal entry, with its walk
+    when it takes one, (2n + m)/3, the ratio measured in ``BENCH_36.json``
+    and again, with the walks it skips, in ``BENCH_37.json``."""
     rows = sum(math.comb(n, j) * (2 ** (j - 1) * n + m) for j in range(1, k))
     removal = sum(math.comb(n, j) for j in range(n - k + 1)) * (2 * n + m) // 3
     return rows, removal
@@ -609,16 +610,27 @@ def _removal_table(g: Graph, k: int) -> int:
     """The least, over the (n-k)-sets U, of the most vertices of U whose
     removal leaves g connected: |U| if g - U is connected, else the largest
     entry of U less one vertex. g - U is connected only if g - U + v is for
-    a v of U next to it, so only a U with an entry |U| - 1 below it walks."""
+    a v of U next to it, so only a U with an entry |U| - 1 below it walks,
+    and not always then: if U less its highest vertex u has that entry,
+    g - U + u is connected, and if u's neighbours in g - U all lie in the
+    closed neighbourhood of the lowest of them, x, then x stands in for u
+    on any path through u, so g - U is connected too."""
     everyone = (1 << g.n) - 1
+    closed = {1 << v: row | 1 << v for v, row in enumerate(g.adj_bits)}
     best = {0: 0}
     for j in range(1, g.n - k + 1):
         table = {}
-        for combo in itertools.combinations([1 << v for v in range(g.n)], j):
+        for combo in itertools.combinations(closed, j):
             mask = sum(combo)
-            most = max(map(best.__getitem__, map(mask.__xor__, combo)))
-            if most == j - 1 and len(component_masks(g, everyone ^ mask)) == 1:
+            rest = everyone ^ mask
+            u = combo[-1]
+            out = closed[u] & rest  # not empty while g - U + u is connected
+            if best[mask ^ u] == j - 1 and not out & ~closed[out & -out]:
                 most = j
+            else:
+                most = max(map(best.__getitem__, map(mask.__xor__, combo)))
+                if most == j - 1 and len(component_masks(g, rest)) == 1:
+                    most = j
             table[mask] = most
         best = table
     return min(best.values())

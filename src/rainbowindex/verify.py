@@ -65,7 +65,9 @@ import functools
 import itertools
 import math
 import operator
+import sys
 import time
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -396,6 +398,11 @@ def exact_rx_k(
 #: ``_rainbow_tree``. Set from the in-process table in ``BENCH_30.json``.
 _TREE_CAP = 20_000
 
+_WORD = (1 << 64) - 1
+#: ``bytes.translate`` tables: ``_DIGITS[j]`` writes each byte as its bit j,
+#: b"0" or b"1"
+_DIGITS = [bytes(b"01"[b >> j & 1] for b in range(256)) for j in range(8)]
+
 
 def _search_k_rainbow_coloring(
     g: Graph, k: int, c: int, budget: _Budget
@@ -464,8 +471,11 @@ def _tree_supports(inc, k: int, c: int) -> list[int] | None:
     tree, plus w's edges outside ``met``. The branches that take later
     edges never take e, and ``met`` keeps a passed-over edge from coming
     back, so no two branches share a tree. Tree t is bit T-1-t of every
-    bitset, T the trees kept: written out one tree per row, the edge masks
-    hold edge i's bitset in one column, read as one binary literal.
+    bitset, T the trees kept: the edge masks are packed one tree per row
+    into 64-bit words, least significant byte first (swapped on a
+    big-endian host), so edge i sits at bit i % 8 of byte i // 8 of each
+    row. That byte column, one slice, is translated to "0"/"1" digits and
+    read as one binary literal, tree 0 its leading digit.
     """
     ends = {}  # per edge bit its two end vertices
     touch = [0] * len(inc)  # per vertex its edge mask
@@ -500,9 +510,15 @@ def _tree_supports(inc, k: int, c: int) -> list[int] | None:
                     frontier = front & ~step | step & ~met
                     stack.append((tree | e, verts | 1 << w, frontier, met | step, size))
     m = len(ends)
-    top = 1 << m  # a leading 1, so every row has m digits after it
-    rows = "".join([bin(tree | top)[3:] for tree in kept])
-    return [int(rows[m - 1 - i :: m], 2) for i in range(m)]
+    if m <= 64:
+        words = array("Q", kept)
+    else:  # each row its words, lowest first
+        words = array("Q", [tree >> s & _WORD for tree in kept for s in range(0, m, 64)])
+    if sys.byteorder == "big":
+        words.byteswap()
+    rows = words.tobytes()
+    width = (m + 63) // 64 * 8  # bytes per row
+    return [int(rows[i >> 3 :: width].translate(_DIGITS[i & 7]), 2) for i in range(m)]
 
 
 def _tree_prune(k: int, c: int, edges, inc, bits: list[int]):

@@ -17,6 +17,7 @@ from rainbowindex import (
     InvariantViolation,
     ParseError,
     bfs_tree_edges,
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     distance,
@@ -455,6 +456,9 @@ DESK_GRAPH = Graph.build(
     + [(0, 2), (0, 4), (1, 5), (2, 6), (3, 7), (5, 7)],
 )
 
+#: two triangles sharing vertex 0
+BOWTIE = Graph.build(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+
 
 def _each_table(g, k):
     """steiner_diameter(g, k) with the estimate patched to pick the rows
@@ -482,11 +486,43 @@ def _each_table(g, k):
         + [(3, 4)],
     )
 )
+# the removal table's shortcut falls back to a walk on these
+@example(cycle_graph(8))
+@example(BOWTIE)
+@example(complete_bipartite_graph(2, 5))
+# and decides every entry of this one
+@example(complete_graph(8))
 def test_steiner_diameter_tables_agree(g):
     # the rows at every k of a 12-vertex graph take about 2 s
     for k in range(2, g.n + 1):
         rows, removal = _each_table(g, k)
         assert rows == removal
+
+
+@pytest.mark.parametrize(
+    "g, walks",
+    [
+        (complete_graph(8), False),
+        (cycle_graph(8), True),
+        (BOWTIE, True),
+        (complete_bipartite_graph(2, 5), True),
+    ],
+    ids=["K8", "C8", "bowtie", "K2,5"],
+)
+def test_removal_table_walks_only_where_the_shortcut_fails(monkeypatch, g, walks):
+    # a walk is needed where a vertex's neighbours outside the removed set
+    # are not all next to the lowest of them: opposite cycle vertices, the
+    # two triangles at the bowtie's centre, the independent side of K2,5
+    calls = []
+
+    def counted(graph, mask):
+        calls.append(mask)
+        return component_masks(graph, mask)
+
+    monkeypatch.setattr(graph_module, "component_masks", counted)
+    for k in range(2, g.n + 1):
+        graph_module._removal_table(g, k)
+    assert bool(calls) == walks
 
 
 @settings(max_examples=40, deadline=None)

@@ -340,16 +340,25 @@ _TREE_GRAPHS = {
 }
 
 
-@pytest.mark.parametrize("g", _TREE_GRAPHS.values(), ids=_TREE_GRAPHS.keys())
-def test_tree_supports_grow_each_tree_once(g):
-    # each tree of at most c edges and at least k vertices holds exactly one
-    # bit, whatever the order the enumeration grows the trees in: the oracle
-    # lists each tree once, so equal sorted lists also rule out repeats. The
-    # solver never asks for c below k - 1
+#: stars with more edges than one 64-edge word holds: the bitsets are read
+#: from the kept trees packed into such words
+_STARS = {f"K1,{t}": complete_bipartite_graph(1, t) for t in (63, 64, 65, 129)}
+
+
+@pytest.mark.parametrize(
+    "g, top",
+    [(g, g.n - 1) for g in _TREE_GRAPHS.values()] + [(g, 2) for g in _STARS.values()],
+    ids=[*_TREE_GRAPHS, *_STARS],
+)
+def test_tree_supports_grow_each_tree_once(g, top):
+    # each tree of at most c <= top edges and at least k vertices holds
+    # exactly one bit, whatever the order the enumeration grows the trees
+    # in: the oracle lists each tree once, so equal sorted lists also rule
+    # out repeats. The solver never asks for c below k - 1
     ends = g.sorted_edges()
-    by_size = [[]] + [oracle_trees(ends, size) for size in range(1, g.n)]
-    for k in range(2, g.n + 1):
-        for c in range(k - 1, g.n):
+    by_size = [[]] + [oracle_trees(ends, size) for size in range(1, top + 1)]
+    for k in range(2, top + 2):
+        for c in range(k - 1, top + 1):
             expected = [t for size in range(k - 1, c + 1) for t in by_size[size]]
             assert sorted(_supported_trees(g, k, c)) == sorted(expected)
 
