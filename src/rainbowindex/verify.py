@@ -55,8 +55,9 @@ no slack left, only children that add a missing terminal are grown.
   explicit unknown-with-bounds result, never a guess.
 * ``bounds_report``: assembles lower/upper bounds with provenance labels.
   Which parts run follows from the instance size: the Steiner diameter up to
-  10M estimated steps, the exact solver (2M-node budget) at desk scale, and
-  verification of the constructions up to n = 14 and 2,000 subsets.
+  10M estimated steps, the solver's level sweep (2M-node budget) from the
+  largest lower entry at desk scale, with a refutation entry only above it,
+  and verification of the constructions up to n = 14 and 2,000 subsets.
 """
 
 from __future__ import annotations
@@ -377,8 +378,14 @@ def exact_rx_k(
     budget = _Budget(node_budget, time_budget_s)
     if max_colors is not None and max_colors < 0:
         raise ValueError(f"max colors must be >= 0, got {max_colors}")
-    c = max(k - 1, steiner_diameter(g, k))
-    hi = g.n - 1
+    return _sweep(g, k, max(k - 1, steiner_diameter(g, k)), max_colors, budget)
+
+
+def _sweep(g: Graph, k: int, lo: int, max_colors: int | None, budget) -> ExactResult:
+    """Each level c from ``lo``, below n - 1 and up to ``max_colors``, finds
+    a coloring or is refuted. ``lo`` must be a proven lower bound of at least
+    the Steiner diameter: below it ``_tree_prune`` raises InvariantViolation."""
+    c, hi = lo, g.n - 1
     cap = min(hi, max_colors) if max_colors is not None else hi
     while c < hi and c <= cap:
         try:
@@ -705,7 +712,9 @@ def bounds_report(
     that are infeasible at this size are reported with a null value rather
     than silently dropped (the Steiner diameter past ``_SDIAM_STEP_LIMIT``).
     When the value from the decomposition formula exceeds n - 1 both are
-    listed; nothing is clamped.
+    listed; nothing is clamped. At desk scale the solver's level sweep runs
+    from the largest lower entry, under ``time_budget_s`` (the sweep only);
+    a refutation entry is listed only above that entry.
     """
     check_k(g, k)
     _check_budgets(None, time_budget_s)
@@ -756,17 +765,12 @@ def bounds_report(
         )
 
     exact_value: int | None = None
-    if _desk_scale(g):
-        result = exact_rx_k(
-            g, k, node_budget=_EXACT_NODE_BUDGET, time_budget_s=time_budget_s
-        )
-        if result.known:
-            exact_value = result.value
-        else:
-            if result.lower > k - 1:
-                lower.append(
-                    BoundEntry(result.lower, "exhaustive refutation (partial search)")
-                )
+    if _desk_scale(g):  # in the Steiner step gate (a test pins it), so lo >= sdiam
+        lo = max(e.value for e in lower if e.value is not None)
+        result = _sweep(g, k, lo, None, _Budget(_EXACT_NODE_BUDGET, time_budget_s))
+        exact_value = result.value
+        if not result.known and result.lower > lo:
+            lower.append(BoundEntry(result.lower, "exhaustive refutation (partial search)"))
 
     verified: bool | None = None
     if math.comb(n, k) <= 2_000 and n <= 14:

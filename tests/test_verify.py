@@ -970,6 +970,70 @@ def test_report_gates_the_steiner_diameter_on_its_estimated_steps():
     assert _steiner_entry(bounds_report(g, 15)).value is None
 
 
+@pytest.mark.parametrize("n, m", [(17, 16), (9, 36)])
+def test_desk_scale_passes_the_steiner_step_gate(n, m):
+    # the largest desk shapes (m <= 16 connects at most 17 vertices; K9):
+    # the report's sweep starts from a computed Steiner entry at every k
+    for k in range(2, n + 1):
+        assert min(steiner_diameter_steps(n, m, k)) <= verify_module._SDIAM_STEP_LIMIT
+
+
+def _refutations(report):
+    return [
+        e.value
+        for e in report.lower
+        if e.source == "exhaustive refutation (partial search)"
+    ]
+
+
+@pytest.mark.parametrize("budget, entries", [(20, []), (40, [6])])
+def test_report_lists_a_refutation_only_for_a_refuted_level(monkeypatch, budget, entries):
+    # C8 at k = 3: Steiner diameter 5, rx 6. Twenty nodes refute nothing, so
+    # the Steiner diameter must not come back as a refutation; forty refute 5
+    monkeypatch.setattr(verify_module, "_EXACT_NODE_BUDGET", budget)
+    report = bounds_report(cycle_graph(8), 3)
+    assert report.exact is None
+    assert _refutations(report) == entries
+
+
+@pytest.mark.parametrize(
+    "g, k",
+    [(path_graph(5), 3), (cycle_graph(8), 3), (_connected_gnm(8, 14, seed=1), 4)],
+    ids=["P5", "C8", "gnm-8-14"],
+)
+def test_report_computes_the_steiner_diameter_once(monkeypatch, g, k):
+    calls = []
+    steiner_diameter_of = verify_module.steiner_diameter
+
+    def counted(g, k):
+        calls.append(k)
+        return steiner_diameter_of(g, k)
+
+    monkeypatch.setattr(verify_module, "steiner_diameter", counted)
+    assert bounds_report(g, k).exact is not None
+    assert calls == [k]
+
+
+def test_report_sweep_agrees_with_exact(monkeypatch):
+    # the report's sweep starts from its own lower entries; under the same
+    # node budget it must settle what exact settles, and list a refutation
+    # exactly when exact's lower bound rose above its start
+    graphs = [_connected_gnm(8, 14, seed) for seed in range(3)]
+    graphs += [cycle_graph(8), complete_bipartite_graph(2, 7)]
+    unsettled = set()
+    for g, k, budget in itertools.product(graphs, (2, 3, 4), (20, 60, 400, 3000)):
+        monkeypatch.setattr(verify_module, "_EXACT_NODE_BUDGET", budget)
+        report = bounds_report(g, k)
+        result = exact_rx_k(g, k, node_budget=budget)
+        assert report.exact == result.value
+        start = max(k - 1, steiner_diameter(g, k))
+        refuted = not result.known and result.lower > start
+        assert _refutations(report) == ([result.lower] if refuted else [])
+        if not result.known:
+            unsettled.add(refuted)
+    assert unsettled == {True, False}  # unsettled runs with and without a refutation
+
+
 def test_report_large_graph_formula_cross_check():
     g = gnp_connected_graph(100, 0.32, seed=5)
     assert g.min_degree == 20
