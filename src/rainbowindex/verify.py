@@ -58,6 +58,7 @@ no slack left, only children that add a missing terminal are grown.
   10M estimated steps, the solver's level sweep (2M-node budget) from the
   largest lower entry at desk scale, with a refutation entry only above it,
   and verification of the constructions up to n = 14 and 2,000 subsets.
+  The time budget counts from the report's start and stops only the sweep.
 """
 
 from __future__ import annotations
@@ -66,9 +67,8 @@ import functools
 import itertools
 import math
 import operator
-import sys
+import struct
 import time
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,15 +99,11 @@ class SearchBudgetExceeded(RuntimeError):
     """Raised when a node budget or deadline runs out mid-search."""
 
 
-def _check_budgets(node_budget, time_budget_s) -> None:
-    for name, value in (("node", node_budget), ("time", time_budget_s)):
-        if value is not None and not value >= 0:
-            raise ValueError(f"{name} budget must be >= 0, got {value}")
-
-
 class _Budget:
     def __init__(self, node_budget: int | None, time_budget_s: float | None):
-        _check_budgets(node_budget, time_budget_s)
+        for name, value in (("node", node_budget), ("time", time_budget_s)):
+            if value is not None and not value >= 0:
+                raise ValueError(f"{name} budget must be >= 0, got {value}")
         self.node_budget = node_budget
         self.deadline = (
             time.monotonic() + time_budget_s if time_budget_s is not None else None
@@ -364,9 +360,9 @@ def exact_rx_k(
     """Smallest color count admitting a k-rainbow coloring, with a witness.
 
     Desk scale is enforced (n <= 9 or m <= 16) unless ``force``. The search
-    sweeps c upward from max(k-1, steiner diameter); each level either finds
-    a coloring or exhaustively refutes it. On budget exhaustion the result is
-    "unknown" with the bounds established so far. The budget and
+    sweeps c upward from the Steiner diameter, never below k - 1; each
+    level either finds a coloring or exhaustively refutes it. On budget
+    exhaustion the result is "unknown" with the bounds so far. The budget and
     ``max_colors`` (a negative cap is an error) are checked before any work,
     and the deadline also covers the lower bound.
     """
@@ -378,7 +374,7 @@ def exact_rx_k(
     budget = _Budget(node_budget, time_budget_s)
     if max_colors is not None and max_colors < 0:
         raise ValueError(f"max colors must be >= 0, got {max_colors}")
-    return _sweep(g, k, max(k - 1, steiner_diameter(g, k)), max_colors, budget)
+    return _sweep(g, k, steiner_diameter(g, k), max_colors, budget)
 
 
 def _sweep(g: Graph, k: int, lo: int, max_colors: int | None, budget) -> ExactResult:
@@ -438,9 +434,8 @@ def _search_k_rainbow_coloring(
     def place(max_used: int):
         if not free:
             return True
-        i = pick(free)
-        j = free.index(i)
-        del free[j]
+        j = pick(free)
+        i = free.pop(j)
         top = min(max_used + 1, c)
         for col in range(1, top + 1):
             budget.tick()
@@ -478,11 +473,11 @@ def _tree_supports(inc, k: int, c: int) -> list[int] | None:
     tree, plus w's edges outside ``met``. The branches that take later
     edges never take e, and ``met`` keeps a passed-over edge from coming
     back, so no two branches share a tree. Tree t is bit T-1-t of every
-    bitset, T the trees kept: the edge masks are packed one tree per row
-    into 64-bit words, least significant byte first (swapped on a
-    big-endian host), so edge i sits at bit i % 8 of byte i // 8 of each
-    row. That byte column, one slice, is translated to "0"/"1" digits and
-    read as one binary literal, tree 0 its leading digit.
+    bitset, T the trees kept: ``struct`` packs the edge masks one tree per
+    row into little-endian 64-bit words on every host, so edge i sits at
+    bit i % 8 of byte i // 8 of each row. That byte column, one slice, is
+    translated to "0"/"1" digits and read as one binary literal, tree 0
+    its leading digit.
     """
     ends = {}  # per edge bit its two end vertices
     touch = [0] * len(inc)  # per vertex its edge mask
@@ -517,13 +512,9 @@ def _tree_supports(inc, k: int, c: int) -> list[int] | None:
                     frontier = front & ~step | step & ~met
                     stack.append((tree | e, verts | 1 << w, frontier, met | step, size))
     m = len(ends)
-    if m <= 64:
-        words = array("Q", kept)
-    else:  # each row its words, lowest first
-        words = array("Q", [tree >> s & _WORD for tree in kept for s in range(0, m, 64)])
-    if sys.byteorder == "big":
-        words.byteswap()
-    rows = words.tobytes()
+    if m > 64:  # each row its words, lowest first
+        kept = [tree >> s & _WORD for tree in kept for s in range(0, m, 64)]
+    rows = struct.pack(f"<{len(kept)}Q", *kept)
     width = (m + 63) // 64 * 8  # bytes per row
     return [int(rows[i >> 3 :: width].translate(_DIGITS[i & 7]), 2) for i in range(m)]
 
@@ -539,19 +530,19 @@ def _tree_prune(k: int, c: int, edges, inc, bits: list[int]):
     one AND with its cover, the pool trees containing it. A placement that
     kills no live tree needs no check. ``retract`` undoes the last admitted
     placement. ``admit`` moves a subset left with no live tree to the
-    front, and ``pick`` returns the edge of ``free``, the uncolored ones in
-    index order, on the most live trees of the subset in front, ties to
-    the lowest index (fail-first). Each cover starts as the AND of its
-    vertices' pool bitsets. Up to ``_TREE_CAP`` trees the pool holds
-    every tree (``_tree_supports``), so a subset with no live tree refutes
-    the placement. Above it the pool starts empty, and the set-up adds a
-    ``_rainbow_tree`` tree for each subset no earlier one spans, grown
-    from the subset's terminal of lowest degree, ties to the lowest id,
-    where a tree has the fewest first choices; a subset left with no live
-    tree is searched under the partial coloring, and the tree found joins
-    the pool. Either way
-    ``admit`` is True iff every subset has a rainbow tree of at most c
-    edges, so the pool does not change the answer; it changes ``pick``.
+    front, and ``pick`` returns the position in ``free``, the uncolored
+    edges in index order, of the edge on the most live trees of the subset
+    in front, ties to the lowest index (fail-first). Each cover starts as
+    the AND of its vertices' pool bitsets. Up to ``_TREE_CAP`` trees the
+    pool holds every tree (``_tree_supports``), so a subset with no live
+    tree refutes the placement. Above it the pool starts empty, and the
+    set-up adds a ``_rainbow_tree`` tree for each subset no earlier one
+    spans, grown from the subset's terminal of lowest degree, ties to the
+    lowest id, where a tree has the fewest first choices; a subset left
+    with no live tree is searched under the partial coloring, and the tree
+    found joins the pool. Either way ``admit`` is True iff every subset has
+    a rainbow tree of at most c edges, so the pool does not change the
+    answer; it changes ``pick``.
     """
     n = len(inc)
     through = _tree_supports(inc, k, c)
@@ -627,14 +618,14 @@ def _tree_prune(k: int, c: int, edges, inc, bits: list[int]):
         by_color[col] = old
 
     def pick(free: list[int]) -> int:
-        # the edge of ``free`` on the most live trees of the subset up
-        # front, the first of ties
+        # the position in ``free`` of the edge on the most live trees of
+        # the subset up front, the first of ties
         focus = live[-1] & covers[0]
         best, most = -1, -1
-        for i in free:
+        for j, i in enumerate(free):
             count = (through[i] & focus).bit_count()
             if count > most:
-                best, most = i, count
+                best, most = j, count
         return best
 
     return admit, retract, pick
@@ -713,11 +704,12 @@ def bounds_report(
     than silently dropped (the Steiner diameter past ``_SDIAM_STEP_LIMIT``).
     When the value from the decomposition formula exceeds n - 1 both are
     listed; nothing is clamped. At desk scale the solver's level sweep runs
-    from the largest lower entry, under ``time_budget_s`` (the sweep only);
-    a refutation entry is listed only above that entry.
+    from the largest lower entry; a refutation entry is listed only above
+    that entry. ``time_budget_s`` counts from the report's start but stops
+    only the sweep: the other parts run to the end.
     """
     check_k(g, k)
-    _check_budgets(None, time_budget_s)
+    budget = _Budget(_EXACT_NODE_BUDGET, time_budget_s)
     started = time.monotonic()
     n, delta = g.n, g.min_degree
 
@@ -767,7 +759,7 @@ def bounds_report(
     exact_value: int | None = None
     if _desk_scale(g):  # in the Steiner step gate (a test pins it), so lo >= sdiam
         lo = max(e.value for e in lower if e.value is not None)
-        result = _sweep(g, k, lo, None, _Budget(_EXACT_NODE_BUDGET, time_budget_s))
+        result = _sweep(g, k, lo, None, budget)
         exact_value = result.value
         if not result.known and result.lower > lo:
             lower.append(BoundEntry(result.lower, "exhaustive refutation (partial search)"))

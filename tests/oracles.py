@@ -9,7 +9,8 @@ picking at most one edge per color class, the exact index by exhausting
 canonical colorings, the Steiner k-diameter by connected vertex supersets
 of every k-set (via networkx), and j-domination by counting each outside
 vertex's neighbours in plain sets. The sorted adjacency rows the reference
-walks use are read off the edge set alone.
+walks use are read off the edge set alone. The ``published_*`` functions
+are closed forms for the index proven in the literature, at any size.
 """
 
 from __future__ import annotations
@@ -239,3 +240,51 @@ def oracle_exact_rx(g: Graph, k: int) -> int:
             if oracle_is_k_rainbow(g, colors_by_edge, k):
                 return c
     return g.n - 1
+
+
+# Published closed forms. rc = rx_2 of cycles, wheels and complete bipartite
+# graphs: G. Chartrand, G. L. Johns, K. A. McKeon, P. Zhang, "Rainbow
+# connection in graphs", Math. Bohem. 133 (2008). rx_k of cycles and trees
+# and rx_3 of complete graphs: G. Chartrand, F. Okamoto, P. Zhang, "Rainbow
+# trees in graphs and generalized connectivity", Networks 55 (2010).
+
+
+def published_rx_cycle(n: int, k: int) -> int:
+    """rx_k(C_n) for 2 <= k <= n, n >= 4: ceil(n/2) at k = 2, n - 2 at k = 3
+    and n - 1 from k = 4 on."""
+    if k == 2:
+        return (n + 1) // 2
+    return n - 2 if k == 3 else n - 1
+
+
+def published_rc_wheel(r: int) -> int:
+    """rc(W_r), W_r a hub joined to every vertex of C_r, for r >= 4."""
+    return 2 if r <= 6 else 3
+
+
+def published_rc_hypercube(d: int) -> int:
+    """rc(Q_d): the diameter is d, and coloring each edge by its dimension
+    makes every shortest path rainbow."""
+    return d
+
+
+def published_rx3_complete(n: int) -> int:
+    """rx_3(K_n) for n >= 3: two colors work exactly when no triangle is
+    monochromatic, which R(3, 3) = 6 rules out from n = 6 on."""
+    return 2 if n <= 5 else 3
+
+
+def published_rc_complete_bipartite(s: int, t: int) -> int:
+    """rc(K_{s,t}) = min(ceil(t^(1/s)), 4) for 2 <= s <= t, the root taken
+    in integers."""
+    root = 1
+    while root**s < t:
+        root += 1
+    return min(root, 4)
+
+
+def published_rx_tree(n: int) -> int:
+    """rx_k(T) for a tree T on n vertices and 2 <= k <= n: any two edges lie
+    on the path between two vertices, which every subtree holding both of
+    them contains, so no two edges share a color."""
+    return n - 1

@@ -779,6 +779,27 @@ def test_exact_deadline_covers_the_lower_bound(monkeypatch):
     assert (result.status, result.nodes) == ("unknown", 256)
 
 
+def test_report_deadline_starts_with_the_report(monkeypatch):
+    # the same fake clock, moved past the deadline by the report's own
+    # lower bound: the sweep must stop at its first deadline check (256
+    # nodes; settling takes 936), so nothing is settled or refuted
+    g = _connected_gnm(8, 14, seed=1)
+    assert bounds_report(g, 4).exact == 4
+    clock = [0.0]
+    steiner_diameter_of = verify_module.steiner_diameter
+
+    def slow_lower_bound(g, k):
+        clock[0] += 10.0
+        return steiner_diameter_of(g, k)
+
+    fake_time = SimpleNamespace(monotonic=lambda: clock[0])
+    monkeypatch.setattr(verify_module, "time", fake_time)
+    monkeypatch.setattr(verify_module, "steiner_diameter", slow_lower_bound)
+    report = bounds_report(g, 4, time_budget_s=1.0)
+    assert report.exact is None
+    assert not [e for e in report.lower if e.source.startswith("exhaustive refutation")]
+
+
 def test_report_rejects_negative_timeout_up_front():
     # above desk scale, so the exact solver that holds the budget never runs
     g = gnp_connected_graph(30, 0.3, seed=2)
