@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Walk through the basic building blocks: graph metrics, Steiner distances,
+"""Walk through the basic building blocks: graph metrics, Steiner diameters,
 and edge-disjoint spanning decompositions."""
 
 from rainbowindex import (
@@ -12,15 +12,13 @@ from rainbowindex import (
     split_k,
     split_two,
     steiner_diameter,
-    steiner_distance,
 )
 
 print("== metrics on the 6-cycle ==")
 c6 = cycle_graph(6)
 print("distance(0, 3) =", distance(c6, 0, 3))
 print("vertices at distance exactly 2 from {0}:", k_step_neighborhood(c6, [0], 2))
-d, witness = steiner_distance(c6, [0, 2, 4])
-print("steiner distance of {0, 2, 4} =", d, "witness edges:", sorted(witness.edges))
+# {0, 2, 4} attains it: no 4-vertex superset of it induces a connected subgraph
 print("steiner 3-diameter =", steiner_diameter(c6, 3))
 # k near n: the diameter works on the removable complements of the 9-sets
 print("steiner 9-diameter of the 16-cycle =", steiner_diameter(cycle_graph(16), 9))

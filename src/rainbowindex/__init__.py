@@ -29,7 +29,6 @@ from .graph import (
     path_graph,
     petersen_graph,
     read_edge_list,
-    steiner_distance,
     steiner_diameter,
 )
 from .decompose import SpanningSplit, split_k, split_two

@@ -25,7 +25,9 @@ claims disjoint edge sets; a double claim raises.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -50,6 +52,7 @@ from .graph import (
     edge,
     induced_subgraph,
     parse_records,
+    read_ids,
     set_bits,
     vertex_mask,
 )
@@ -63,6 +66,13 @@ class EdgeColoring:
     for; degenerate instances may leave some palette colors unused (the
     constructions here renumber so that only the decomposition pipeline can
     do so, and only when a part-level rule never fires).
+
+    The keys must be the graph's edges. Keys in the graph's ascending edge
+    order, as every construction and the bulk reader build them, are
+    checked against ``Graph.sorted_edges()`` pair by pair, which is one
+    identity test per edge when they are the graph's own tuples; only keys
+    in any other order are compared as a set with ``Graph.edges``, which
+    builds that set on first read. Either way the predicate is the same.
     """
 
     graph: Graph
@@ -70,7 +80,10 @@ class EdgeColoring:
     color_count: int
 
     def __post_init__(self):
-        if self.colors.keys() != self.graph.edges:
+        if (
+            tuple(self.colors) != self.graph.sorted_edges()
+            and self.colors.keys() != self.graph.edges
+        ):
             raise ValueError("coloring must cover exactly the graph's edges")
         top = max(self.color_count, 1)
         values = self.colors.values()
@@ -385,11 +398,17 @@ def color_km1dom(
 #
 # Line 1: "n m c"; then m lines "u v color", each graph edge exactly once.
 
+#: The form ``format_coloring`` writes: lines of three ASCII integers split
+#: by single spaces, every line ending in a newline.
+_CANONICAL_COLORING = re.compile(r"(?:[0-9]+ [0-9]+ [0-9]+\n)+")
+
 
 def format_coloring(coloring: EdgeColoring) -> str:
     """The coloring document: the header, then one "u v color" line per
     edge in ascending edge order, all m lines written by one ``%`` format
-    over a flat tuple of the edges' fields."""
+    over a flat tuple of the edges' fields. A color mapping whose keys are
+    in that order gives its colors as its values stand; any other order is
+    looked up edge by edge, to the same bytes."""
     g = coloring.graph
     order = g.sorted_edges()
     fields: list[int] = [0] * (3 * g.m)
@@ -397,7 +416,8 @@ def format_coloring(coloring: EdgeColoring) -> str:
     # and so many live objects set off the cyclic garbage collector
     fields[0::3] = map(itemgetter(0), order)
     fields[1::3] = map(itemgetter(1), order)
-    fields[2::3] = map(coloring.colors.__getitem__, order)
+    colors = coloring.colors
+    fields[2::3] = colors.values() if tuple(colors) == order else map(colors.__getitem__, order)
     header = f"{g.n} {g.m} {coloring.color_count}\n"
     return header + "%d %d %d\n" * g.m % tuple(fields)
 
@@ -405,7 +425,32 @@ def format_coloring(coloring: EdgeColoring) -> str:
 def parse_coloring(text: str, graph: Graph | None = None) -> EdgeColoring:
     """Coloring document; against ``graph`` if given. Errors name the line:
     the header for an n or edge-count mismatch, the record for an edge the
-    graph lacks."""
+    graph lacks.
+
+    Against a graph, a document as ``format_coloring`` writes it is read in
+    bulk, with no Python step per line: one in the canonical form
+    (``_CANONICAL_COLORING``) whose header holds the graph's n and m, whose
+    pairs are the graph's edges in ascending order and whose colors lie in
+    1..c. Each token is read by name (``read_ids``, which falls back to
+    ``int`` for a leading zero), and the coloring maps the graph's own edge
+    tuples, in edge order, to the colors. Any other document, and any
+    document read without a graph, goes to the line reader, which alone
+    raises ParseError; the two readers give equal colorings.
+    """
+    if graph is not None and _CANONICAL_COLORING.fullmatch(text):
+        tokens = text.split()
+        n, m, c = map(int, tokens[:3])
+        ends = tokens[3:]
+        del ends[2::3]  # the colors
+        colors = read_ids(tokens[5::3], c + 1)
+        order = graph.sorted_edges()
+        if (
+            (n, m) == (graph.n, graph.m)
+            and colors is not None
+            and 0 not in colors
+            and read_ids(ends, n) == list(chain.from_iterable(order))
+        ):
+            return EdgeColoring(graph, dict(zip(order, colors)), c)
     records = parse_records(text, "n m c", "'u v color'", "fields must be integers")
     header_line, (n, _, c) = next(records)
     if graph is not None and graph.n != n:

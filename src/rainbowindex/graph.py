@@ -1,6 +1,6 @@
 """Simple undirected graphs: construction, generators, edge-list text I/O,
 and metric computations (shortest paths, step neighborhoods, Steiner
-distances and diameters).
+diameters).
 
 ``spread`` is the one bitmask BFS step. ``balls`` grows with it the
 cumulative distance layers of a source set, and ``component_masks`` the
@@ -17,8 +17,7 @@ vertices of shortest paths between them.
 Only ``_relax`` walks its own layers, because its sources join the BFS at
 different times and it writes each vertex's row value while it walks a
 layer; a ``spread`` step would walk each layer twice. It lowers the rows of
-the one Dreyfus-Wagner engine, ``_steiner_rows``, which serves both
-``steiner_distance`` (walking a witness back from the values) and
+the one Dreyfus-Wagner engine, ``_steiner_rows``, which serves
 ``steiner_diameter``, unless ``steiner_diameter_steps`` estimates the
 diameter's removal table over the complements of the k-sets cheaper.
 
@@ -424,13 +423,13 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
 
 
 # ---------------------------------------------------------------------------
-# Steiner distance and diameter
+# Steiner diameter
 
 
 @dataclass(frozen=True)
 class TreeWitness:
-    """A tree containing a terminal set: a Steiner tree, or a rainbow tree
-    under an edge coloring."""
+    """A tree containing a terminal set, such as a rainbow tree under an
+    edge coloring."""
 
     edges: frozenset[Edge]
     terminals: frozenset[int]
@@ -500,79 +499,6 @@ def _steiner_rows(
             if j < top:
                 rows[mask] = row
             yield mask, row
-
-
-def _steiner_dp(g: Graph, terminals: list[int]) -> tuple[int, TreeWitness]:
-    """Dreyfus-Wagner over the terminal sets (``_steiner_rows``), with a
-    witness walked back from the values alone.
-
-    The walk starts at the lowest-id vertex holding the least entry of the
-    full set's row. At a set T and vertex v with entry d > 0 it takes the
-    first split in ``_splits`` order whose two entries at v sum to d, and
-    only if there is none, the edge to the lowest-id neighbour w with
-    row_T[w] = d - 1.
-    """
-    rows = dict(_steiner_rows(g, terminals, len(terminals)))
-    full = sum(1 << t for t in terminals)
-    value = min(rows[full])
-    edges_out: set[Edge] = set()
-    stack = [(full, rows[full].index(value))]
-    while stack:
-        mask, v = stack.pop()
-        row = rows[mask]
-        d = row[v]
-        if d == 0:
-            continue
-        for a in _splits(mask):
-            if rows[a][v] + rows[mask ^ a][v] == d:
-                stack += [(a, v), (mask ^ a, v)]
-                break
-        else:
-            u = next((w for w in set_bits(g.adj_bits[v]) if row[w] == d - 1), None)
-            if u is None:
-                raise InvariantViolation("steiner row entry without a predecessor")
-            edges_out.add(edge(u, v))
-            stack.append((mask, u))
-    if len(edges_out) != value:
-        raise InvariantViolation("steiner reconstruction mismatch")
-    return value, TreeWitness(frozenset(edges_out), frozenset(terminals))
-
-
-def _steiner_enumerate(g: Graph, terminals: list[int]) -> tuple[int, TreeWitness]:
-    """Exhaustive check over vertex supersets, smallest first: one
-    ``component_masks`` walk per superset, and a BFS tree of the first
-    connected one."""
-    base = vertex_mask(g, terminals)
-    others = [v for v in range(g.n) if not base >> v & 1]
-    for extra in range(len(others) + 1):
-        for combo in itertools.combinations(others, extra):
-            mask = base | sum(1 << v for v in combo)
-            if len(component_masks(g, mask)) == 1:
-                tree = bfs_tree_edges(g, set_bits(mask))
-                return len(tree), TreeWitness(frozenset(tree), frozenset(terminals))
-    raise ValueError("terminals are not connected in the graph")
-
-
-def steiner_distance(g: Graph, terminals: Iterable[int]) -> tuple[int, TreeWitness]:
-    """Minimum size of a tree containing the terminals, with a witness tree.
-
-    Two exact paths, cross-checked in the test suite: the Dreyfus-Wagner
-    rows of the terminal sets (``_steiner_dp``), about 3^|S| split merges of
-    n entries each, and a sweep over vertex supersets of S, at most
-    2^(n - |S|) connectivity checks of up to n vertices each. The rows are
-    taken when 3^|S| <= 2^(n - |S|) n: the factor n is counted on the
-    sweep's side only, so the rule leans towards the rows.
-    """
-    ts = list(set_bits(vertex_mask(g, terminals)))
-    if not ts:
-        raise ValueError("terminal set must be nonempty")
-    if not g.is_connected:
-        raise ValueError("steiner_distance requires a connected graph")
-    if len(ts) == 1:
-        return 0, TreeWitness(frozenset(), frozenset(ts))
-    if 3 ** len(ts) <= 2 ** (g.n - len(ts)) * g.n:
-        return _steiner_dp(g, ts)
-    return _steiner_enumerate(g, ts)
 
 
 def steiner_diameter_steps(n: int, m: int, k: int) -> tuple[int, int]:
@@ -818,31 +744,55 @@ def parse_records(
         raise ParseError(f"declared {m} edges but found {count}", header_line)
 
 
+def read_ids(tokens: list[str], bound: int) -> list[int] | None:
+    """The integers that the ASCII decimal ``tokens`` spell, or None if one
+    is ``bound`` or more. Each token is looked up by name in a table of
+    0..bound-1, built only when ``bound`` is at most the number of tokens,
+    so the work stays linear in the tokens. If the table lacks a token (a
+    leading zero, or a value of ``bound`` or more), every token is read by
+    ``int`` instead and checked against ``bound``."""
+    if bound <= len(tokens):
+        names = dict(zip(map(str, range(bound)), range(bound)))
+        try:
+            return list(map(names.__getitem__, tokens))
+        except KeyError:
+            pass
+    ids = list(map(int, tokens))
+    return ids if not ids or max(ids) < bound else None
+
+
 def parse_edge_list(text: str) -> Graph:
     """The graph of an edge-list document.
 
     A document in the canonical form (``_CANONICAL_EDGE_LIST``) whose
     records number m, stay in range and hold no loop or duplicate is read in
-    bulk, with no Python step per line: the records are normalized to u < v
-    (only if some record is reversed) and sorted, which is linear on the
-    ascending records ``format_edge_list`` writes, and one C-level
-    comparison of neighbouring pairs rejects duplicates. The graph starts
-    with the sorted pairs as its edge order, with no per-edge check. Any
-    other document, including every one that is malformed or repeats an
+    bulk, with no Python step per line. Each endpoint is read by vertex name
+    (``read_ids``): one lookup per token in a table of the n names, built
+    only when n is at most the token count, and ``int`` with one range check
+    for a document the table does not cover (a leading zero, an id of n or
+    more, or more vertices than tokens). The records are normalized to
+    u < v (only if some record is reversed) and sorted, unless they already
+    ascend as ``format_edge_list`` writes them; one C-level comparison of
+    neighbouring pairs, which rejects duplicates, tells which. The graph
+    starts with the sorted pairs as its edge order, with no per-edge check.
+    Any other document, including every one that is malformed or repeats an
     edge, goes to the line reader ``parse_records``, which alone raises
     ParseError (naming the line) and warns of duplicates.
     """
     if _CANONICAL_EDGE_LIST.fullmatch(text):
-        numbers = list(map(int, text.split()))
-        n, m = numbers[0], numbers[1]
-        us, vs = numbers[2::2], numbers[3::2]
-        if (
-            len(us) == m
-            and (not m or max(max(us), max(vs)) < n)
-            and all(map(ne, us, vs))
-        ):
-            pairs = sorted(zip(us, vs) if all(map(lt, us, vs)) else map(edge, us, vs))
-            if all(map(lt, pairs, pairs[1:])):
+        tokens = text.split()
+        n, m = int(tokens[0]), int(tokens[1])
+        ends = read_ids(tokens[2:], n)
+        if ends is not None and len(ends) == 2 * m:
+            us, vs = ends[0::2], ends[1::2]
+            ascending = all(map(lt, us, vs))  # and so loop-free
+            pairs = list(zip(us, vs) if ascending else map(edge, us, vs))
+            # pairs in the order format_edge_list writes skip the sort
+            in_order = all(map(lt, pairs, pairs[1:]))
+            if not in_order:
+                pairs.sort()
+                in_order = all(map(lt, pairs, pairs[1:]))
+            if in_order and (ascending or all(map(ne, us, vs))):
                 return Graph._unchecked(n, order=tuple(pairs))
     records = parse_records(
         text, "n m", "edge line 'u v'", "edge endpoints must be integers"

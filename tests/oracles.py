@@ -6,8 +6,9 @@ enumerating spanning trees of vertex supersets (via networkx), the first
 tree the search grows by a plain depth-first search with no prunes, the
 trees of a graph by testing every edge subset, k-rainbow connectivity by
 picking at most one edge per color class, the exact index by exhausting
-canonical colorings, the Steiner k-diameter by connected vertex supersets
-of every k-set (via networkx), and j-domination by counting each outside
+canonical colorings, the Steiner distance of a vertex set by its connected
+vertex supersets (via networkx) and the Steiner k-diameter as the largest
+over every k-set, and j-domination by counting each outside
 vertex's neighbours in plain sets. The sorted adjacency rows the reference
 walks use are read off the edge set alone. The ``published_*`` functions
 are closed forms for the index proven in the literature, at any size.
@@ -38,21 +39,23 @@ def sorted_rows(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(row)) for row in rows)
 
 
-def oracle_steiner_diameter(g: Graph, k: int) -> int:
-    """Largest Steiner distance over the k-sets of vertices; a k-set's
-    distance is one less than the size of its smallest vertex superset that
-    induces a connected subgraph."""
+def oracle_steiner_distance(g: Graph, terminals) -> int:
+    """The fewest edges of a tree containing the terminals: one less than
+    the size of their smallest vertex superset that induces a connected
+    subgraph."""
     G = to_networkx(g)
+    S = tuple(sorted(set(terminals)))
+    others = [v for v in range(g.n) if v not in S]
+    for extra in range(len(others) + 1):
+        for combo in itertools.combinations(others, extra):
+            if nx.is_connected(G.subgraph(S + combo)):
+                return len(S) + extra - 1
+    raise ValueError("terminals are not connected in the graph")
 
-    def steiner_distance(S: tuple[int, ...]) -> int:
-        others = [v for v in range(g.n) if v not in S]
-        for extra in range(len(others) + 1):
-            for combo in itertools.combinations(others, extra):
-                if nx.is_connected(G.subgraph(S + combo)):
-                    return len(S) + extra - 1
-        raise ValueError("terminals are not connected in the graph")
 
-    return max(steiner_distance(S) for S in itertools.combinations(range(g.n), k))
+def oracle_steiner_diameter(g: Graph, k: int) -> int:
+    """Largest Steiner distance over the k-sets of vertices."""
+    return max(oracle_steiner_distance(g, S) for S in itertools.combinations(range(g.n), k))
 
 
 def oracle_is_k_dominating(g: Graph, dom, j: int) -> bool:

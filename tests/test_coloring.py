@@ -1,7 +1,9 @@
 import itertools
+import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rainbowindex import (
@@ -29,7 +31,7 @@ from rainbowindex import (
 from rainbowindex import coloring as coloring_module
 from rainbowindex.graph import ParseError
 from tests.oracles import sorted_rows
-from tests.test_graph import connected_graphs
+from tests.test_graph import connected_graphs, graphs_with_subsets
 
 
 def check_pipeline_trace(g, k, coloring, trace):
@@ -333,13 +335,21 @@ def test_coloring_round_trip():
 
 def test_format_coloring_reads_colours_by_edge():
     """One line per edge in ascending edge order, whatever order the
-    colour mapping holds its edges in; no lines for an edgeless graph."""
+    colour mapping holds its edges in, and whether its keys are the graph's
+    own tuples or equal ones; no lines for an edgeless graph."""
     g = gnp_connected_graph(12, 0.4, seed=2)
     order = sorted(g.edges)
     colors = {e: 1 + i % 5 for i, e in enumerate(order)}
-    coloring = EdgeColoring(g, dict(reversed(colors.items())), 5)
+    shuffled = list(colors.items())
+    random.Random(1).shuffle(shuffled)
     lines = [f"{g.n} {g.m} 5"] + [f"{u} {v} {colors[(u, v)]}" for u, v in order]
-    assert format_coloring(coloring) == "\n".join(lines) + "\n"
+    for keyed in (
+        colors,
+        dict(zip(g.sorted_edges(), colors.values())),
+        dict(reversed(colors.items())),
+        dict(shuffled),
+    ):
+        assert format_coloring(EdgeColoring(g, keyed, 5)) == "\n".join(lines) + "\n"
     assert format_coloring(EdgeColoring(Graph(3, frozenset()), {}, 0)) == "3 0 0\n"
 
 
@@ -377,6 +387,116 @@ def test_coloring_graph_mismatches_name_the_line():
         parse_coloring("3 2 1\n0 1 1", g)
 
 
+#: Edits of a canonical coloring document, each a function of (lines, g,
+#: rng) giving the edited lines; the header is lines[0] and every line keeps
+#: its "\n". Every edit but the leading zeros hands the document to the
+#: line reader.
+COLORING_MUTATIONS = {
+    "none": lambda lines, g, rng: lines,
+    "leading zero": lambda lines, g, rng: [lines[0]] + ["0" + x for x in lines[1:]],
+    "reversed pair": lambda lines, g, rng: _edit_record(
+        lines, rng, lambda u, v, c: f"{v} {u} {c}\n"
+    ),
+    "two lines swapped": lambda lines, g, rng: _swap_records(lines, rng),
+    "colour 0": lambda lines, g, rng: _edit_record(lines, rng, lambda u, v, c: f"{u} {v} 0\n"),
+    "colour c + 1": lambda lines, g, rng: _edit_record(
+        lines, rng, lambda u, v, c: f"{u} {v} {int(lines[0].split()[2]) + 1}\n"
+    ),
+    "foreign edge": lambda lines, g, rng: _edit_record(
+        lines, rng, lambda u, v, c: "{} {} {}\n".format(*rng.choice(_non_edges(g)), c)
+    ),
+    "duplicate line": lambda lines, g, rng: _insert_after(lines, rng),
+    "one line too few": lambda lines, g, rng: lines[:-1],
+    "one line too many": lambda lines, g, rng: [_header(lines, m=-1)] + lines[1:],
+    "header n": lambda lines, g, rng: [_header(lines, n=1)] + lines[1:],
+    "header m": lambda lines, g, rng: [_header(lines, m=1)] + lines[1:],
+}
+
+
+def _edit_record(lines, rng, change):
+    at = rng.randrange(1, len(lines))
+    return lines[:at] + [change(*lines[at].split())] + lines[at + 1 :]
+
+
+def _swap_records(lines, rng):
+    at = rng.randrange(1, len(lines) - 1)
+    return lines[:at] + [lines[at + 1], lines[at]] + lines[at + 2 :]
+
+
+def _insert_after(lines, rng):
+    at = rng.randrange(1, len(lines))
+    return lines[: at + 1] + lines[at:]
+
+
+def _header(lines, n=0, m=0):
+    """The header with ``n`` and ``m`` added to its first two fields."""
+    fields = list(map(int, lines[0].split()))
+    return f"{fields[0] + n} {fields[1] + m} {fields[2]}\n"
+
+
+def _non_edges(g):
+    return [e for e in itertools.combinations(range(g.n), 2) if e not in g.edges]
+
+
+def _read_coloring(text, g):
+    """What parse_coloring gives for ``text`` against ``g``: the coloring or
+    the ParseError's text and line, and whether the line reader ran."""
+    calls = []
+    parse_records = coloring_module.parse_records
+
+    def line_reader(*args):
+        calls.append(args)
+        return parse_records(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coloring_module, "parse_records", line_reader)
+        try:
+            result = parse_coloring(text, g)
+        except ParseError as exc:
+            result = (str(exc), exc.line_no)
+    return result, bool(calls)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    graphs_with_subsets(max_n=12),
+    st.sampled_from(sorted(COLORING_MUTATIONS)),
+    # a palette below the record count reads colours by name, one above by int
+    st.sampled_from([1, 2, 5, 40, 10**9]),
+    st.randoms(),
+)
+def test_bulk_coloring_reader_agrees_with_the_line_reader(case, mutation, c, rng):
+    """A document ``format_coloring`` writes is read in bulk, over the
+    graph's own edge tuples, to the coloring the line reader builds; any
+    edit the bulk path does not read the same hands the whole document to
+    the line reader, so errors and line numbers come from it alone."""
+    g, _ = case
+    if mutation not in ("none", "leading zero", "header n", "header m"):
+        assume(g.m >= 1)
+    if mutation == "two lines swapped":
+        assume(g.m >= 2)
+    if mutation == "foreign edge":
+        assume(_non_edges(g))
+    colors = {e: rng.randint(1, min(c, 7)) for e in g.sorted_edges()}
+    lines = format_coloring(EdgeColoring(g, colors, c)).splitlines(keepends=True)
+    text = "".join(COLORING_MUTATIONS[mutation](lines, g, rng))
+    result, handed_over = _read_coloring(text, g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coloring_module, "_CANONICAL_COLORING", re.compile("(?!)"))
+        assert _read_coloring(text, g) == (result, True)
+    assert handed_over == (mutation not in ("none", "leading zero"))
+    if not handed_over:
+        assert result == EdgeColoring(g, colors, c)
+        assert all(a is b for a, b in zip(result.colors, g.sorted_edges()))
+
+
+def test_bulk_coloring_reader_needs_a_graph():
+    g = path_graph(3)
+    text = "3 2 2\n0 1 1\n1 2 2\n"
+    assert _read_coloring(text, None) == (EdgeColoring(g, {(0, 1): 1, (1, 2): 2}, 2), True)
+    assert _read_coloring(text, g) == (EdgeColoring(g, {(0, 1): 1, (1, 2): 2}, 2), False)
+
+
 def test_double_claim_raises_invariant_violation(monkeypatch):
     # On K5 with D = {0, 1} the legs of vertex 2 are 02 and 12; a core tree
     # that also claims 02 is a construction bug, not bad input.
@@ -390,6 +510,26 @@ def test_edge_coloring_validates_totality():
     g = complete_graph(3)
     with pytest.raises(ValueError):
         EdgeColoring(g, {(0, 1): 1}, 1)
+    # the keys must be the edge set, in edge order or not, as the graph's own
+    # tuples or equal ones
+    g = gnp_connected_graph(12, 0.4, seed=2)
+    order = g.sorted_edges()
+    foreign = _non_edges(g)[0]
+    for keys, total in (
+        (order, True),
+        (order[::-1], True),
+        ([tuple(list(e)) for e in order], True),
+        (order[:3] + (foreign,) + order[4:], False),
+        (order[:-1], False),
+        (order + (foreign,), False),
+        ((foreign,) + order[1:], False),
+    ):
+        colors = dict.fromkeys(keys, 1)
+        if total:
+            assert EdgeColoring(g, colors, 1).colors is colors
+        else:
+            with pytest.raises(ValueError, match="^coloring must cover exactly the graph's edges$"):
+                EdgeColoring(g, colors, 1)
 
 
 def test_edge_coloring_names_the_first_colour_out_of_range():

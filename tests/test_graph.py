@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import random
 import re
@@ -14,7 +13,6 @@ from hypothesis import strategies as st
 from rainbowindex import (
     GenerationError,
     Graph,
-    InvariantViolation,
     ParseError,
     bfs_tree_edges,
     complete_bipartite_graph,
@@ -31,13 +29,10 @@ from rainbowindex import (
     path_graph,
     petersen_graph,
     split_two,
-    steiner_distance,
     steiner_diameter,
 )
 from rainbowindex import graph as graph_module
 from rainbowindex.graph import (
-    _steiner_dp,
-    _steiner_enumerate,
     balls,
     bfs_forest,
     component_masks,
@@ -46,7 +41,7 @@ from rainbowindex.graph import (
     steiner_diameter_steps,
     vertex_mask,
 )
-from tests.oracles import oracle_steiner_diameter, sorted_rows
+from tests.oracles import oracle_steiner_diameter, oracle_steiner_distance, sorted_rows
 from tests.test_dominate_incremental import (
     ref_bfs,
     ref_components_within,
@@ -292,58 +287,50 @@ def test_step_levels_partition_ball(g, data):
 # Steiner distance and diameter
 
 
+def _rows_distance(g, terminals):
+    """The Steiner distance of ``terminals`` as the diameter's rows table
+    holds it: the entry, at the highest terminal, of the row of the rest."""
+    ts = sorted(set(terminals))
+    if len(ts) == 1:
+        return 0
+    rows = dict(graph_module._steiner_rows(g, ts[:-1], len(ts) - 1))
+    return rows[vertex_mask(g, ts[:-1])][ts[-1]]
+
+
 def test_steiner_complete_is_star():
     k5 = complete_graph(5)
-    d, w = steiner_distance(k5, [0, 2, 4])
-    assert d == 2 and w.is_valid_for(k5)
+    assert _rows_distance(k5, [0, 2, 4]) == oracle_steiner_distance(k5, [0, 2, 4]) == 2
 
 
 def test_steiner_path_endpoints():
     p4 = path_graph(4)
-    d, w = steiner_distance(p4, [0, 3])
-    assert d == 3 and w.edges == frozenset({(0, 1), (1, 2), (2, 3)})
+    assert _rows_distance(p4, [0, 3]) == oracle_steiner_distance(p4, [0, 3]) == 3
 
 
 def test_steiner_c6_alternating_terminals():
-    # frozen via the vertex-superset enumeration: no 4-vertex superset of
-    # {0, 2, 4} induces a connected subgraph of C6, so the minimum is 5
-    # vertices, 4 edges
+    # no 4-vertex superset of {0, 2, 4} induces a connected subgraph of C6,
+    # so the minimum is 5 vertices, 4 edges, and no 3-set needs more
     c6 = cycle_graph(6)
-    d, w = steiner_distance(c6, [0, 2, 4])
-    assert d == 4 and w.is_valid_for(c6)
+    assert _rows_distance(c6, [0, 2, 4]) == oracle_steiner_distance(c6, [0, 2, 4]) == 4
+    assert steiner_diameter(c6, 3) == 4
 
 
 def test_steiner_rejects_disconnected():
     g = Graph.build(4, [(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="^requires a connected graph$"):
+        steiner_diameter(g, 2)
     with pytest.raises(ValueError):
-        steiner_distance(g, [0, 3])
+        oracle_steiner_distance(g, [0, 3])
 
 
 @settings(max_examples=40, deadline=None)
 @given(connected_graphs(max_n=8), st.data())
-def test_steiner_dp_agrees_with_enumeration(g, data):
+def test_steiner_rows_agree_with_the_oracle(g, data):
     k = data.draw(st.integers(2, min(5, g.n)))
     terms = data.draw(
         st.sets(st.integers(0, g.n - 1), min_size=k, max_size=k)
     )
-    d_dp, w_dp = _steiner_dp(g, sorted(terms))
-    d_en, w_en = _steiner_enumerate(g, sorted(terms))
-    assert d_dp == d_en
-    assert w_dp.is_valid_for(g) and len(w_dp.edges) == d_dp
-    assert w_en.is_valid_for(g) and len(w_en.edges) == d_en
-
-
-def test_steiner_dp_walk_back_refuses_an_entry_without_a_predecessor(monkeypatch):
-    # P3 with terminals {0, 2}: the pair's row claims 5 everywhere, which no
-    # split and no neighbour one edge closer explains
-    def rows(g, universe, top):
-        yield 0b001, [0, 1, 2]
-        yield 0b100, [2, 1, 0]
-        yield 0b101, [5, 5, 5]
-
-    monkeypatch.setattr(graph_module, "_steiner_rows", rows)
-    with pytest.raises(InvariantViolation):
-        _steiner_dp(path_graph(3), [0, 2])
+    assert _rows_distance(g, terms) == oracle_steiner_distance(g, terms)
 
 
 @settings(max_examples=40, deadline=None)
@@ -353,8 +340,7 @@ def test_steiner_pair_equals_distance(g, data):
     v = data.draw(st.integers(0, g.n - 1))
     if u == v:
         return
-    d, _ = steiner_distance(g, [u, v])
-    assert d == distance(g, u, v)
+    assert _rows_distance(g, [u, v]) == distance(g, u, v)
 
 
 @settings(max_examples=30, deadline=None)
@@ -363,52 +349,7 @@ def test_steiner_monotone_under_terminal_growth(g, data):
     small = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=g.n - 1))
     extra = data.draw(st.integers(0, g.n - 1))
     big = set(small) | {extra}
-    d_small, _ = steiner_distance(g, small)
-    d_big, _ = steiner_distance(g, big)
-    assert d_small <= d_big
-
-
-def _steiner_corpus():
-    """Seeded (graph, terminals) cases: n = 6-16, |S| = 2-6. The small graphs
-    with many terminals take the superset sweep, the rest the DP."""
-    rng = random.Random(23)
-    for _ in range(60):
-        n = rng.randint(6, 16)
-        g = gnp_connected_graph(n, rng.choice((0.25, 0.4, 0.6)), seed=rng.randrange(10**6))
-        yield g, rng.sample(range(n), rng.randint(2, min(6, n)))
-
-
-def _witness_digest(solve) -> str:
-    items = []
-    for g, terminals in _steiner_corpus():
-        value, witness = solve(g, terminals)
-        items.append((value, sorted(witness.edges)))
-    return hashlib.sha256("\n".join(map(repr, items)).encode()).hexdigest()
-
-
-#: sha256 over (value, sorted witness edges) of steiner_distance on the
-#: corpus, recorded before the two Dreyfus-Wagner loops became one.
-PINNED_STEINER = "516a59b75d13058fd5d59e856243d8c633bc6724a37b1d2e2937205deb536c31"
-
-#: the same for _steiner_dp on every case, the sweep's cases included.
-PINNED_STEINER_DP = "d8bcac36160d3f5ab4317cb41510099e5f176ba34a60233fc5b2eb50efe3b782"
-
-
-def test_pinned_steiner_witnesses(monkeypatch):
-    paths = []
-    for name in ("_steiner_dp", "_steiner_enumerate"):
-
-        def spy(g, terminals, name=name, solve=getattr(graph_module, name)):
-            paths.append(name)
-            return solve(g, terminals)
-
-        monkeypatch.setattr(graph_module, name, spy)
-    assert _witness_digest(steiner_distance) == PINNED_STEINER
-    assert set(paths) == {"_steiner_dp", "_steiner_enumerate"}
-
-
-def test_pinned_steiner_dp_witnesses():
-    assert _witness_digest(lambda g, s: _steiner_dp(g, sorted(s))) == PINNED_STEINER_DP
+    assert _rows_distance(g, small) <= _rows_distance(g, big)
 
 
 def test_steiner_diameter_examples():
@@ -462,12 +403,11 @@ BOWTIE = Graph.build(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
 
 def _each_table(g, k):
     """steiner_diameter(g, k) with the estimate patched to pick the rows
-    table, then the removal table; ``steiner_distance`` raises."""
+    table, then the removal table."""
     values = []
     for steps in ((0, 1), (1, 0)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph_module, "steiner_diameter_steps", lambda n, m, k: steps)
-            mp.setattr(graph_module, "steiner_distance", _refuse)
             values.append(steiner_diameter(g, k))
     return values
 
@@ -578,7 +518,7 @@ def test_steiner_diameter_takes_the_removal_table_when_k_is_near_n(monkeypatch):
     ids=["C16-9", "C17-10", "C18-12", "G30-26"],
 )
 def test_steiner_diameter_is_fast_for_k_near_n(g, k, expected):
-    # one steiner_distance per k-subset took 12-28 s on the cycles
+    # one Steiner distance per k-subset took 12-28 s on the cycles
     started = time.perf_counter()
     assert steiner_diameter(g, k) == expected
     assert time.perf_counter() - started < 5.0
@@ -885,6 +825,30 @@ def test_reader_builds_no_rows_for_a_declared_vertex_count():
     g = parse_edge_list("100000000 1\n0 1\n")
     assert g.n == 100_000_000 and g.sorted_edges() == ((0, 1),)
     assert "adj_bits" not in g.__dict__
+
+
+def test_reader_names_no_more_vertices_than_the_document_has_tokens(monkeypatch):
+    # a table of the header's 10^9 vertex names would take minutes and far
+    # more memory than the machine has, so str fails after a few calls
+    names = []
+
+    def counted_str(value):
+        names.append(value)
+        if len(names) > 100:
+            raise AssertionError("the reader names more vertices than it has tokens")
+        return str(value)
+
+    monkeypatch.setattr(graph_module, "str", counted_str, raising=False)
+    # as many tokens as vertices: each vertex is named once
+    assert parse_edge_list("4 2\n0 1\n2 3\n").sorted_edges() == ((0, 1), (2, 3))
+    assert names == [0, 1, 2, 3]
+    names.clear()
+    text = "1000000000 1\n0 1\n"
+    started = time.perf_counter()
+    g = parse_edge_list(text)
+    assert time.perf_counter() - started < 1.0 and names == []
+    monkeypatch.setattr(graph_module, "_CANONICAL_EDGE_LIST", re.compile("(?!)"))
+    assert g == parse_edge_list(text) and g.n == 10**9 and g.sorted_edges() == ((0, 1),)
 
 
 @pytest.mark.parametrize("records", ["", "".join(f"0 {v}\n" for v in range(1, 20_000))])

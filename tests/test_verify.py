@@ -34,7 +34,6 @@ from rainbowindex import (
     path_graph,
     spanning_tree_coloring,
     steiner_diameter,
-    steiner_distance,
 )
 from rainbowindex import graph as graph_module
 from rainbowindex import verify as verify_module
@@ -90,12 +89,10 @@ def test_single_terminal_trivial():
 
 
 def test_terminal_out_of_range_rejected():
-    # the Steiner distance and the rainbow-tree search name the lowest bad vertex
+    # the rainbow-tree search names the lowest bad vertex
     g = path_graph(3)
     coloring = all_distinct_coloring(g)
     for terminals, bad in (([0, 5], 5), ([0, 9], 9), ([7, 5, 0], 5), ([1, -1, 9], -1)):
-        with pytest.raises(ValueError, match=f"^vertex {bad} out of range$"):
-            steiner_distance(g, terminals)
         with pytest.raises(ValueError, match=f"^vertex {bad} out of range$"):
             exists_rainbow_stree(g, coloring, terminals)
 
@@ -969,11 +966,12 @@ def _steiner_entry(report):
 
 def test_report_takes_the_steiner_diameter_by_its_cheaper_table(monkeypatch):
     # C(17, 10) = 19,448 subsets passed the old subset gate and then took
-    # 28 s, one steiner_distance each; the removal table is shared by all
+    # 28 s, one Steiner distance each; the removal table is shared by all,
+    # and the rows table, which relaxes rows, would hold C(17, 9) of them
     def refuse(*args):
-        raise AssertionError("the Steiner diameter solved a subset on its own")
+        raise AssertionError("the Steiner diameter took the rows table")
 
-    monkeypatch.setattr(graph_module, "steiner_distance", refuse)
+    monkeypatch.setattr(graph_module, "_relax", refuse)
     entry = _steiner_entry(bounds_report(cycle_graph(17), 10))
     assert (entry.source, entry.value) == ("steiner diameter", 15)
 
