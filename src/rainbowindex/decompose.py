@@ -13,12 +13,16 @@ minimum degree.
 
 The walk runs over bitmask rows of unwalked neighbours, with the auxiliary
 vertex as bit n, so the lowest set bit is the tie-break and walking an edge
-clears it from both rows. Each side is stored as its bitmask rows: side
-0's rows are OR-ed from the circuits' alternate steps (skipping the steps
-through the auxiliary vertex), side 1's are the parent's rows XOR side 0's.
-No side re-checks its edges or builds an edge order or edge set; a caller
-that reads a side's edges builds them then, off its rows. SpanningSplit's
-certificate checks the parts on rows too.
+clears it from both rows. It counts the edges left unwalked: once a trail
+leaves none, the stack, the stuck vertex and the vertices unwound so far,
+reversed, are the circuit, taken in one slice on the stack's own list, so
+no second circuit-long list is held. Only a trail that closes with edges
+left is unwound vertex by vertex. Each side is stored as its bitmask rows:
+side 0's rows are OR-ed from the circuits' alternate steps (skipping the
+steps through the auxiliary vertex), side 1's are the parent's rows XOR
+side 0's. No side re-checks its edges or builds an edge order or edge set;
+a caller that reads a side's edges builds them then, off its rows.
+SpanningSplit's certificate checks the parts on rows too.
 
 split_k iterates this halving to produce k edge-disjoint spanning parts:
 with t the integer satisfying 2^t <= k < 2^(t+1) and s = k - 2^t, it keeps
@@ -113,15 +117,17 @@ def split_two(g: Graph) -> tuple[Graph, Graph]:
     # unwalked neighbours as bitmasks; each step takes the lowest
     rest = [row | aux if odd >> v & 1 else row for v, row in enumerate(rows)]
     rest.append(odd)
+    left = g.m + odd.bit_count()  # unwalked edges, the auxiliary ones too
     half = [0] * n  # side 0: every other step of each circuit
     for start in (n, *range(n)):
         if not rest[start]:
             continue
         stack = [start]
-        order: list[int] = []
+        order: list[int] = []  # the circuit's post-order so far
         while stack:
             v = stack.pop()
             row = rest[v]
+            walked = len(stack)
             while row:  # follow the trail from v until it is stuck
                 low = row & -row
                 rest[v] = row ^ low
@@ -129,8 +135,15 @@ def split_two(g: Graph) -> tuple[Graph, Graph]:
                 w = low.bit_length() - 1
                 rest[w] = row = rest[w] ^ (1 << v)
                 v = w
+            left -= len(stack) - walked
+            if not left:  # every edge walked: the stack is the circuit
+                stack.append(v)
+                stack.extend(reversed(order))
+                order = stack
+                break
             order.append(v)
-        order.reverse()
+        else:  # unwound vertex by vertex: the post-order, reversed
+            order.reverse()
         for x, y in zip(order[::2], order[1::2]):
             if x != n and y != n:  # an auxiliary edge is dropped
                 half[x] |= 1 << y

@@ -1,9 +1,10 @@
+import gc
 import json
 import random
 
 import pytest
 
-from rainbowindex import parse_coloring, parse_edge_list, read_edge_list
+from rainbowindex import cli, parse_coloring, parse_edge_list, read_edge_list
 from rainbowindex.cli import build_parser, main
 from tests.test_graph import spy_on_ascending_reads
 
@@ -418,3 +419,65 @@ def test_parser_is_reused_across_calls(tmp_path, capsys):
     assert [call(argv) for argv in calls] == expected
     assert [code for code, _, _ in expected] == [2, 0, 0, 0]
     assert build_parser() is build_parser()
+
+
+@pytest.fixture
+def patched_verify(monkeypatch):
+    """Route ``verify`` to a function the test gives, on a parser built for
+    the test and dropped after it."""
+
+    def patch(command):
+        monkeypatch.setattr(cli, "cmd_verify", command)
+        build_parser.cache_clear()
+
+    yield patch
+    build_parser.cache_clear()
+
+
+def test_main_runs_each_command_with_the_collector_paused(capsys, patched_verify):
+    seen = []
+    patched_verify(lambda args: seen.append(gc.isenabled()) or 0)
+    assert gc.isenabled()
+    for _ in range(2):
+        assert run(capsys, "verify", "-g", "g", "-c", "c", "--k", "2")[0] == 0
+        assert gc.isenabled()
+    assert seen == [False, False]
+
+
+def _raise(args):
+    raise RuntimeError("escaped")
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("outcome", ["exit 0", "exit 2", "exception", "SystemExit"])
+def test_main_restores_the_callers_collector_state(
+    tmp_path, capsys, patched_verify, outcome, caller_enabled
+):
+    bad = tmp_path / "bad.edgelist"
+    bad.write_text("2 1\n0 0\n")
+    verify = ("verify", "-g", str(bad), "-c", "c", "--k", "2")
+    if outcome == "exit 0":
+        patched_verify(lambda args: 0)
+    elif outcome == "exception":
+        patched_verify(_raise)
+    elif outcome == "SystemExit":
+        verify = ("verify", "--k", "x")
+    was_enabled = gc.isenabled()
+    if not caller_enabled:
+        gc.disable()
+    try:
+        if outcome == "exception":
+            with pytest.raises(RuntimeError, match="escaped"):
+                main(list(verify))
+        elif outcome == "SystemExit":
+            with pytest.raises(SystemExit) as exc:
+                main(list(verify))
+            assert exc.value.code == 2
+        else:
+            code, _, err = run(capsys, *verify)
+            assert code == (0 if outcome == "exit 0" else 2)
+            assert outcome == "exit 0" or "loop" in err
+        assert gc.isenabled() is caller_enabled
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import re
@@ -27,6 +28,7 @@ from rainbowindex import (
     parse_edge_list,
     path_graph,
     petersen_graph,
+    split_k,
 )
 from rainbowindex import coloring as coloring_module
 from rainbowindex.graph import ParseError
@@ -554,3 +556,29 @@ def test_bulk_claim_raises_on_a_double_claim():
     claims.claim_all([(1, 2), (0, 1)], 1, "attach")
     assert claims.colors == {(1, 2): 1, (0, 1): 1}
     assert claims.rule_of == {(1, 2): "attach", (0, 1): "attach"}
+
+
+def test_construct_path_leaves_no_garbage():
+    # the CLI runs each command with the cyclic collector paused, which is
+    # safe only while every step of a construction is freed by reference
+    # counting alone
+    k = 3
+    text = format_edge_list(gnp_connected_graph(80, 0.2, seed=1))
+    gc.collect()
+    gc.disable()
+    try:
+        g = parse_edge_list(text)
+        assert gc.collect() == 0
+        assert split_k(g, k).parts
+        assert gc.collect() == 0
+        coloring, _ = color_pipeline(g, k)
+        assert gc.collect() == 0
+        kdom = color_kdom(g, greedy_connected_k_dominating(g, k).vertices, k)
+        assert gc.collect() == 0
+        km1dom, _ = color_km1dom(g, greedy_connected_k_dominating(g, k - 1).vertices, k)
+        assert gc.collect() == 0
+        for each in (coloring, kdom, km1dom):
+            assert format_coloring(each)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

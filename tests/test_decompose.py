@@ -201,6 +201,87 @@ def test_pinned_split_sides():
     assert _digest(items) == PINNED_SPLITS
 
 
+def reference_split_two(g):
+    """split_two's sides by a plain Hierholzer walk over sorted adjacency
+    lists: the auxiliary vertex n joins every odd-degree vertex, its circuit
+    comes first and then one from each start in ascending order, and each
+    step takes the lowest unwalked neighbour. The circuit's even steps are
+    side 0, its odd steps side 1, both without the auxiliary edges. Also
+    returns the walk's first trail, the stack when it first gets stuck."""
+    n = g.n
+    adj = [[] for _ in range(n)]
+    for u, v in sorted(g.edges):
+        adj[u].append(v)
+        adj[v].append(u)
+    odd = [v for v in range(n) if len(adj[v]) % 2]
+    for v in odd:
+        adj[v].append(n)  # above every vertex, so taken last
+    adj.append(odd)
+    sides = (set(), set())
+    first_trail = None
+    for start in (n, *range(n)):
+        if not adj[start]:
+            continue
+        stack, circuit = [start], []
+        while stack:
+            v = stack[-1]
+            if adj[v]:
+                w = adj[v].pop(0)
+                adj[w].remove(v)
+                stack.append(w)
+            else:
+                if first_trail is None:
+                    first_trail = list(stack)
+                circuit.append(stack.pop())
+        circuit.reverse()
+        for i, step in enumerate(zip(circuit, circuit[1:])):
+            if n not in step:
+                sides[i % 2].add(tuple(sorted(step)))
+    return sides, first_trail
+
+
+def assert_matches_reference(g, levels=1):
+    """split_two agrees with the reference on g and, for ``levels`` > 1, on
+    the sides of its sides, as split_k takes them."""
+    sides = split_two(g)
+    ref_sides, _ = reference_split_two(g)
+    assert [side.edges for side in sides] == list(ref_sides)
+    if levels > 1:
+        for side in sides:
+            assert_matches_reference(side, levels - 1)
+
+
+def test_split_two_matches_a_plain_hierholzer_walk_on_corpus():
+    for g in _split_corpus():
+        assert_matches_reference(g, levels=3)
+
+
+@pytest.mark.parametrize(
+    "shared, circuit, sides",
+    [
+        # the walk unwinds 0 and splices the trail 2-3-4-2 in at 2
+        (2, [0, 1, 2, 3, 4, 2, 0], ({(0, 1), (2, 3), (2, 4)}, {(1, 2), (3, 4), (0, 2)})),
+        # the walk unwinds 0 and 2 and splices the trail 1-3-4-1 in at 1
+        (1, [0, 1, 3, 4, 1, 2, 0], ({(0, 1), (3, 4), (1, 2)}, {(1, 3), (1, 4), (0, 2)})),
+    ],
+)
+def test_split_two_unwinds_a_circuit_of_several_trails(shared, circuit, sides):
+    # two triangles sharing a vertex: the first trail 0-1-2-0 closes with the
+    # other triangle unwalked, so the last trail closes the circuit
+    g = Graph.build(5, [(0, 1), (1, 2), (2, 0), (shared, 3), (3, 4), (4, shared)])
+    ref_sides, first_trail = reference_split_two(g)
+    assert first_trail == [0, 1, 2, 0]
+    steps = [tuple(sorted(step)) for step in zip(circuit, circuit[1:])]
+    assert ref_sides == (set(steps[::2]), set(steps[1::2])) == sides
+    assert_matches_reference(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_subsets(max_n=16))
+def test_split_two_matches_a_plain_hierholzer_walk_random(case):
+    assert_matches_reference(case[0])
+
+
 def assert_same_as_fresh(part):
     """A split side carries bitmask rows and skips the edge check; the graph
     built afresh from its edges must agree with it on every view."""
@@ -324,6 +405,23 @@ def test_split_two_peak_memory_stays_with_the_rows():
         tracemalloc.stop()
     assert peak < 8_000_000
     assert first.m + second.m == g.m and first.min_degree == second.min_degree == 1
+    assert [a | b for a, b in zip(first.adj_bits, second.adj_bits)] == list(rows)
+
+
+def test_split_two_holds_one_copy_of_the_circuit():
+    """K_251: 31,375 edges over rows of 251 bits, so the circuit's lists
+    outweigh the rows, and every vertex id is a cached small int. The walk's
+    stack, reused as the circuit, and the two halves it is paired from take
+    about 17 bytes an edge; a second copy of the circuit would take 25."""
+    g = complete_graph(251)
+    rows = g.adj_bits
+    tracemalloc.start()
+    try:
+        first, second = split_two(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 21 * g.m
     assert [a | b for a, b in zip(first.adj_bits, second.adj_bits)] == list(rows)
 
 
